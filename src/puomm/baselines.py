@@ -12,10 +12,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, expit, log_expit, polygamma
 
 from .model import Dataset
 from .simulate import SimOutput
+from .special import digamma, expit, log_expit, trigamma
 
 GRAD_TOL = 1e-8
 MAX_NEWTON = 100
@@ -178,7 +178,7 @@ def fit_gamma_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
         g = np.log(a) - digamma(a) - s
         if abs(g) <= 1e-8:
             break
-        a -= g / (1.0 / a - polygamma(1, a))
+        a -= g / (1.0 / a - trigamma(a))
     return coef, float(a)
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .baselines import TwoPartModel
 from .model import Dataset
 from .selection import PuOmmModel, observed_occurrence_prob
+from .special import expit
 
 CSV_COLUMNS = (
     "method",

@@ -6,7 +6,7 @@ link.  Events are recorded only with probability 1 - exp(-lambda_eps * y),
 so a recorded zero may be a true negative or an undetected positive.
 Marginalizing the detection indicator gives a closed-form likelihood in
 the stacked parameter omega = (beta, theta); this module evaluates that
-likelihood and its analytic gradient.
+likelihood, its analytic gradient and its analytic Hessian.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
+
+from .special import expit, log_expit
 
 # Keeps log(1 - q) finite at extreme parameter values.
 _Q_MAX = 1.0 - 1e-15
@@ -357,6 +358,14 @@ def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
     return np.concatenate([g_beta, g_theta])
 
 
+def _split_rows(data: Dataset):
+    """Recorded-row features, zero-row features and recorded sizes, as contiguous blocks."""
+    if data.n < 1:
+        raise ValueError("dataset must contain at least one sample")
+    pos = data.z > 0
+    return np.ascontiguousarray(data.x[pos]), np.ascontiguousarray(data.x[~pos]), data.z[pos]
+
+
 def make_objective(data: Dataset, d: DetectionParam):
     """Loss and loss+gradient closures over the stacked parameter vector.
 
@@ -364,14 +373,9 @@ def make_objective(data: Dataset, d: DetectionParam):
     inner loop avoids repeated boolean indexing; values agree with
     neg_log_likelihood/gradient up to summation order.
     """
-    if data.n < 1:
-        raise ValueError("dataset must contain at least one sample")
+    Xp, Xn, zp = _split_rows(data)
     n, p = data.n, data.p
     loglam = np.log(d.lambda_eps)
-    pos = data.z > 0
-    Xp = np.ascontiguousarray(data.x[pos])
-    Xn = np.ascontiguousarray(data.x[~pos])
-    zp = data.z[pos]
 
     def _pos_terms(w):
         xbp = Xp @ w[:p]
@@ -415,3 +419,42 @@ def make_objective(data: Dataset, d: DetectionParam):
         return float(-total / n), g
 
     return loss, loss_and_grad
+
+
+def make_hessian(data: Dataset, d: DetectionParam):
+    """Closure for the 2p x 2p Hessian of make_objective's loss.
+
+    Each row's loss depends on omega only through a = x.beta + log
+    lambda_eps and b = x.theta, so the Hessian is X^T diag(w) X in four
+    blocks.  A zero row contributes f = -log(1 - q), q = sigmoid(a)
+    sigmoid(b); with A = df/da = q sigmoid(-a) / (1 - q) and B = df/db,
+        f_aa = A (sigmoid(-a) - sigmoid(a) + A),   f_bb likewise in b,
+        f_ab = A sigmoid(-b) / (1 - q).
+    A recorded row adds z exp(-x.beta) to the beta block and
+    sigmoid(b) sigmoid(-b) to the theta block, with no cross term.  The
+    three weight vectors cost O(n p^2) to apply.
+    """
+    Xp, Xn, zp = _split_rows(data)
+    n, p = data.n, data.p
+    loglam = np.log(d.lambda_eps)
+    X = np.vstack([Xn, Xp])
+
+    def hess(w: np.ndarray) -> np.ndarray:
+        an = Xn @ w[:p] + loglam
+        bn = Xn @ w[p:]
+        bp = Xp @ w[p:]
+        sig_an, sig_bn, comp_an, comp_bn = expit(an), expit(bn), expit(-an), expit(-bn)
+        qn = np.minimum(sig_an * sig_bn, _Q_MAX)
+        one_minus = 1.0 - qn
+        fa, fb = qn / one_minus * comp_an, qn / one_minus * comp_bn
+        with np.errstate(over="ignore"):
+            rate_z = np.exp(-(Xp @ w[:p])) * zp
+        w_bb = np.concatenate([fa * (comp_an - sig_an + fa), rate_z])
+        w_tt = np.concatenate([fb * (comp_bn - sig_bn + fb), expit(bp) * expit(-bp)])
+        w_bt = fa * comp_bn / one_minus
+        h_bb = (X * w_bb[:, None]).T @ X
+        h_tt = (X * w_tt[:, None]).T @ X
+        h_bt = (Xn * w_bt[:, None]).T @ Xn
+        return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / n
+
+    return hess

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .model import Dataset, DetectionParam, ParamPair
 from .optimizer import FitConfig, FitResult, fit
+from .special import expit
 
 DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_LO = 1.0 / 50.0

@@ -16,9 +16,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .model import Dataset
+from .special import expit
 
 
 class Setting(str, enum.Enum):

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass lines.  The heavy multi-trial criteria share module-scoped fixtures;
-the full module takes roughly 15-25 minutes on a laptop-class machine.
+the full module takes under a minute on a 2-core machine.
 """
 
 import time

@@ -12,6 +12,8 @@ from puomm.model import (
     detection_prob,
     gradient,
     magnitude_density,
+    make_hessian,
+    make_objective,
     mixture_link,
     mixture_link_partials,
     neg_log_likelihood,
@@ -227,6 +229,50 @@ def test_gradient_matches_finite_differences(rng):
     g = gradient(om, ds, d)
     fd = central_diff_gradient(om, ds, d)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
+
+
+def _criterion_1_draws():
+    """The 50 (data, parameter, detection rate) draws of acceptance criterion 1."""
+    rng = np.random.default_rng(101)
+    for _ in range(50):
+        p = int(rng.integers(2, 11))
+        n = int(rng.integers(20, 201))
+        lam = float(np.exp(rng.uniform(np.log(0.02), np.log(50.0))))
+        ds = random_dataset(rng, n, p, detect_rate=lam)
+        om = ParamPair(rng.standard_normal(p) * 0.8, rng.standard_normal(p) * 0.8)
+        yield ds, om, DetectionParam(lam)
+
+
+def _rel_err(a, b, floor=1e-3):
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def test_make_objective_matches_public_loss_and_gradient():
+    for ds, om, d in _criterion_1_draws():
+        loss, loss_and_grad = make_objective(ds, d)
+        w = om.as_vector()
+        value, g = loss_and_grad(w)
+        expected = neg_log_likelihood(om, ds, d)
+        assert loss(w) == value
+        assert abs(value - expected) <= 1e-10 * abs(expected)
+        assert _rel_err(g, gradient(om, ds, d)).max() < 1e-10
+
+
+def test_make_hessian_matches_finite_differences_of_the_gradient():
+    # fourth-order central differences of make_objective's gradient, column by column
+    step = 1e-3
+    for ds, om, d in _criterion_1_draws():
+        _, loss_and_grad = make_objective(ds, d)
+        w = om.as_vector()
+        h = make_hessian(ds, d)(w)
+        fd = np.empty_like(h)
+        for j in range(w.size):
+            e = np.zeros_like(w)
+            e[j] = step
+            g = lambda t: loss_and_grad(w + t * e)[1]
+            fd[:, j] = (-g(2) + 8 * g(1) - 8 * g(-1) + g(-2)) / (12 * step)
+        assert _rel_err(h, fd).max() < 1e-6
+        assert np.abs(h - h.T).max() <= 1e-12
 
 
 def test_gradient_theta_block_all_positive(rng):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from puomm.model import Dataset, DetectionParam, ParamPair, neg_log_likelihood
-from puomm.optimizer import FitConfig, armijo_step, fit, project_l2_ball
+from puomm.model import Dataset, DetectionParam, ParamPair, make_objective, neg_log_likelihood
+from puomm.optimizer import FitConfig, fit, project_l2_ball
 from puomm.selection import default_radius
 from puomm.simulate import SimConfig, make_datasets
 
@@ -20,32 +20,6 @@ def test_project_scales_to_boundary():
 
 def test_project_zero_vector():
     assert np.array_equal(project_l2_ball(np.zeros(3), 2.5), np.zeros(3))
-
-
-def test_armijo_quadratic_accepts_full_step():
-    # loss ||w||^2 / 2 with gradient w: from (1, 0) the unit step lands on the minimum
-    loss = lambda om: 0.5 * float(np.sum(om.as_vector() ** 2))
-    omega = ParamPair(np.array([1.0]), np.array([0.0]))
-    cand, step = armijo_step(omega, omega.as_vector(), loss, FitConfig(radius=10.0))
-    assert step == 1.0
-    assert np.allclose(cand.as_vector(), 0.0)
-
-
-def test_armijo_zero_gradient_returns_same_point():
-    loss = lambda om: 0.5 * float(np.sum(om.as_vector() ** 2))
-    omega = ParamPair(np.array([0.7]), np.array([-0.2]))
-    cand, step = armijo_step(omega, np.zeros(2), loss, FitConfig(radius=10.0))
-    assert np.array_equal(cand.as_vector(), omega.as_vector())
-    assert step > 0
-
-
-def test_armijo_candidate_stays_in_ball():
-    r = 2.0
-    loss = lambda om: -float(om.as_vector()[0])  # pushes outward
-    omega = ParamPair(np.array([0.9 * r]), np.array([0.0]))
-    grad = np.array([-100.0, 0.0])
-    cand, _ = armijo_step(omega, grad, loss, FitConfig(radius=r))
-    assert cand.norm() <= r + 1e-12
 
 
 def test_fit_recovers_parameters_on_assumed_model():
@@ -67,19 +41,47 @@ def test_fit_loss_monotone_and_iterates_in_ball(rng):
     assert np.all(norms <= cfg.radius + 1e-12)
 
 
-def test_fit_all_positive_boundary_behavior(rng):
-    # all z > 0 with certain detection: theta wants +inf, the ball caps it
+def _all_positive_case(rng):
+    """All z > 0 with certain detection: theta wants +inf, the ball caps it."""
     n, p = 300, 3
     x = rng.standard_normal((n, p))
     z = rng.exponential(1.0, n) + 0.05
     ds = Dataset(x=np.hstack([np.ones((n, 1)), x]), z=z)
-    cfg = FitConfig(radius=default_radius(p + 1), max_iter=2000, tol=1e-10)
-    res = fit(ds, DetectionParam(1e9), cfg)
+    return ds, DetectionParam(1e9), FitConfig(radius=default_radius(p + 1), max_iter=2000, tol=1e-10)
+
+
+def test_fit_all_positive_boundary_behavior(rng):
+    ds, d, cfg = _all_positive_case(rng)
+    res = fit(ds, d, cfg)
     losses = [t[1] for t in res.trace]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
     assert res.omega_hat.norm() <= cfg.radius + 1e-12
     # the occurrence block keeps growing toward the boundary
     assert np.linalg.norm(res.omega_hat.theta) > 1.0
+
+
+def test_fit_all_positive_converges_on_the_sphere(rng):
+    # the optimum lies on the sphere, where Newton steps on the
+    # ball-constrained model converge and PGD alone stalls
+    ds, d, cfg = _all_positive_case(rng)
+    res = fit(ds, d, cfg)
+    w = res.omega_hat.as_vector()
+    _, loss_and_grad = make_objective(ds, d)
+    stationarity = np.linalg.norm(w - project_l2_ball(w - loss_and_grad(w)[1], cfg.radius))
+    assert res.converged
+    assert abs(res.omega_hat.norm() - cfg.radius) <= 1e-9
+    assert stationarity <= 1e-8
+
+
+def test_fit_pgd_warm_up_keeps_the_interior_minimum():
+    # PGD from zero settles in an interior minimum (loss 1.02858, norm 4.4);
+    # Newton steps taken from the start jump to a worse one on the sphere
+    sim = make_datasets(SimConfig(setting="threshold", n=5000, p=10, seed=1, n_test=10))
+    cfg = FitConfig(radius=default_radius(10))
+    res = fit(sim.train.observed_only(), DetectionParam(0.02), cfg)
+    assert res.converged
+    assert res.omega_hat.norm() < cfg.radius - 1.0
+    assert res.final_loss < 1.0287
 
 
 def test_fit_huge_tol_stops_immediately(rng):
