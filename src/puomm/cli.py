@@ -131,14 +131,8 @@ def cmd_fit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = dataio.read_model_json(args.model)
-    schema = "simulated" if args.mode == "simulation" else "observed_only"
-    if args.mode == "auto":
-        try:
-            data = dataio.ingest_csv(args.data, schema="simulated")
-        except ValueError:
-            data = dataio.ingest_csv(args.data, schema="observed_only")
-    else:
-        data = dataio.ingest_csv(args.data, schema=schema)
+    schema = {"auto": "auto", "simulation": "simulated", "observed": "observed_only"}[args.mode]
+    data = dataio.ingest_csv(args.data, schema=schema)
     if args.add_intercept:
         data = data.with_intercept()
     truth = None

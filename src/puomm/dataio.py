@@ -2,7 +2,18 @@
 
 All writers are byte-deterministic: floats are serialized with repr
 (shortest round-trip form), JSON keys are sorted, and line endings are
-fixed to "\\n".
+fixed to "\\n".  Dataset CSVs are written a block of rows at a time, so
+the text held in memory stays small.
+
+Dataset CSVs are parsed by one ``np.loadtxt`` call over every column.
+Its row count is checked against a count of the file's lines, because
+loadtxt skips blank lines.  When that parse fails or miscounts, a
+csv.reader row loop reads the file again: it accepts what float()
+accepts and loadtxt does not (quoted cells, "1_0"), and otherwise names
+the first bad line.  Rejected, each with its 1-based line number: blank
+lines and rows whose cell count differs from the header's; non-numeric,
+NaN or infinite cells in a column the schema reads; negative z; and,
+under the simulated schema, rows breaking u = 1{y > 0} or z = y*r.
 """
 
 from __future__ import annotations
@@ -22,47 +33,48 @@ from .simulate import SimConfig, SimOutput
 
 LATENT_COLUMNS = ("y", "u", "r")
 
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held in memory
+_CHUNK_BYTES = 1 << 20
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     """Columns x_1..x_p, z and, when latent fields exist, y, u, r."""
     path = Path(path)
     header = [f"x_{j + 1}" for j in range(ds.p)] + ["z"]
-    latent = ds.has_latent and ds.r is not None
-    if latent:
+    cols = [ds.x, ds.z[:, None]]
+    if ds.has_latent and ds.r is not None:
         header += list(LATENT_COLUMNS)
+        cols += [ds.y[:, None], ds.u[:, None], ds.r[:, None]]
+    table = np.hstack(cols)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [_fmt(v) for v in ds.x[i]] + [_fmt(ds.z[i])]
-            if latent:
-                row += [_fmt(ds.y[i]), _fmt(ds.u[i]), _fmt(ds.r[i])]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        # a repr'd float never holds a comma, quote or newline, so no cell needs csv quoting
+        for start in range(0, ds.n, _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
-def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
-    """Load a dataset CSV, validating cells and reporting bad lines.
+def _count_lines(path: Path) -> int:
+    """Lines in the file, blank ones and a last one lacking its line end included.
 
-    The observed_only schema needs the feature columns x_1..x_p and z and
-    ignores any latent columns present; the simulated schema additionally
-    requires y, u, r.  Malformed cells and negative z raise with the
-    offending 1-based line number.
+    "\\n", "\\r\\n" and a lone "\\r" each end a line, for csv.reader and
+    np.loadtxt alike.
     """
-    if schema not in ("observed_only", "simulated"):
-        raise ValueError(f"unknown schema {schema!r}")
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across two chunks
+            last = chunk[-1:]
+    return lines + (last not in (b"\n", b"\r"))
 
+
+def _schema_columns(path: Path, header: list[str], schema: str) -> tuple[int, bool]:
+    """Validate the header; return p and whether the latent columns are read."""
+    if schema == "auto":
+        schema = "simulated" if all(c in header for c in LATENT_COLUMNS) else "observed_only"
     x_names = [h for h in header if h.startswith("x_")]
     try:
         order = sorted(range(len(x_names)), key=lambda i: int(x_names[i][2:]))
@@ -77,36 +89,93 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
         raise ValueError(f"{path}: feature columns must be x_1..x_{p} with no gaps")
     if "z" not in header:
         raise ValueError(f"{path}: missing required column z")
-    needed = list(expected) + ["z"]
     if schema == "simulated":
         missing = [c for c in LATENT_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: simulated schema missing columns {missing}")
-        needed += list(LATENT_COLUMNS)
-    col_idx = {name: header.index(name) for name in needed}
+    return p, schema == "simulated"
 
-    n = len(rows)
-    x = np.empty((n, p))
-    z = np.empty(n)
-    lat = {c: np.empty(n) for c in LATENT_COLUMNS} if schema == "simulated" else {}
-    for i, row in enumerate(rows):
+
+def _check_values(path: Path, table: np.ndarray, z_col: int) -> None:
+    """Raise at the first row holding NaN, +-inf, or a negative z."""
+    finite = np.isfinite(table).all(axis=1)
+    bad = np.flatnonzero(~finite | (table[:, z_col] < 0))
+    if bad.size:
+        i = int(bad[0])
         line = i + 2  # header occupies line 1
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {line}: expected {len(header)} cells, got {len(row)}")
-        try:
-            for j, name in enumerate(expected):
-                x[i, j] = float(row[col_idx[name]])
-            z[i] = float(row[col_idx["z"]])
-            for c in lat:
-                lat[c][i] = float(row[col_idx[c]])
-        except ValueError:
-            raise ValueError(f"{path}: line {line}: non-numeric cell") from None
-        if z[i] < 0:
-            raise ValueError(f"{path}: line {line}: z must be nonnegative, got {z[i]}")
+        if not finite[i]:
+            raise ValueError(f"{path}: line {line}: non-finite cell")
+        raise ValueError(f"{path}: line {line}: z must be nonnegative, got {table[i, z_col]}")
 
-    ds = Dataset(x=x, z=z, **lat) if lat else Dataset(x=x, z=z)
-    if schema == "simulated":
-        ds.validate_latent()
+
+def _parse_rows(path: Path, n_cells: int, idx: list[int], z_col: int) -> np.ndarray:
+    """Row-by-row parse of columns idx; raises at the first bad line.
+
+    Used when the single-call parse fails or miscounts rows.  It accepts
+    whatever float() does (quoted cells, "1_0") and otherwise names the
+    first malformed line, unless an earlier line holds a bad value.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = list(reader)
+    table = np.empty((len(rows), len(idx)))
+    for i, row in enumerate(rows):
+        if len(row) != n_cells:
+            err = f"expected {n_cells} cells, got {len(row)}"
+        else:
+            try:
+                table[i] = [float(row[j]) for j in idx]
+                continue
+            except ValueError:
+                err = "non-numeric cell"
+        _check_values(path, table[:i], z_col)
+        raise ValueError(f"{path}: line {i + 2}: {err}")
+    return table
+
+
+def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
+    """Load a dataset CSV, validating cells and reporting bad lines.
+
+    The observed_only schema needs the feature columns x_1..x_p and z and
+    ignores any latent columns present; the simulated schema additionally
+    requires y, u, r; auto reads the file as simulated exactly when its
+    header names y, u and r.  Malformed or non-finite cells, negative z
+    and, under the simulated schema, rows breaking u = 1{y > 0} or
+    z = y*r raise with the offending 1-based line number.
+    """
+    if schema not in ("observed_only", "simulated", "auto"):
+        raise ValueError(f"unknown schema {schema!r}")
+    path = Path(path)
+    records = _count_lines(path) - 1
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        p, simulated = _schema_columns(path, header, schema)
+        table = None
+        if records > 0:  # loadtxt warns on an empty table
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+    needed = [f"x_{j + 1}" for j in range(p)] + ["z"] + (list(LATENT_COLUMNS) if simulated else [])
+    idx = [header.index(name) for name in needed]
+    if table is not None and table.shape == (records, len(header)):
+        table = table[:, idx]
+    else:  # blank lines, ragged rows, cells loadtxt cannot read: locate or accept row by row
+        table = _parse_rows(path, len(header), idx, z_col=p)
+    _check_values(path, table, z_col=p)
+
+    x = np.ascontiguousarray(table[:, :p])
+    cols = {name: table[:, p + k].copy() for k, name in enumerate(needed[p:])}
+    ds = Dataset(x=x, **cols)
+    if simulated:
+        bad = ds.latent_mismatch()
+        if bad is not None:
+            row, rule = bad
+            raise ValueError(f"{path}: line {row + 2}: {rule}")
     return ds
 
 

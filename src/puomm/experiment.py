@@ -2,6 +2,8 @@
 
 Emits a long-format CSV (setting, n, trial, method, metric, value,
 status) plus a summary CSV with per-cell means and standard errors.
+Status is ok, not_converged (a fit stopped by max_iter; its metrics are
+written but left out of the summary) or failed.
 Every output byte is a deterministic function of the configuration.
 """
 
@@ -22,6 +24,7 @@ from .selection import (
     DEFAULT_GRID_HI,
     DEFAULT_GRID_LO,
     DEFAULT_GRID_SIZE,
+    PuOmmModel,
     default_radius,
     fit_at_lambda,
     fit_pu_omm,
@@ -132,11 +135,13 @@ def _cell_rows(cfg, setting_label, n, trial, sim, train, test, truth, true_lambd
             model = _fit_method(method, cfg, sim, train, true_lambda)
             report = evaluate_trial({method: model}, test, truth=truth, trial_id=trial, mode=mode)[0]
             values = report.as_dict()
+            # a fit stopped by max_iter is reported but kept out of the summary means
+            status = "not_converged" if isinstance(model, PuOmmModel) and not model.fit.converged else "ok"
             for metric in metric_names:
                 if values[metric] is None:
                     continue
                 rows.append(
-                    (setting_label, n, trial, method, metric, repr(float(values[metric])), "ok")
+                    (setting_label, n, trial, method, metric, repr(float(values[metric])), status)
                 )
         except Exception as exc:  # record and continue: one bad fit must not kill the sweep
             rows.append((setting_label, n, trial, method, "all", "", f"failed: {exc}"))

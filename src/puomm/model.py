@@ -192,14 +192,22 @@ class Dataset:
         ones = np.ones((self.n, 1))
         return Dataset(x=np.hstack([ones, self.x]), z=self.z, y=self.y, u=self.u, r=self.r)
 
-    def validate_latent(self) -> None:
-        """Check the z = y*r bookkeeping on simulated data."""
+    def latent_mismatch(self) -> tuple[int, str] | None:
+        """The first row breaking u = 1{y > 0} or z = y*r, with the rule it breaks."""
         if self.y is None or self.u is None or self.r is None:
             raise ValueError("latent columns y, u, r are required")
-        if not np.array_equal(self.u, (self.y > 0).astype(float)):
-            raise ValueError("u must equal 1{y > 0} rowwise")
-        if not np.array_equal(self.z, self.y * self.r):
-            raise ValueError("z must equal y * r rowwise")
+        bad_u = self.u != (self.y > 0)
+        bad = np.flatnonzero(bad_u | (self.z != self.y * self.r))
+        if bad.size == 0:
+            return None
+        i = int(bad[0])
+        return i, "u must equal 1{y > 0}" if bad_u[i] else "z must equal y * r"
+
+    def validate_latent(self) -> None:
+        """Check the z = y*r bookkeeping on simulated data."""
+        bad = self.latent_mismatch()
+        if bad is not None:
+            raise ValueError(f"{bad[1]} rowwise (row {bad[0]})")
 
 
 def sigmoid(t):

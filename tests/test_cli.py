@@ -209,3 +209,56 @@ def test_non_oracle_fit_ignores_latent_columns(tmp_path):
     a, b = read_model_json(m1), read_model_json(m2)
     assert np.array_equal(a.occurrence_coef, b.occurrence_coef)
     assert np.array_equal(a.magnitude_coef, b.magnitude_coef)
+
+
+def test_evaluate_auto_mode_rejects_corrupt_simulated_file(tmp_path, capsys):
+    main(["simulate", "--setting", "correct", "--n", "200", "--p", "3",
+          "--n-test", "100", "--seed", "3", "--out", str(tmp_path)])
+    model = tmp_path / "model.json"
+    assert main(["fit", "--data", str(tmp_path / "train.csv"), "--method", "logistic_gamma",
+                 "--out", str(model)]) == 0
+    test_csv = tmp_path / "test.csv"
+    lines = test_csv.read_text().splitlines()
+    cells = lines[41].split(",")
+    cells[3] = repr(float(cells[3]) + 2.0)  # z column: z != y * r on file line 42
+    lines[41] = ",".join(cells)
+    test_csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(model), "--data", str(test_csv), "--mode", "auto",
+               "--truth", str(tmp_path / "meta.json"), "--out", str(tmp_path / "metrics.csv")])
+    assert rc == 1
+    assert "line 42" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_evaluate_auto_mode_reads_observed_file_as_observed(tmp_path):
+    data = _write_standin_csv(tmp_path / "d.csv")
+    model = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--method", "logistic_gamma", "--out", str(model)]) == 0
+    out = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["rmse_beta"] == ""  # no truth in observed mode
+
+
+def test_experiment_non_converged_fit_is_not_ok(tmp_path):
+    cfg = ExperimentConfig(
+        mode="simulation",
+        methods=["pu_omm", "pu_omm_true_lambda", "oracle"],
+        trials=2,
+        base_seed=5,
+        output_dir=str(tmp_path),
+        settings=[SimConfig(setting="correct", n=300, p=3, n_test=100)],
+        n_values=[300],
+        grid_size=2,
+        tol=1e-12,
+        max_iter=5,
+    )
+    long_path, summary_path = run_experiment(cfg)
+    rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
+    status = {(r[3], r[6]) for r in rows}
+    assert status == {("pu_omm", "not_converged"), ("pu_omm_true_lambda", "not_converged"), ("oracle", "ok")}
+    assert all(r[5] != "" for r in rows)  # metrics are still written
+    summary = [line.split(",") for line in summary_path.read_text().splitlines()[1:]]
+    assert {r[2] for r in summary} == {"oracle"}

@@ -1,6 +1,16 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from puomm import dataio
 from puomm.baselines import TwoPartModel
 from puomm.dataio import (
     ingest_csv,
@@ -105,6 +115,156 @@ def test_wildfire_scale_stand_in_loads(tmp_path):
     write_dataset_csv(Dataset(x=x, z=z), path)
     ds = ingest_csv(path)
     assert (ds.n, ds.p) == (n, p)
+
+
+def _csv_writer_bytes(ds):
+    """The file as a csv.writer of repr'd cells writes it: the format's reference."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    cols = [ds.x, ds.z[:, None]] + ([ds.y[:, None], ds.u[:, None], ds.r[:, None]] if ds.has_latent else [])
+    writer.writerow([f"x_{j + 1}" for j in range(ds.p)] + ["z"] + (["y", "u", "r"] if ds.has_latent else []))
+    writer.writerows([[repr(float(v)) for v in row] for row in np.hstack(cols)])
+    return buf.getvalue().encode()
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308, 0.1])
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**53), 2**53).map(float),
+    _EDGE_FLOATS,
+)
+_NONNEG = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**53).map(float),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308]),
+)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(0, 200))
+    p = draw(st.integers(1, 6))
+    x = draw(arrays(np.float64, (n, p), elements=_FINITE))
+    z = draw(arrays(np.float64, (n,), elements=_NONNEG))
+    return Dataset(x=x, z=z)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_datasets())
+def test_dataset_csv_roundtrip_property(ds):
+    with tempfile.TemporaryDirectory() as d:
+        p1, p2 = Path(d) / "a.csv", Path(d) / "b.csv"
+        write_dataset_csv(ds, p1)
+        write_dataset_csv(ds, p2)
+        assert p1.read_bytes() == p2.read_bytes() == _csv_writer_bytes(ds)
+        back = ingest_csv(p1)
+    assert back.x.shape == ds.x.shape and back.x.flags.c_contiguous
+    assert np.array_equal(_bits(back.x), _bits(ds.x))
+    assert np.array_equal(_bits(back.z), _bits(ds.z))
+
+
+def test_dataset_csv_writer_matches_reference_with_latent(tmp_path):
+    sim = make_datasets(SimConfig(setting="lognormal", n=5000, p=3, seed=11, n_test=10))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(sim.train, path)  # more than one block of rows
+    assert path.read_bytes() == _csv_writer_bytes(sim.train)
+
+
+_GOOD = ["x_1,z"] + [f"{i * 0.25},{i * 0.5}" for i in range(12)]
+
+
+def _with_line(line_no, text):
+    lines = list(_GOOD)
+    lines[line_no - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param("\n".join(_GOOD[:6] + [""] + _GOOD[6:]) + "\n", "line 7: expected 2 cells, got 0", id="blank"),
+        pytest.param(_with_line(5, "0.5"), "line 5: expected 2 cells, got 1", id="short"),
+        pytest.param(_with_line(9, "0.5,1.0,2.0"), "line 9: expected 2 cells, got 3", id="long"),
+        pytest.param(_with_line(4, "0.5,"), "line 4: non-numeric cell", id="empty-cell"),
+        pytest.param(_with_line(11, "abc,1.0"), "line 11: non-numeric cell", id="non-numeric"),
+        pytest.param(_with_line(6, "0.5,-1.5"), "line 6: z must be nonnegative, got -1.5", id="negative-z"),
+        pytest.param(_with_line(3, "0.5,nan"), "line 3: non-finite cell", id="nan"),
+        pytest.param(_with_line(8, "inf,1.0"), "line 8: non-finite cell", id="inf"),
+        pytest.param(_with_line(13, "0.5,1e400"), "line 13: non-finite cell", id="overflow"),
+        # line 6 is "1.0,2.0": a negative z there is reported before the bad cell on line 10
+        pytest.param(_with_line(10, "abc,1.0").replace("1.0,2.0", "1.0,-2.0"), "line 6: z must be nonnegative",
+                     id="earlier-negative-z-wins"),
+    ],
+)
+def test_ingest_bad_file_names_first_bad_line(tmp_path, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=message):
+        ingest_csv(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param('x_1,z\n"0.5",1.0\n1_0,"2.0"\n', id="quoted-and-underscore"),
+        pytest.param("x_1,z\r\n0.5,1.0\r\n10.0,2.0\r\n", id="crlf"),
+        pytest.param("x_1,z\r0.5,1.0\r10.0,2.0\r", id="cr"),
+        pytest.param("x_1,z\n0.5,1.0\n10.0,2.0", id="no-final-newline"),
+    ],
+)
+def test_ingest_accepts_files_read_as_before(tmp_path, content):
+    path = tmp_path / "ok.csv"
+    path.write_text(content, newline="")
+    ds = ingest_csv(path)
+    assert np.array_equal(ds.x, [[0.5], [10.0]])
+    assert np.array_equal(ds.z, [1.0, 2.0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([b"1", b",", b"\n", b"\r", b"\r\n"]), max_size=30), st.integers(1, 4))
+def test_line_count_matches_splitlines_across_chunks(parts, chunk):
+    content = b"".join(parts)
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+        path = Path(d) / "f.csv"
+        path.write_bytes(content)
+        assert dataio._count_lines(path) == len(content.splitlines())
+
+
+def test_ingest_header_only_gives_empty_dataset(tmp_path):
+    for content in ("x_1,x_2,z\n", "x_1,x_2,z"):
+        path = tmp_path / "empty.csv"
+        path.write_text(content)
+        ds = ingest_csv(path)  # loadtxt's no-data warning would fail the suite
+        assert ds.x.shape == (0, 2) and ds.z.shape == (0,)
+
+
+def test_ingest_ignores_non_finite_latent_under_observed_only(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x_1,z,y,u,r\n0.5,1.0,nan,1.0,1.0\n0.25,0.0,0.0,0.0,1.0\n")
+    ds = ingest_csv(path, schema="observed_only")
+    assert np.array_equal(ds.z, [1.0, 0.0])
+    with pytest.raises(ValueError, match="line 2: non-finite cell"):
+        ingest_csv(path, schema="simulated")
+
+
+def test_ingest_simulated_names_first_latent_mismatch(tmp_path):
+    sim = make_datasets(SimConfig(setting="correct", n=40, p=2, seed=12, n_test=10))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(sim.train, path)
+    lines = path.read_text().splitlines()
+    cells = lines[23].split(",")
+    cells[2] = repr(float(cells[2]) + 1.0)  # z no longer equals y * r
+    lines[23] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 24: z must equal y \\* r"):
+        ingest_csv(path, schema="simulated")
+    with pytest.raises(ValueError, match="line 24"):
+        ingest_csv(path, schema="auto")
+    assert ingest_csv(path, schema="observed_only").n == 40
 
 
 def test_sim_meta_roundtrip(tmp_path):
