@@ -7,6 +7,14 @@ so a recorded zero may be a true negative or an undetected positive.
 Marginalizing the detection indicator gives a closed-form likelihood in
 the stacked parameter omega = (beta, theta); this module evaluates that
 likelihood, its analytic gradient and its analytic Hessian.
+
+neg_log_likelihood and gradient evaluate in original row order, so a
+non-finite term is reported with its sample index.  The optimizer's
+closures (make_objective, make_hessian) each read a private per-point
+state instead: the rows are split once into recorded and zero blocks,
+stored feature-major (p x rows), and one pass per point computes both
+linear predictors and the sigmoid pairs; the terms of the last point
+are kept, so loss, gradient and Hessian at one point share that pass.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import expit, log_expit
+from .special import expit, expit_pair, log_expit
 
 # Keeps log(1 - q) finite at extreme parameter values.
 _Q_MAX = 1.0 - 1e-15
@@ -105,37 +113,14 @@ class ObservedSample:
 
 
 @dataclass
-class LatentSample:
-    """A simulator row that still carries the unmasked truth.
-
-    u flags a true event, y its size, r whether it was recorded; the
-    observed magnitude is z = y * r.  Estimators never see u, y, r.
-    """
-
-    x: np.ndarray
-    y: float
-    u: int
-    r: int
-    z: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.u != (1 if self.y > 0 else 0):
-            raise ValueError("u must equal 1 exactly when y > 0")
-        expected_z = self.y if self.r == 1 else 0.0
-        if self.z != expected_z:
-            raise ValueError("z must equal y*r")
-
-    def observed(self) -> ObservedSample:
-        return ObservedSample(x=self.x, z=self.z)
-
-
-@dataclass
 class Dataset:
     """Row-major feature matrix with the observed magnitude column.
 
     Latent columns (y, u, r) are present only for simulated data and are
-    consumed exclusively by oracle fitting and evaluation code.
+    consumed exclusively by oracle fitting and evaluation code.  x and z
+    must be finite and z nonnegative, and every column must have n
+    entries; a violation raises ValueError naming the first bad row or
+    the column.
     """
 
     x: np.ndarray
@@ -149,15 +134,21 @@ class Dataset:
         self.z = np.asarray(self.z, dtype=float)
         if self.x.ndim != 2:
             raise ValueError("x must be an (n, p) matrix")
-        if self.z.shape != (self.x.shape[0],):
+        if self.z.shape != (self.n,):
             raise ValueError("z must be a length-n vector")
+        for name, bad in (("x", ~np.isfinite(self.x).all(axis=1)), ("z", ~np.isfinite(self.z))):
+            if bad.any():
+                raise ValueError(f"{name} must be finite (row {int(np.argmax(bad))})")
         if np.any(self.z < 0):
             bad = int(np.argmax(self.z < 0))
             raise ValueError(f"z must be nonnegative (row {bad})")
         for name in ("y", "u", "r"):
             col = getattr(self, name)
             if col is not None:
-                setattr(self, name, np.asarray(col, dtype=float))
+                col = np.asarray(col, dtype=float)
+                if col.shape != (self.n,):
+                    raise ValueError(f"{name} must be a length-n vector (n={self.n}), got shape {col.shape}")
+                setattr(self, name, col)
 
     @property
     def n(self) -> int:
@@ -367,64 +358,84 @@ def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
 
 
 def _split_rows(data: Dataset):
-    """Recorded-row features, zero-row features and recorded sizes, as contiguous blocks."""
+    """Recorded-row and zero-row features as feature-major (p, rows) blocks, and recorded sizes."""
     if data.n < 1:
         raise ValueError("dataset must contain at least one sample")
     pos = data.z > 0
-    return np.ascontiguousarray(data.x[pos]), np.ascontiguousarray(data.x[~pos]), data.z[pos]
+    xt = data.x.T
+    return np.ascontiguousarray(xt[:, pos]), np.ascontiguousarray(xt[:, ~pos]), data.z[pos]
+
+
+class _RowTerms:
+    """The objective's per-row terms at the last point seen, over feature-major blocks.
+
+    One product w.reshape(2, p) @ X^T gives both linear predictors of a
+    block.  The terms kept are sigmoid(+-a) and q = sigmoid(a) sigmoid(b)
+    on zero rows, sigmoid(+-b) and exp(-x.beta) on recorded rows, and the
+    log-likelihood total.  They are recomputed only when at() gets a point
+    that differs from a private copy of the last one, so evaluating the
+    loss, the gradient and the Hessian at one point pays for them once,
+    and mutating the caller's array in place never serves stale terms.
+    Overflow is left to produce inf, which the readers report as
+    NumericalError or a non-finite Hessian, not as a warning.
+    """
+
+    def __init__(self, data: Dataset, d: DetectionParam):
+        self.XpT, self.XnT, self.zp = _split_rows(data)
+        self.p = data.p
+        self.loglam = np.log(d.lambda_eps)
+        self.w = None
+
+    def at(self, w: np.ndarray) -> "_RowTerms":
+        if self.w is not None and np.array_equal(w, self.w):
+            return self
+        self.w = None
+        coef = w.reshape(2, self.p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab = coef @ self.XnT
+            ab[0] += self.loglam
+            xbp, bp = coef @ self.XpT
+            (self.sig_an, self.sig_bn), (self.comp_an, self.comp_bn), _ = expit_pair(ab)
+            self.qn = np.minimum(self.sig_an * self.sig_bn, _Q_MAX)
+            self.sig_bp, self.comp_bp, exp_bp = expit_pair(bp)
+            self.ratep = np.exp(-xbp)
+            # log_expit(bp) from the exp(-|bp|) already at hand
+            ell_p = -xbp - self.ratep * self.zp + (np.minimum(bp, 0.0) - np.log1p(exp_bp))
+            self.total = np.sum(np.log1p(-self.qn)) + np.sum(ell_p)
+        self.w = w.copy()
+        return self
 
 
 def make_objective(data: Dataset, d: DetectionParam):
     """Loss and loss+gradient closures over the stacked parameter vector.
 
-    Rows are split once into recorded/zero blocks so the optimizer's
-    inner loop avoids repeated boolean indexing; values agree with
-    neg_log_likelihood/gradient up to summation order.
+    Both read one _RowTerms state: rows are split once into recorded and
+    zero blocks, stored feature-major, and the row terms of the last
+    point are kept, so loss_and_grad(w) right after loss(w) costs only the
+    two gradient products.  Values agree with neg_log_likelihood/gradient
+    up to summation order.
     """
-    Xp, Xn, zp = _split_rows(data)
-    n, p = data.n, data.p
-    loglam = np.log(d.lambda_eps)
-
-    def _pos_terms(w):
-        xbp = Xp @ w[:p]
-        bp = Xp @ w[p:]
-        with np.errstate(over="ignore"):
-            ratep = np.exp(-xbp)
-            ell = -xbp - ratep * zp + log_expit(bp)
-        return xbp, bp, ratep, ell
-
-    def _neg_parts(w):
-        an = Xn @ w[:p] + loglam
-        bn = Xn @ w[p:]
-        sig_an = expit(an)
-        qn = np.minimum(sig_an * expit(bn), _Q_MAX)
-        return an, bn, sig_an, qn
+    state = _RowTerms(data, d)
+    n = data.n
 
     def loss(w: np.ndarray) -> float:
-        *_, qn = _neg_parts(w)
-        *_, ell_p = _pos_terms(w)
-        total = np.sum(np.log1p(-qn)) + np.sum(ell_p)
+        total = state.at(w).total
         if not np.isfinite(total):
             raise NumericalError("non-finite log-likelihood term")
         return float(-total / n)
 
     def loss_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        an, bn, sig_an, qn = _neg_parts(w)
-        xbp, bp, ratep, ell_p = _pos_terms(w)
-        total = np.sum(np.log1p(-qn)) + np.sum(ell_p)
-
-        # zero rows: residual is -q, shared by both blocks of the gradient
-        one_minus = 1.0 - qn
-        scaled = qn / one_minus
-        gn_beta = Xn.T @ (scaled * expit(-an))
-        gn_theta = Xn.T @ (scaled * expit(-bn))
-        # recorded rows: logistic part in theta, exponential-GLM score in beta
-        gp_beta = Xp.T @ (ratep * zp - 1.0)
-        gp_theta = Xp.T @ expit(-bp)
-        g = np.concatenate([(gn_beta - gp_beta) / n, (gn_theta - gp_theta) / n])
-        if not (np.isfinite(total) and np.isfinite(g).all()):
+        s = state.at(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # zero rows: residual is -q, shared by both blocks of the gradient
+            scaled = s.qn / (1.0 - s.qn)
+            g_zero = np.stack([scaled * s.comp_an, scaled * s.comp_bn]) @ s.XnT.T
+            # recorded rows: exponential-GLM score in beta, logistic part in theta
+            g_pos = np.stack([s.ratep * s.zp - 1.0, s.comp_bp]) @ s.XpT.T
+            g = ((g_zero - g_pos) / n).ravel()
+        if not (np.isfinite(s.total) and np.isfinite(g).all()):
             raise NumericalError("non-finite log-likelihood or gradient term")
-        return float(-total / n), g
+        return float(-s.total / n), g
 
     return loss, loss_and_grad
 
@@ -440,29 +451,23 @@ def make_hessian(data: Dataset, d: DetectionParam):
         f_ab = A sigmoid(-b) / (1 - q).
     A recorded row adds z exp(-x.beta) to the beta block and
     sigmoid(b) sigmoid(-b) to the theta block, with no cross term.  The
-    three weight vectors cost O(n p^2) to apply.
+    closure keeps its own _RowTerms state, and each block is a sum of
+    (X^T * weights) @ X over the feature-major row blocks, O(n p^2) per
+    call.  Overflow shows as non-finite entries, which the optimizer
+    rejects.
     """
-    Xp, Xn, zp = _split_rows(data)
-    n, p = data.n, data.p
-    loglam = np.log(d.lambda_eps)
-    X = np.vstack([Xn, Xp])
+    state = _RowTerms(data, d)
+    n = data.n
 
     def hess(w: np.ndarray) -> np.ndarray:
-        an = Xn @ w[:p] + loglam
-        bn = Xn @ w[p:]
-        bp = Xp @ w[p:]
-        sig_an, sig_bn, comp_an, comp_bn = expit(an), expit(bn), expit(-an), expit(-bn)
-        qn = np.minimum(sig_an * sig_bn, _Q_MAX)
-        one_minus = 1.0 - qn
-        fa, fb = qn / one_minus * comp_an, qn / one_minus * comp_bn
-        with np.errstate(over="ignore"):
-            rate_z = np.exp(-(Xp @ w[:p])) * zp
-        w_bb = np.concatenate([fa * (comp_an - sig_an + fa), rate_z])
-        w_tt = np.concatenate([fb * (comp_bn - sig_bn + fb), expit(bp) * expit(-bp)])
-        w_bt = fa * comp_bn / one_minus
-        h_bb = (X * w_bb[:, None]).T @ X
-        h_tt = (X * w_tt[:, None]).T @ X
-        h_bt = (Xn * w_bt[:, None]).T @ Xn
-        return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / n
+        s = state.at(w)
+        XnT, XpT = s.XnT, s.XpT
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_minus = 1.0 - s.qn
+            fa, fb = s.qn / one_minus * s.comp_an, s.qn / one_minus * s.comp_bn
+            h_bb = (XnT * (fa * (s.comp_an - s.sig_an + fa))) @ XnT.T + (XpT * (s.ratep * s.zp)) @ XpT.T
+            h_tt = (XnT * (fb * (s.comp_bn - s.sig_bn + fb))) @ XnT.T + (XpT * (s.sig_bp * s.comp_bp)) @ XpT.T
+            h_bt = (XnT * (fa * s.comp_bn / one_minus)) @ XnT.T
+            return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / n
 
     return hess

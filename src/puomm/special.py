@@ -30,6 +30,20 @@ def expit(x):
     return (np.where(x >= 0, 1.0, e) / (1.0 + e))[()]
 
 
+def expit_pair(x):
+    """(expit(x), expit(-x), exp(-|x|)) from one exp, bit-identical to two expit calls.
+
+    Both sigmoids are 1/(1 + e) or e/(1 + e) with e = exp(-|x|); at x = 0
+    the two quotients coincide, so the sign test alone picks each one.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    den = 1.0 + e
+    big, small = 1.0 / den, e / den
+    up = x >= 0
+    return np.where(up, big, small)[()], np.where(up, small, big)[()], e[()]
+
+
 def log_expit(x):
     """log(expit(x)) = min(x, 0) - log1p(exp(-|x|)), accurate in both tails."""
     x = np.asarray(x, dtype=float)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -22,6 +24,7 @@ from puomm.model import (
     phi,
     sigmoid,
 )
+from puomm.selection import default_radius
 
 from conftest import central_diff_gradient, random_dataset
 
@@ -258,21 +261,105 @@ def test_make_objective_matches_public_loss_and_gradient():
         assert _rel_err(g, gradient(om, ds, d)).max() < 1e-10
 
 
+def _fd_derivative(f, w, scale=1.0):
+    """Fourth-order central differences of f, column by column, in steps 1e-3 / scale."""
+    step = 1e-3 / scale
+    cols = []
+    for j in range(w.size):
+        e = np.zeros_like(w)
+        e[j] = step
+        cols.append((-f(w + 2 * e) + 8 * f(w + e) - 8 * f(w - e) + f(w - 2 * e)) / (12 * step))
+    return np.array(cols).T
+
+
 def test_make_hessian_matches_finite_differences_of_the_gradient():
-    # fourth-order central differences of make_objective's gradient, column by column
-    step = 1e-3
     for ds, om, d in _criterion_1_draws():
         _, loss_and_grad = make_objective(ds, d)
         w = om.as_vector()
         h = make_hessian(ds, d)(w)
-        fd = np.empty_like(h)
-        for j in range(w.size):
-            e = np.zeros_like(w)
-            e[j] = step
-            g = lambda t: loss_and_grad(w + t * e)[1]
-            fd[:, j] = (-g(2) + 8 * g(1) - 8 * g(-1) + g(-2)) / (12 * step)
+        fd = _fd_derivative(lambda v: loss_and_grad(v)[1], w)
         assert _rel_err(h, fd).max() < 1e-6
         assert np.abs(h - h.T).max() <= 1e-12
+
+
+@st.composite
+def _objective_cases(draw, reach=(0.0, 700.0)):
+    """A dataset, a point inside the search ball and lambda at a grid end.
+
+    The features are scaled so that the largest |x.beta| or |x.theta| over
+    the rows equals a value drawn from the reach interval, whatever the
+    point's norm.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    lam = draw(st.sampled_from([0.02, 50.0]))
+    x = rng.standard_normal((n, p))
+    z = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])), rng.exponential(1.0, n), 0.0)
+    w = rng.standard_normal(2 * p)
+    w *= default_radius(p) * rng.random() / np.linalg.norm(w)
+    peak = np.abs(w.reshape(2, p) @ x.T).max()
+    if peak > 0:
+        x *= draw(st.floats(*reach)) / peak
+    return Dataset(x=x, z=z), w, DetectionParam(lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_objective_cases())
+def test_objective_is_finite_or_raises_at_extreme_predictors(case):
+    # no overflow warning either: the suite turns warnings into errors
+    ds, w, d = case
+    loss, loss_and_grad = make_objective(ds, d)
+    try:
+        value = loss(w)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            loss_and_grad(w)
+        return
+    assert np.isfinite(value)
+    try:
+        value_g, g = loss_and_grad(w)
+    except NumericalError:
+        return
+    assert value_g == value
+    assert np.isfinite(g).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_objective_cases(reach=(0.5, 10.0)))
+def test_objective_derivatives_match_finite_differences(case):
+    # beyond |x.w| ~ 10 the differences lose digits to the cancellation in
+    # 1 - q, not the analytic derivatives (worst seen here: 1e-8 relative)
+    ds, w, d = case
+    loss, loss_and_grad = make_objective(ds, d)
+    hess = make_hessian(ds, d)
+    scale = np.abs(ds.x).max()
+    g, h = loss_and_grad(w)[1], hess(w)
+    fd_g = _fd_derivative(lambda v: np.array([loss(v)]), w, scale)[0]
+    fd_h = _fd_derivative(lambda v: loss_and_grad(v)[1], w, scale)
+    assert np.abs(g - fd_g).max() <= 1e-6 * np.abs(fd_g).max() + 1e-12
+    assert np.abs(h - fd_h).max() <= 1e-6 * np.abs(fd_h).max() + 1e-12
+    assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_objective_cases(reach=(0.5, 30.0)), _objective_cases(reach=(0.5, 30.0)))
+def test_objective_memo_never_serves_a_mutated_point(case, other):
+    # evaluate w1, overwrite that same array with w2, evaluate again:
+    # the values must be those of fresh closures at w2
+    ds, w1, d = case
+    w2 = np.resize(other[1], w1.size)
+    loss, loss_and_grad = make_objective(ds, d)
+    hess = make_hessian(ds, d)
+    w = w1.copy()
+    for f in (loss, loss_and_grad, hess):
+        f(w)
+    w[:] = w2
+    fresh_loss, fresh_loss_and_grad = make_objective(ds, d)
+    value, g = loss_and_grad(w)
+    expected_value, expected_g = fresh_loss_and_grad(w2)
+    assert loss(w) == value == expected_value == fresh_loss(w2)
+    assert np.array_equal(g, expected_g)
+    assert np.array_equal(hess(w), make_hessian(ds, d)(w2))
 
 
 def test_gradient_theta_block_all_positive(rng):
@@ -342,3 +429,25 @@ def test_param_pair_validation():
         ParamPair(np.array([np.inf]), np.array([0.0]))
     om = ParamPair(np.arange(3.0), np.arange(3.0) + 3)
     assert np.array_equal(ParamPair.from_vector(om.as_vector()).beta, om.beta)
+
+
+@pytest.mark.parametrize(
+    "x, z, message",
+    [
+        ([[0.0, 1.0], [2.0, np.nan]], [0.0, 1.0], r"x must be finite \(row 1\)"),
+        ([[np.inf, 1.0]], [0.0], r"x must be finite \(row 0\)"),
+        ([[0.0], [1.0], [2.0]], [0.0, 1.0, np.nan], r"z must be finite \(row 2\)"),
+        ([[0.0], [1.0]], [-np.inf, 1.0], r"z must be finite \(row 0\)"),
+    ],
+)
+def test_dataset_rejects_non_finite_values_naming_the_row(x, z, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(x=x, z=z)
+
+
+@pytest.mark.parametrize("name", ["y", "u", "r"])
+def test_dataset_rejects_latent_column_of_wrong_length(name):
+    cols = {"y": np.zeros(3), "u": np.zeros(3), "r": np.zeros(3)}
+    cols[name] = np.zeros(2)
+    with pytest.raises(ValueError, match=f"^{name} must be a length-n vector"):
+        Dataset(x=np.zeros((3, 1)), z=np.zeros(3), **cols)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from puomm import optimizer
 from puomm.model import Dataset, DetectionParam, ParamPair, make_objective, neg_log_likelihood
 from puomm.optimizer import FitConfig, fit, project_l2_ball
 from puomm.selection import default_radius
@@ -130,3 +131,31 @@ def test_fit_config_validation():
         FitConfig(radius=1.0, backtrack_factor=1.5)
     with pytest.raises(ValueError):
         FitConfig(radius=1.0, armijo_c=0.0)
+
+
+def test_fit_gets_its_objective_from_the_module_attribute(rng, monkeypatch):
+    # the benchmark's tracer counts objective calls by replacing
+    # optimizer.make_objective with a wrapper of this shape
+    built, calls = [], {"loss": 0, "loss_and_grad": 0}
+    orig = optimizer.make_objective
+
+    def counting(data, d):
+        out = orig(data, d)
+        built.append(out)
+
+        def counted(kind, f):
+            def call(w):
+                calls[kind] += 1
+                return f(w)
+
+            return call
+
+        loss, loss_and_grad = out
+        return counted("loss", loss), counted("loss_and_grad", loss_and_grad)
+
+    monkeypatch.setattr(optimizer, "make_objective", counting)
+    res = fit(random_dataset(rng, 200, 3), DetectionParam(0.5), FitConfig(radius=default_radius(3), tol=1e-6))
+    assert res.converged
+    assert len(built) == 1
+    assert isinstance(built[0], tuple) and len(built[0]) == 2 and all(callable(f) for f in built[0])
+    assert calls["loss"] > 0 and calls["loss_and_grad"] > 0

@@ -117,12 +117,16 @@ def test_selection_brier_invariant_to_row_permutation(rng):
 
 
 def test_all_grid_fits_failing_raises_with_details(rng):
-    # non-finite features poison every fit; the error lists each grid value
+    # two finite recorded sizes near the float maximum overflow the
+    # log-likelihood at the start point, so every fit fails; the error
+    # lists each grid value
     x = rng.standard_normal((20, 2))
-    x[3, 1] = np.nan
-    ds = Dataset(x=x, z=np.abs(x[:, 0]))
-    with pytest.raises(RuntimeError, match="every grid fit failed"):
+    z = np.abs(x[:, 0])
+    z[[3, 7]] = 1e308
+    ds = Dataset(x=x, z=z)
+    with pytest.raises(RuntimeError, match="every grid fit failed") as exc:
         fit_pu_omm(ds, LambdaGrid(np.array([0.5, 2.0])), FitConfig(radius=5.0, max_iter=10))
+    assert "lambda=0.5: " in str(exc.value) and "lambda=2.0: " in str(exc.value)
 
 
 def test_boundary_selection_at_grid_max_under_no_missingness():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from puomm.special import digamma, expit, log_expit, trigamma
+from puomm.special import digamma, expit, expit_pair, log_expit, trigamma
 
 
 def _ulps(a, b):
@@ -30,3 +30,12 @@ def test_polygamma_functions_match_scipy(fn, ref):
     x = np.concatenate([np.geomspace(1e-3, 1e6, 20001), np.linspace(0.5, 3.0, 2001)])
     expected = ref(x)
     assert (np.abs(fn(x) - expected) / np.maximum(1.0, np.abs(expected))).max() <= 1e-13
+
+
+def test_expit_pair_is_bit_identical_to_two_expit_calls():
+    x = np.concatenate([np.linspace(-750.0, 750.0, 300001), [0.0, -0.0, np.inf, -np.inf]])
+    up, down, e = expit_pair(x)
+    assert up.tobytes() == expit(x).tobytes()
+    assert down.tobytes() == expit(-x).tobytes()
+    assert e.tobytes() == np.exp(-np.abs(x)).tobytes()
+    assert all(isinstance(v, np.float64) for v in expit_pair(-0.0))
