@@ -321,7 +321,11 @@ def neg_log_likelihood(omega: ParamPair, data: Dataset, d: DetectionParam) -> fl
         raise ValueError(f"dimension mismatch: data has {data.p} features, parameters have {omega.p}")
     terms = _log_terms(omega, data.x, data.z, d)
     _check_finite(terms, "log-likelihood term")
-    return float(-np.sum(terms) / data.n)
+    with np.errstate(over="ignore"):
+        total = np.sum(terms)
+    if not np.isfinite(total):
+        raise NumericalError("non-finite log-likelihood sum")
+    return float(-total / data.n)
 
 
 def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
@@ -352,9 +356,11 @@ def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
     _check_finite(beta_w, "gradient weight")
     _check_finite(theta_w, "gradient weight")
 
-    g_beta = -(data.x.T @ beta_w) / data.n
-    g_theta = -(data.x.T @ theta_w) / data.n
-    return np.concatenate([g_beta, g_theta])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = -np.concatenate([data.x.T @ beta_w, data.x.T @ theta_w]) / data.n
+    if not np.isfinite(g).all():
+        raise NumericalError("non-finite gradient sum")
+    return g
 
 
 def _split_rows(data: Dataset):

@@ -17,6 +17,7 @@ never leave the ball and the loss trace is monotone non-increasing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,7 +93,11 @@ def project_l2_ball(v: np.ndarray, r: float) -> np.ndarray:
     if r <= 0:
         raise ValueError("radius must be positive")
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its call overhead
+    if math.isinf(norm) and np.isfinite(v).all():  # a square overflowed: scale by the largest entry first
+        scale = np.max(np.abs(v))
+        norm = scale * np.linalg.norm(v / scale)
     if norm <= r:
         return v
     return v * (r / norm)

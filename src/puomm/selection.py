@@ -114,13 +114,11 @@ def fit_pu_omm(
     train: Dataset,
     grid: LambdaGrid | None = None,
     cfg: FitConfig | None = None,
-    warm_start: bool = False,
 ) -> PuOmmModel:
     """Fit once per grid value and keep the best observed-occurrence Brier score.
 
-    Each grid fit starts from zero unless warm_start carries the previous
-    solution forward (off by default so results do not depend on grid
-    order).  Raises only if every grid fit errors out.
+    Each grid fit starts from zero, so results do not depend on grid
+    order.  Raises only if every grid fit errors out.
     """
     if train.n < 1:
         raise ValueError("training data must be nonempty")
@@ -133,10 +131,9 @@ def fit_pu_omm(
     scores: list[tuple[float, float]] = []
     results: list[FitResult] = []
     failures: list[str] = []
-    omega0: ParamPair | None = None
     for lam in grid:
         try:
-            res = fit(train, DetectionParam(float(lam)), cfg, omega0)
+            res = fit(train, DetectionParam(float(lam)), cfg)
         except (ValueError, FloatingPointError) as exc:
             failures.append(f"lambda={lam}: {exc}")
             scores.append((float(lam), np.inf))
@@ -145,8 +142,6 @@ def fit_pu_omm(
         q = observed_occurrence_prob(res.omega_hat, float(lam), train.x)
         scores.append((float(lam), float(np.mean((q - v) ** 2))))
         results.append(res)
-        if warm_start:
-            omega0 = res.omega_hat
 
     if all(r is None for r in results):
         raise RuntimeError("every grid fit failed: " + "; ".join(failures))

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -35,3 +38,21 @@ def random_dataset(rng: np.random.Generator, n: int, p: int, detect_rate: float 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fork_hygiene(monkeypatch):
+    """Fail a test that leaves a forked child unreaped or a temp file from mkstemp behind."""
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def recording_mkstemp(*args, **kwargs):
+        fd, name = mkstemp(*args, **kwargs)
+        made.append(name)
+        return fd, name
+
+    monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [name for name in made if os.path.exists(name)] == []

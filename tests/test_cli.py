@@ -10,6 +10,8 @@ from puomm.experiment import ExperimentConfig, run_experiment
 from puomm.model import Dataset
 from puomm.simulate import SimConfig, make_datasets
 
+pytestmark = pytest.mark.usefixtures("fork_hygiene")
+
 
 def _write_standin_csv(path, n=400, p=3, seed=0, positive_frac=0.5):
     rng = np.random.default_rng(seed)

@@ -422,6 +422,20 @@ def test_per_sample_loss_nonfinite_carries_index():
     assert exc.value.index == 1
 
 
+def test_neg_log_likelihood_sum_overflow_raises():
+    # every term is finite, their sum is not
+    ds = Dataset(x=np.zeros((3, 1)), z=np.array([1e308, 1e308, 0.0]))
+    with pytest.raises(NumericalError, match="non-finite log-likelihood sum"):
+        neg_log_likelihood(ParamPair.zeros(1), ds, DetectionParam(1.0))
+
+
+def test_gradient_product_overflow_raises():
+    # finite weights times features of 1e300 overflow the products over rows
+    ds = Dataset(x=np.array([[1e300], [1e300], [0.0]]), z=np.array([1e10, 1e10, 0.0]))
+    with pytest.raises(NumericalError, match="non-finite gradient sum"):
+        gradient(ParamPair.zeros(1), ds, DetectionParam(1.0))
+
+
 def test_param_pair_validation():
     with pytest.raises(ValueError):
         ParamPair(np.zeros(2), np.zeros(3))

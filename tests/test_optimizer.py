@@ -23,6 +23,11 @@ def test_project_zero_vector():
     assert np.array_equal(project_l2_ball(np.zeros(3), 2.5), np.zeros(3))
 
 
+def test_project_huge_entries_without_overflow():
+    # the plain sum of squares overflows past ~1e154 and would project onto zero
+    assert np.allclose(project_l2_ball(np.array([1e300, 1e300]), 1.0), [np.sqrt(0.5)] * 2)
+
+
 def test_fit_recovers_parameters_on_assumed_model():
     sim = make_datasets(SimConfig(setting="correct", n=5000, p=10, lambda_eps_true=0.24, seed=7, n_test=10))
     cfg = FitConfig(radius=default_radius(10))
