@@ -2,7 +2,7 @@
 
 from .baselines import TwoPartModel, fit_observed_mixture, fit_oracle
 from .metrics import MetricsReport, evaluate_trial
-from .model import Dataset, DetectionParam, ObservedSample, ParamPair
+from .model import Dataset, DetectionParam, ParamPair
 from .optimizer import FitConfig, FitResult, fit
 from .selection import LambdaGrid, PuOmmModel, fit_at_lambda, fit_pu_omm, make_lambda_grid
 from .simulate import SimConfig, SimOutput, Setting, make_datasets
@@ -14,7 +14,6 @@ __all__ = [
     "FitResult",
     "LambdaGrid",
     "MetricsReport",
-    "ObservedSample",
     "ParamPair",
     "PuOmmModel",
     "Setting",

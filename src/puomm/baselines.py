@@ -35,6 +35,8 @@ class TwoPartModel:
 
     aux carries the Gamma shape or the log-normal residual variance;
     flags records degeneracies (separation, rank deficiency, ...).
+    Coefficients must be finite, and aux nonnegative and finite, apart
+    from the +inf Gamma shape of a degenerate fit.
     """
 
     occurrence_coef: np.ndarray
@@ -48,8 +50,12 @@ class TwoPartModel:
             raise ValueError(f"unknown magnitude family {self.magnitude_family!r}")
         if len(self.occurrence_coef) != len(self.magnitude_coef):
             raise ValueError("stage coefficient lengths differ")
-        if self.aux is not None and self.aux < 0:
-            raise ValueError("aux must be nonnegative when present")
+        if not (np.isfinite(self.occurrence_coef).all() and np.isfinite(self.magnitude_coef).all()):
+            raise ValueError("stage coefficients must be finite")
+        # fit_gamma_glm reports a degenerate Gamma shape as +inf
+        top = np.inf if self.magnitude_family == "gamma" else np.finfo(float).max
+        if self.aux is not None and not 0 <= self.aux <= top:
+            raise ValueError(f"aux must be nonnegative and finite (or a +inf Gamma shape), got {self.aux}")
 
 
 def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX_NEWTON):

@@ -18,19 +18,9 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .baselines import fit_observed_mixture, fit_oracle
 from .experiment import METHODS, ExperimentConfig, run_experiment
 from .metrics import evaluate_trial
-from .optimizer import FitConfig
-from .selection import (
-    DEFAULT_GRID_HI,
-    DEFAULT_GRID_LO,
-    DEFAULT_GRID_SIZE,
-    default_radius,
-    fit_at_lambda,
-    fit_pu_omm,
-    make_lambda_grid,
-)
+from .selection import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_SIZE
 from .simulate import SimConfig, make_datasets
 
 
@@ -108,22 +98,7 @@ def cmd_fit(args) -> int:
     data = dataio.ingest_csv(args.data, schema=schema)
     if args.add_intercept:
         data = data.with_intercept()
-    if args.method == "oracle":
-        model = fit_oracle(data)
-    elif args.method in ("pu_omm", "pu_omm_true_lambda"):
-        radius = args.radius if args.radius is not None else default_radius(data.p)
-        fit_cfg = FitConfig(radius=radius, tol=args.tol, max_iter=args.max_iter)
-        if args.method == "pu_omm":
-            grid = make_lambda_grid(args.grid_size, args.grid_lo, args.grid_hi)
-            model = fit_pu_omm(data, grid, fit_cfg)
-        else:
-            if args.lambda_eps is None:
-                raise ValueError("pu_omm_true_lambda needs --lambda-eps")
-            model = fit_at_lambda(data, args.lambda_eps, fit_cfg)
-    elif args.method == "logistic_gamma":
-        model = fit_observed_mixture(data, "gamma")
-    else:
-        model = fit_observed_mixture(data, "lognormal")
+    model = METHODS[args.method](data, args, args.lambda_eps)
     dataio.write_model_json(model, args.method, args.out)
     print(f"wrote model to {args.out}")
     return 0
@@ -166,7 +141,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fit" and args.method == "pu_omm_true_lambda" and args.lambda_eps is None:
+        parser.error("fit --method pu_omm_true_lambda needs --lambda-eps")
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:

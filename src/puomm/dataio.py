@@ -16,7 +16,7 @@ NaN or infinite cells in a column the schema reads; negative z; and,
 under the simulated schema, rows breaking u = 1{y > 0} or z = y*r.
 
 Neither repr nor loadtxt releases the interpreter lock, so a file of at
-least _SPLIT_MIN_ROWS rows is formatted or parsed on two cores: the
+least _SPLIT_MIN_CELLS cells is formatted or parsed on two cores: the
 rows are cut in two at a line boundary, and one forked child takes the
 second half while the process does the first.  That happens only where
 os.fork exists, a second CPU is usable and no other Python thread runs
@@ -53,7 +53,7 @@ import numpy as np
 
 from .baselines import TwoPartModel
 from .metrics import CSV_COLUMNS, MetricsReport
-from .model import Dataset, ParamPair
+from .model import Dataset, DetectionParam, ParamPair
 from .optimizer import FitResult
 from .selection import PuOmmModel
 from .simulate import SimConfig, SimOutput
@@ -62,16 +62,18 @@ LATENT_COLUMNS = ("y", "u", "r")
 
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held in memory
 _CHUNK_BYTES = 1 << 20
-# Fewest rows a file needs before a forked child takes half of them.  A fork
-# plus reap costs ~3 ms, and the split ~3 ms more.  At 5,000 rows of 11 cells
-# (2-core VM) a write went from 74 to 44 ms and a parse from 31 to 24 ms; at
-# 2 cells a row, from 18 to 16 ms and from 7 to 10 ms.
-_SPLIT_MIN_ROWS = 5000
+# Fewest cells (rows x columns) a file needs before a forked child takes half
+# of its rows.  A fork plus reap costs ~3 ms, and the split ~3 ms more, so the
+# work that pays for them grows with the cells, not the rows.  Serial -> split,
+# interleaved medians on a 2-core VM: a parse of 5,000 x 2 cells went from 5.1
+# to 8.4 ms; at ~50,000 cells, 25,000 x 2 and 3,600 x 14, parses went from 23
+# to 19 and from 26 to 21 ms, and writes from 71 to 45 and from 59 to 39 ms.
+_SPLIT_MIN_CELLS = 50_000
 
 
-def _can_split(rows: int) -> bool:
-    """Whether a forked child may take half of a file's rows."""
-    if rows < _SPLIT_MIN_ROWS or not hasattr(os, "fork") or threading.active_count() != 1:
+def _can_split(cells: int) -> bool:
+    """Whether a forked child may take half of the rows of a file with this many cells."""
+    if cells < _SPLIT_MIN_CELLS or not hasattr(os, "fork") or threading.active_count() != 1:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return (cpus or 1) >= 2
@@ -157,7 +159,7 @@ def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
         cols += [ds.y[:, None], ds.u[:, None], ds.r[:, None]]
     table = np.hstack(cols)
     header = ",".join(header) + "\n"
-    if not (_can_split(ds.n) and _write_split(path, header, table)):
+    if not (_can_split(table.size) and _write_split(path, header, table)):
         _write_table(path, header, table)
 
 
@@ -338,7 +340,7 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         p, simulated = _schema_columns(path, header, schema)
-        table = _load_split(path, records, len(header)) if _can_split(records) else None
+        table = _load_split(path, records, len(header)) if _can_split(records * len(header)) else None
         if table is None:
             table = _load_rows(fh, records, len(header))
     needed = [f"x_{j + 1}" for j in range(p)] + ["z"] + (list(LATENT_COLUMNS) if simulated else [])
@@ -450,7 +452,7 @@ def model_from_dict(d: dict):
         )
         return PuOmmModel(
             omega_hat=omega,
-            lambda_hat=float(d["lambda_hat"]),
+            lambda_hat=DetectionParam(d["lambda_hat"]).lambda_eps,
             fit=res,
             selection_scores=[(float(a), float(b)) for a, b in d["selection_scores"]],
         )

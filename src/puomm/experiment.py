@@ -18,7 +18,6 @@ import numpy as np
 
 from .baselines import fit_observed_mixture, fit_oracle
 from .dataio import ingest_csv, sim_config_from_dict
-from .model import Dataset
 from .optimizer import FitConfig
 from .selection import (
     DEFAULT_GRID_HI,
@@ -31,9 +30,8 @@ from .selection import (
     make_lambda_grid,
 )
 from .metrics import evaluate_trial
-from .simulate import SimConfig, SimOutput, make_datasets
+from .simulate import SimConfig, make_datasets
 
-METHODS = ("oracle", "pu_omm", "pu_omm_true_lambda", "logistic_gamma", "logistic_lognormal")
 SIM_METRICS = ("rmse_beta", "rmse_theta", "brier", "misclassification", "mad", "rmse_pred", "smape")
 REAL_METRICS = ("brier", "misclassification", "mad", "rmse_pred", "smape")
 
@@ -43,6 +41,38 @@ SUMMARY_COLUMNS = ("setting", "n", "method", "metric", "mean", "se", "n_trials")
 # Tag for the split substream so real-data partitions never share draws
 # with anything else derived from the trial seed.
 _SPLIT_TAG = 90
+
+
+def _fit_config(opts, p: int) -> FitConfig:
+    """Solver settings from opts' tol, max_iter and radius; no radius means default_radius(p)."""
+    radius = opts.radius if opts.radius is not None else default_radius(p)
+    return FitConfig(radius=radius, tol=opts.tol, max_iter=opts.max_iter)
+
+
+def _pu_omm(train, opts, true_lambda):
+    grid = make_lambda_grid(opts.grid_size, opts.grid_lo, opts.grid_hi)
+    return fit_pu_omm(train.observed_only(), grid, _fit_config(opts, train.p))
+
+
+def _pu_omm_true_lambda(train, opts, true_lambda):
+    if true_lambda is None:
+        raise ValueError("no true detection rate available for this cell")
+    return fit_at_lambda(train.observed_only(), true_lambda, _fit_config(opts, train.p))
+
+
+# Every method the CLI and the experiment harness fit, as
+# method(train, opts, true_lambda) -> model.  train may carry latent columns;
+# only the oracle reads them.  opts is anything with grid_size, grid_lo,
+# grid_hi, tol, max_iter and radius attributes (an ExperimentConfig or the
+# CLI's arguments).  The fitters are looked up as module globals at call
+# time, so replacing experiment.fit_pu_omm replaces what the registry calls.
+METHODS = {
+    "oracle": lambda train, opts, true_lambda: fit_oracle(train),
+    "pu_omm": _pu_omm,
+    "pu_omm_true_lambda": _pu_omm_true_lambda,
+    "logistic_gamma": lambda train, opts, true_lambda: fit_observed_mixture(train.observed_only(), "gamma"),
+    "logistic_lognormal": lambda train, opts, true_lambda: fit_observed_mixture(train.observed_only(), "lognormal"),
+}
 
 
 @dataclass
@@ -72,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+            raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
         if self.mode == "simulation":
             if not self.settings or not self.n_values:
                 raise ValueError("simulation mode needs settings and n_values")
@@ -104,45 +134,20 @@ class ExperimentConfig:
         return cls(**d)
 
 
-def _fit_config(cfg: ExperimentConfig, p: int) -> FitConfig:
-    radius = cfg.radius if cfg.radius is not None else default_radius(p)
-    return FitConfig(radius=radius, tol=cfg.tol, max_iter=cfg.max_iter)
-
-
-def _fit_method(method: str, cfg: ExperimentConfig, sim, train: Dataset, true_lambda):
-    observed = train.observed_only()
-    if method == "oracle":
-        return fit_oracle(sim)
-    if method == "pu_omm":
-        grid = make_lambda_grid(cfg.grid_size, cfg.grid_lo, cfg.grid_hi)
-        return fit_pu_omm(observed, grid, _fit_config(cfg, train.p))
-    if method == "pu_omm_true_lambda":
-        if true_lambda is None:
-            raise ValueError("no true detection rate available for this cell")
-        return fit_at_lambda(observed, true_lambda, _fit_config(cfg, train.p))
-    if method == "logistic_gamma":
-        return fit_observed_mixture(observed, "gamma")
-    if method == "logistic_lognormal":
-        return fit_observed_mixture(observed, "lognormal")
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _cell_rows(cfg, setting_label, n, trial, sim, train, test, truth, true_lambda, mode):
+def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mode):
     rows = []
     metric_names = SIM_METRICS if mode == "simulation" else REAL_METRICS
     for method in cfg.methods:
         try:
-            model = _fit_method(method, cfg, sim, train, true_lambda)
+            model = METHODS[method](train, cfg, true_lambda)
             report = evaluate_trial({method: model}, test, truth=truth, trial_id=trial, mode=mode)[0]
-            values = report.as_dict()
             # a fit stopped by max_iter is reported but kept out of the summary means
             status = "not_converged" if isinstance(model, PuOmmModel) and not model.fit.converged else "ok"
             for metric in metric_names:
-                if values[metric] is None:
+                value = getattr(report, metric)
+                if value is None:
                     continue
-                rows.append(
-                    (setting_label, n, trial, method, metric, repr(float(values[metric])), status)
-                )
+                rows.append((setting_label, n, trial, method, metric, repr(float(value)), status))
         except Exception as exc:  # record and continue: one bad fit must not kill the sweep
             rows.append((setting_label, n, trial, method, "all", "", f"failed: {exc}"))
     return rows
@@ -168,9 +173,6 @@ def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
                 train, test = sim.train, sim.test
                 if cfg.add_intercept:
                     train, test = train.with_intercept(), test.with_intercept()
-                    sim = SimOutput(
-                        train=train, test=test, beta0=sim.beta0, theta0=sim.theta0, config=sim.config
-                    )
                     truth = None  # intercept shifts dimensions away from the generating coefficients
                 else:
                     truth = (sim.beta0, sim.theta0)
@@ -179,8 +181,7 @@ def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
                 )
                 rows.extend(
                     _cell_rows(
-                        cfg, trial_cfg.setting.value, n, trial, sim, train, test, truth,
-                        true_lambda, "simulation",
+                        cfg, trial_cfg.setting.value, n, trial, train, test, truth, true_lambda, "simulation",
                     )
                 )
     return rows
@@ -199,7 +200,7 @@ def _real_data_rows(cfg: ExperimentConfig) -> list[tuple]:
         train = data.subset(perm[:n_train])
         test = data.subset(perm[n_train:])
         rows.extend(
-            _cell_rows(cfg, label, n_train, trial, None, train, test, None, cfg.true_lambda, "observed")
+            _cell_rows(cfg, label, n_train, trial, train, test, None, cfg.true_lambda, "observed")
         )
     return rows
 

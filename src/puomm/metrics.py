@@ -8,7 +8,7 @@ model's conditional-mean prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,24 +17,10 @@ from .model import Dataset
 from .selection import PuOmmModel, observed_occurrence_prob
 from .special import expit
 
-CSV_COLUMNS = (
-    "method",
-    "trial",
-    "rmse_beta",
-    "rmse_theta",
-    "brier",
-    "misclassification",
-    "mad",
-    "rmse_pred",
-    "smape",
-    "n_eval",
-    "n_eval_size",
-)
-
 
 @dataclass
 class MetricsReport:
-    """Scores of one method on one trial; serializes to a single CSV row."""
+    """Scores of one method on one trial; serializes to a single CSV row, one column per field."""
 
     method_name: str
     trial_id: int
@@ -49,41 +35,21 @@ class MetricsReport:
     n_eval_size: int
 
     def to_csv_row(self) -> list[str]:
+        """Fields in CSV_COLUMNS order: None as empty, str and int as is, floats by repr."""
+
         def fmt(v):
             if v is None:
                 return ""
-            if isinstance(v, int):
+            if isinstance(v, (str, int)):
                 return str(v)
             return repr(float(v))
 
-        return [
-            self.method_name,
-            str(self.trial_id),
-            fmt(self.rmse_beta),
-            fmt(self.rmse_theta),
-            fmt(self.brier),
-            fmt(self.misclassification),
-            fmt(self.mad),
-            fmt(self.rmse_pred),
-            fmt(self.smape),
-            str(self.n_eval),
-            str(self.n_eval_size),
-        ]
+        return [fmt(getattr(self, f.name)) for f in fields(self)]
 
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method_name,
-            "trial": self.trial_id,
-            "rmse_beta": self.rmse_beta,
-            "rmse_theta": self.rmse_theta,
-            "brier": self.brier,
-            "misclassification": self.misclassification,
-            "mad": self.mad,
-            "rmse_pred": self.rmse_pred,
-            "smape": self.smape,
-            "n_eval": self.n_eval,
-            "n_eval_size": self.n_eval_size,
-        }
+
+# CSV column names of the fields, where they differ from the field names
+_CSV_NAMES = {"method_name": "method", "trial_id": "trial"}
+CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(MetricsReport))
 
 
 def rmse_params(est: np.ndarray, truth: np.ndarray) -> float:

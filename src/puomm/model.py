@@ -8,13 +8,15 @@ Marginalizing the detection indicator gives a closed-form likelihood in
 the stacked parameter omega = (beta, theta); this module evaluates that
 likelihood, its analytic gradient and its analytic Hessian.
 
-neg_log_likelihood and gradient evaluate in original row order, so a
-non-finite term is reported with its sample index.  The optimizer's
-closures (make_objective, make_hessian) each read a private per-point
-state instead: the rows are split once into recorded and zero blocks,
-stored feature-major (p x rows), and one pass per point computes both
-linear predictors and the sigmoid pairs; the terms of the last point
+Every evaluation reads one private per-point state, _RowTerms: the rows
+are split once into recorded and zero blocks, stored feature-major
+(p x rows), and one pass per point computes both linear predictors, the
+expit pairs and the log-likelihood total.  The terms of the last point
 are kept, so loss, gradient and Hessian at one point share that pass.
+The optimizer's closures (make_objective, make_hessian) keep a state
+across calls; neg_log_likelihood and gradient build one per call.  A
+non-finite total is traced back to its rows only then, so NumericalError
+still names the first bad sample in the original row order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import expit, expit_pair, log_expit
+from .special import expit, expit_pair
 
 # Keeps log(1 - q) finite at extreme parameter values.
 _Q_MAX = 1.0 - 1e-15
@@ -95,24 +97,6 @@ class DetectionParam:
 
 
 @dataclass
-class ObservedSample:
-    """One data row: features and the recorded (possibly masked) magnitude."""
-
-    x: np.ndarray
-    z: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.z = float(self.z)
-        if self.x.ndim != 1:
-            raise ValueError("x must be a 1-D feature vector")
-        if not np.isfinite(self.x).all():
-            raise ValueError("feature entries must be finite")
-        if self.z < 0:
-            raise ValueError(f"z must be nonnegative, got {self.z}")
-
-
-@dataclass
 class Dataset:
     """Row-major feature matrix with the observed magnitude column.
 
@@ -162,9 +146,6 @@ class Dataset:
     def has_latent(self) -> bool:
         return self.y is not None and self.u is not None
 
-    def row(self, i: int) -> ObservedSample:
-        return ObservedSample(x=self.x[i], z=float(self.z[i]))
-
     def observed_only(self) -> "Dataset":
         """Copy with latent columns stripped (what a real estimator sees)."""
         return Dataset(x=self.x, z=self.z)
@@ -201,43 +182,12 @@ class Dataset:
             raise ValueError(f"{bad[1]} rowwise (row {bad[0]})")
 
 
-def sigmoid(t):
-    """Logistic function 1 / (1 + exp(-t)), overflow-safe for any float."""
-    return expit(t)
-
-
-def occurrence_prob(x: np.ndarray, theta: np.ndarray):
-    """P(event occurs | x) = sigmoid(x . theta); x may be a vector or an (n, p) matrix."""
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if x.shape[-1] != theta.shape[0]:
-        raise ValueError(f"dimension mismatch: x has {x.shape[-1]} features, theta has {theta.shape[0]}")
-    return expit(x @ theta)
-
-
-def magnitude_density(t, x: np.ndarray, beta: np.ndarray):
-    """Exponential magnitude density at t > 0, rate exp(-x . beta)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("magnitude density is defined for t > 0 only")
-    rate = np.exp(-np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float))
-    return rate * np.exp(-rate * t)
-
-
-def detection_prob(y, d: DetectionParam):
-    """Probability a magnitude-y event is recorded: 1 - exp(-lambda_eps * y)."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("y must be nonnegative")
-    return -np.expm1(-d.lambda_eps * y)
-
-
 def phi(x: np.ndarray, beta: np.ndarray, d: DetectionParam):
     """Marginal detection probability of an occurred event given features.
 
     The exponential detection curve integrates against the exponential
     magnitude law in closed form:
-    lambda_eps / (lambda_eps + exp(-x.beta)) = sigmoid(x.beta + log lambda_eps).
+    lambda_eps / (lambda_eps + exp(-x.beta)) = expit(x.beta + log lambda_eps).
     """
     x = np.asarray(x, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -246,149 +196,31 @@ def phi(x: np.ndarray, beta: np.ndarray, d: DetectionParam):
     return expit(x @ beta + np.log(d.lambda_eps))
 
 
-def mixture_link(a, b):
-    """h(a, b) = logit(sigmoid(a) * sigmoid(b)); satisfies sigmoid(h) = sigmoid(a)sigmoid(b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # 1 - s(a)s(b) = s(-a) + s(a)s(-b) avoids cancellation when the product nears 1.
-    one_minus = expit(-a) + expit(a) * expit(-b)
-    return log_expit(a) + log_expit(b) - np.log(one_minus)
-
-
-def mixture_link_partials(a, b):
-    """Partials (h1, h2) of the mixture link; both lie in [0, 1]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    one_minus = expit(-a) + expit(a) * expit(-b)
-    # the exact ratios are in [0, 1]; clip the 1-ulp float excess
-    return np.clip(expit(-a) / one_minus, 0.0, 1.0), np.clip(expit(-b) / one_minus, 0.0, 1.0)
-
-
-def _linear_terms(omega: ParamPair, x: np.ndarray, d: DetectionParam):
-    xb = x @ omega.beta
-    a = xb + np.log(d.lambda_eps)
-    b = x @ omega.theta
-    return xb, a, b
-
-
-def _log_terms(omega: ParamPair, x: np.ndarray, z: np.ndarray, d: DetectionParam) -> np.ndarray:
-    """Per-sample log-likelihood contributions, vectorized over rows.
-
-    Overflow is left to produce inf and reported by the callers'
-    finiteness check, not a warning.
-    """
-    xb, a, b = _linear_terms(omega, x, d)
-    pos = z > 0
-    out = np.empty(z.shape[0])
-    with np.errstate(over="ignore"):
-        q = np.minimum(expit(a[~pos]) * expit(b[~pos]), _Q_MAX)
-        out[~pos] = np.log1p(-q)
-        out[pos] = -xb[pos] - np.exp(-xb[pos]) * z[pos] + log_expit(b[pos])
-    return out
-
-
-def _check_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NumericalError(f"non-finite {what} at sample {idx}", index=idx)
-
-
-def per_sample_loss(omega: ParamPair, s: ObservedSample, d: DetectionParam) -> float:
-    """Log-likelihood of one row.
-
-    z > 0 rows contribute log g(z|x) + log p1(x); z = 0 rows contribute
-    log(1 - phi(x) p1(x)).  The detection factor log(1 - exp(-lambda_eps z))
-    on recorded rows is constant in omega and omitted, so values are not
-    comparable across lambda_eps.
-    """
-    if s.x.shape[0] != omega.p:
-        raise ValueError(f"dimension mismatch: x has {s.x.shape[0]} features, parameters have {omega.p}")
-    val = _log_terms(omega, s.x[None, :], np.array([s.z]), d)
-    _check_finite(val, "log-likelihood term")
-    return float(val[0])
-
-
-def neg_log_likelihood(omega: ParamPair, data: Dataset, d: DetectionParam) -> float:
-    """Mean negative log-likelihood over the dataset.
-
-    Summation is a fixed-order reduction over rows, so repeated calls on
-    identical inputs are bit-identical.
-    """
-    if data.n < 1:
-        raise ValueError("dataset must contain at least one sample")
-    if data.p != omega.p:
-        raise ValueError(f"dimension mismatch: data has {data.p} features, parameters have {omega.p}")
-    terms = _log_terms(omega, data.x, data.z, d)
-    _check_finite(terms, "log-likelihood term")
-    with np.errstate(over="ignore"):
-        total = np.sum(terms)
-    if not np.isfinite(total):
-        raise NumericalError("non-finite log-likelihood sum")
-    return float(-total / data.n)
-
-
-def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
-    """Analytic gradient of the mean negative log-likelihood, stacked [d/dbeta; d/dtheta].
-
-    Written through the mixture link h(x.beta + log lambda_eps, x.theta):
-    both blocks share the residual u - sigmoid(h); recorded rows add the
-    exponential-GLM score to the beta block.
-    """
-    if data.n < 1:
-        raise ValueError("dataset must contain at least one sample")
-    if data.p != omega.p:
-        raise ValueError(f"dimension mismatch: data has {data.p} features, parameters have {omega.p}")
-    xb, a, b = _linear_terms(omega, data.x, d)
-    with np.errstate(over="ignore"):
-        sig_a = expit(a)
-        q = np.minimum(sig_a * expit(b), _Q_MAX)
-        one_minus = 1.0 - q
-        h1 = expit(-a) / one_minus
-        h2 = expit(-b) / one_minus
-
-        u = (data.z > 0).astype(float)
-        resid = u - q
-        beta_w = resid * h1
-        pos = data.z > 0
-        beta_w[pos] -= -np.exp(-xb[pos]) * data.z[pos] + 2.0 - sig_a[pos]
-        theta_w = resid * h2
-    _check_finite(beta_w, "gradient weight")
-    _check_finite(theta_w, "gradient weight")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = -np.concatenate([data.x.T @ beta_w, data.x.T @ theta_w]) / data.n
-    if not np.isfinite(g).all():
-        raise NumericalError("non-finite gradient sum")
-    return g
-
-
-def _split_rows(data: Dataset):
-    """Recorded-row and zero-row features as feature-major (p, rows) blocks, and recorded sizes."""
-    if data.n < 1:
-        raise ValueError("dataset must contain at least one sample")
-    pos = data.z > 0
-    xt = data.x.T
-    return np.ascontiguousarray(xt[:, pos]), np.ascontiguousarray(xt[:, ~pos]), data.z[pos]
-
-
 class _RowTerms:
-    """The objective's per-row terms at the last point seen, over feature-major blocks.
+    """The likelihood's per-row terms at the last point seen, over feature-major blocks.
 
     One product w.reshape(2, p) @ X^T gives both linear predictors of a
-    block.  The terms kept are sigmoid(+-a) and q = sigmoid(a) sigmoid(b)
-    on zero rows, sigmoid(+-b) and exp(-x.beta) on recorded rows, and the
-    log-likelihood total.  They are recomputed only when at() gets a point
-    that differs from a private copy of the last one, so evaluating the
-    loss, the gradient and the Hessian at one point pays for them once,
-    and mutating the caller's array in place never serves stale terms.
-    Overflow is left to produce inf, which the readers report as
-    NumericalError or a non-finite Hessian, not as a warning.
+    block.  The terms kept are expit(+-a) and q = expit(a) expit(b) on
+    zero rows, expit(+-b) and exp(-x.beta) on recorded rows, each row's
+    log-likelihood term and their total.  They are recomputed only when
+    at() gets a point that differs from a private copy of the last one,
+    so evaluating the loss, the gradient and the Hessian at one point pays
+    for them once, and mutating the caller's array in place never serves
+    stale terms.  Overflow is left to produce inf, which loss() and
+    loss_and_grad() report as NumericalError and the Hessian as
+    non-finite entries, not as a warning.
     """
 
     def __init__(self, data: Dataset, d: DetectionParam):
-        self.XpT, self.XnT, self.zp = _split_rows(data)
-        self.p = data.p
+        if data.n < 1:
+            raise ValueError("dataset must contain at least one sample")
+        pos = data.z > 0
+        xt = data.x.T
+        self.XpT, self.XnT = np.ascontiguousarray(xt[:, pos]), np.ascontiguousarray(xt[:, ~pos])
+        self.zp = data.z[pos]
+        # each block's rows in the original order, to name the first bad row
+        self.rows_p, self.rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
+        self.n, self.p = data.n, data.p
         self.loglam = np.log(d.lambda_eps)
         self.w = None
 
@@ -405,43 +237,85 @@ class _RowTerms:
             self.qn = np.minimum(self.sig_an * self.sig_bn, _Q_MAX)
             self.sig_bp, self.comp_bp, exp_bp = expit_pair(bp)
             self.ratep = np.exp(-xbp)
+            self.ell_n = np.log1p(-self.qn)
             # log_expit(bp) from the exp(-|bp|) already at hand
-            ell_p = -xbp - self.ratep * self.zp + (np.minimum(bp, 0.0) - np.log1p(exp_bp))
-            self.total = np.sum(np.log1p(-self.qn)) + np.sum(ell_p)
+            self.ell_p = -xbp - self.ratep * self.zp + (np.minimum(bp, 0.0) - np.log1p(exp_bp))
+            self.total = np.sum(self.ell_n) + np.sum(self.ell_p)
         self.w = w.copy()
         return self
+
+    def loss(self) -> float:
+        """Mean negative log-likelihood at the current point.
+
+        A non-finite total raises NumericalError naming the first row, in
+        the original order, whose term is not finite; when every term is
+        finite, their sum overflowed.
+        """
+        if not np.isfinite(self.total):
+            bad = np.concatenate([self.rows_n[~np.isfinite(self.ell_n)], self.rows_p[~np.isfinite(self.ell_p)]])
+            if bad.size == 0:
+                raise NumericalError("non-finite log-likelihood sum")
+            i = int(bad.min())
+            raise NumericalError(f"non-finite log-likelihood term at sample {i}", index=i)
+        return float(-self.total / self.n)
+
+    def loss_and_grad(self) -> tuple[float, np.ndarray]:
+        """loss() and its gradient, stacked [d/dbeta; d/dtheta].
+
+        Once the total is finite, so is every row's weight, and only the
+        products over rows can overflow.
+        """
+        value = self.loss()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # zero rows: residual is -q, shared by both blocks of the gradient
+            scaled = self.qn / (1.0 - self.qn)
+            g_zero = np.stack([scaled * self.comp_an, scaled * self.comp_bn]) @ self.XnT.T
+            # recorded rows: exponential-GLM score in beta, logistic part in theta
+            g_pos = np.stack([self.ratep * self.zp - 1.0, self.comp_bp]) @ self.XpT.T
+            g = ((g_zero - g_pos) / self.n).ravel()
+        if not np.isfinite(g).all():
+            raise NumericalError("non-finite gradient sum")
+        return value, g
+
+
+def _state_at(omega: ParamPair, data: Dataset, d: DetectionParam) -> _RowTerms:
+    """A fresh row-terms state at omega, whose dimension must match the data's."""
+    state = _RowTerms(data, d)
+    if data.p != omega.p:
+        raise ValueError(f"dimension mismatch: data has {data.p} features, parameters have {omega.p}")
+    return state.at(omega.as_vector())
+
+
+def neg_log_likelihood(omega: ParamPair, data: Dataset, d: DetectionParam) -> float:
+    """Mean negative log-likelihood over the dataset; make_objective's loss at omega.
+
+    z > 0 rows contribute log g(z|x) + log p1(x); z = 0 rows contribute
+    log(1 - phi(x) p1(x)).  The detection factor log(1 - exp(-lambda_eps z))
+    on recorded rows is constant in omega and omitted, so values are not
+    comparable across lambda_eps.  Repeated calls on identical inputs are
+    bit-identical.
+    """
+    return _state_at(omega, data, d).loss()
+
+
+def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
+    """Analytic gradient of neg_log_likelihood, stacked [d/dbeta; d/dtheta]; make_objective's at omega."""
+    return _state_at(omega, data, d).loss_and_grad()[1]
 
 
 def make_objective(data: Dataset, d: DetectionParam):
     """Loss and loss+gradient closures over the stacked parameter vector.
 
-    Both read one _RowTerms state: rows are split once into recorded and
-    zero blocks, stored feature-major, and the row terms of the last
-    point are kept, so loss_and_grad(w) right after loss(w) costs only the
-    two gradient products.  Values agree with neg_log_likelihood/gradient
-    up to summation order.
+    Both read one _RowTerms state, so loss_and_grad(w) right after loss(w)
+    costs only the two gradient products.
     """
     state = _RowTerms(data, d)
-    n = data.n
 
     def loss(w: np.ndarray) -> float:
-        total = state.at(w).total
-        if not np.isfinite(total):
-            raise NumericalError("non-finite log-likelihood term")
-        return float(-total / n)
+        return state.at(w).loss()
 
     def loss_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        s = state.at(w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # zero rows: residual is -q, shared by both blocks of the gradient
-            scaled = s.qn / (1.0 - s.qn)
-            g_zero = np.stack([scaled * s.comp_an, scaled * s.comp_bn]) @ s.XnT.T
-            # recorded rows: exponential-GLM score in beta, logistic part in theta
-            g_pos = np.stack([s.ratep * s.zp - 1.0, s.comp_bp]) @ s.XpT.T
-            g = ((g_zero - g_pos) / n).ravel()
-        if not (np.isfinite(s.total) and np.isfinite(g).all()):
-            raise NumericalError("non-finite log-likelihood or gradient term")
-        return float(-s.total / n), g
+        return state.at(w).loss_and_grad()
 
     return loss, loss_and_grad
 
@@ -451,19 +325,18 @@ def make_hessian(data: Dataset, d: DetectionParam):
 
     Each row's loss depends on omega only through a = x.beta + log
     lambda_eps and b = x.theta, so the Hessian is X^T diag(w) X in four
-    blocks.  A zero row contributes f = -log(1 - q), q = sigmoid(a)
-    sigmoid(b); with A = df/da = q sigmoid(-a) / (1 - q) and B = df/db,
-        f_aa = A (sigmoid(-a) - sigmoid(a) + A),   f_bb likewise in b,
-        f_ab = A sigmoid(-b) / (1 - q).
+    blocks.  A zero row contributes f = -log(1 - q), q = expit(a)
+    expit(b); with A = df/da = q expit(-a) / (1 - q) and B = df/db,
+        f_aa = A (expit(-a) - expit(a) + A),   f_bb likewise in b,
+        f_ab = A expit(-b) / (1 - q).
     A recorded row adds z exp(-x.beta) to the beta block and
-    sigmoid(b) sigmoid(-b) to the theta block, with no cross term.  The
+    expit(b) expit(-b) to the theta block, with no cross term.  The
     closure keeps its own _RowTerms state, and each block is a sum of
     (X^T * weights) @ X over the feature-major row blocks, O(n p^2) per
     call.  Overflow shows as non-finite entries, which the optimizer
     rejects.
     """
     state = _RowTerms(data, d)
-    n = data.n
 
     def hess(w: np.ndarray) -> np.ndarray:
         s = state.at(w)
@@ -474,6 +347,6 @@ def make_hessian(data: Dataset, d: DetectionParam):
             h_bb = (XnT * (fa * (s.comp_an - s.sig_an + fa))) @ XnT.T + (XpT * (s.ratep * s.zp)) @ XpT.T
             h_tt = (XnT * (fb * (s.comp_bn - s.sig_bn + fb))) @ XnT.T + (XpT * (s.sig_bp * s.comp_bp)) @ XpT.T
             h_bt = (XnT * (fa * s.comp_bn / one_minus)) @ XnT.T
-            return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / n
+            return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / s.n
 
     return hess

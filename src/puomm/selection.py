@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, DetectionParam, ParamPair
+from .model import Dataset, DetectionParam, ParamPair, phi
 from .optimizer import FitConfig, FitResult, fit
 from .special import expit
 
@@ -82,26 +82,22 @@ def make_lambda_grid(
 
 
 def observed_occurrence_prob(omega: ParamPair, lam: float, x: np.ndarray):
-    """Probability a row is recorded positive: sigmoid(x.beta + log lam) * sigmoid(x.theta)."""
+    """Probability a row is recorded positive: phi(x) * expit(x.theta), phi at detection rate lam."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != omega.p:
-        raise ValueError(f"dimension mismatch: x has {x.shape[-1]} features, parameters have {omega.p}")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return expit(x @ omega.beta + np.log(lam)) * expit(x @ omega.theta)
+    return phi(x, omega.beta, DetectionParam(lam)) * expit(x @ omega.theta)
 
 
-def fit_at_lambda(
-    train: Dataset,
-    lam: float,
-    cfg: FitConfig,
-    omega0: ParamPair | None = None,
-) -> PuOmmModel:
-    """Single fit at a fixed detection rate; no grid, no selection."""
-    res = fit(train, DetectionParam(lam), cfg, omega0)
+def _fit_and_score(train: Dataset, lam: float, cfg: FitConfig) -> tuple[FitResult, float]:
+    """One fit at lam and the Brier score of its recorded-occurrence probability against 1{z > 0}."""
+    res = fit(train, DetectionParam(lam), cfg)
     v = (train.z > 0).astype(float)
     q = observed_occurrence_prob(res.omega_hat, lam, train.x)
-    score = float(np.mean((q - v) ** 2))
+    return res, float(np.mean((q - v) ** 2))
+
+
+def fit_at_lambda(train: Dataset, lam: float, cfg: FitConfig) -> PuOmmModel:
+    """Single fit at a fixed detection rate; no grid, no selection."""
+    res, score = _fit_and_score(train, lam, cfg)
     return PuOmmModel(
         omega_hat=res.omega_hat,
         lambda_hat=float(lam),
@@ -127,20 +123,17 @@ def fit_pu_omm(
     if cfg is None:
         cfg = FitConfig(radius=default_radius(train.p))
 
-    v = (train.z > 0).astype(float)
     scores: list[tuple[float, float]] = []
-    results: list[FitResult] = []
+    results: list[FitResult | None] = []
     failures: list[str] = []
     for lam in grid:
+        lam = float(lam)
         try:
-            res = fit(train, DetectionParam(float(lam)), cfg)
+            res, score = _fit_and_score(train, lam, cfg)
         except (ValueError, FloatingPointError) as exc:
             failures.append(f"lambda={lam}: {exc}")
-            scores.append((float(lam), np.inf))
-            results.append(None)
-            continue
-        q = observed_occurrence_prob(res.omega_hat, float(lam), train.x)
-        scores.append((float(lam), float(np.mean((q - v) ** 2))))
+            res, score = None, np.inf
+        scores.append((lam, score))
         results.append(res)
 
     if all(r is None for r in results):

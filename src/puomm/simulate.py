@@ -105,7 +105,7 @@ def gen_latent(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Occurrence flags and true magnitudes for one row or a matrix of rows.
 
-    u ~ Bernoulli(sigmoid(x.theta0)); given an event, the magnitude is
+    u ~ Bernoulli(expit(x.theta0)); given an event, the magnitude is
     exponential with mean exp(x.beta0) (settings correct/threshold) or
     log-normal with log-mean x.beta0 and unit log-variance (lognormal).
     """

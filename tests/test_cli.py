@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from puomm.cli import main
-from puomm.dataio import read_model_json, write_dataset_csv
-from puomm.experiment import ExperimentConfig, run_experiment
+from puomm import experiment
+from puomm.cli import build_parser, main
+from puomm.dataio import read_model_json, write_dataset_csv, write_model_json
+from puomm.experiment import METHODS, ExperimentConfig, run_experiment
 from puomm.model import Dataset
 from puomm.simulate import SimConfig, make_datasets
 
@@ -51,6 +53,15 @@ def test_fit_unknown_method_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_fit_true_lambda_without_rate_is_usage_error(tmp_path, capsys):
+    data = _write_standin_csv(tmp_path / "d.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(data), "--method", "pu_omm_true_lambda", "--out", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
+    assert "needs --lambda-eps" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_twice_is_byte_identical(tmp_path):
     data = _write_standin_csv(tmp_path / "d.csv")
     m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -87,6 +98,82 @@ def test_evaluate_produces_metrics_csv(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "model"
     assert float(cells[2]) >= 0.0  # rmse_beta present in simulation mode
+
+
+@pytest.mark.parametrize(
+    "method, key, value",
+    [
+        ("pu_omm_true_lambda", "lambda_hat", math.nan),
+        ("logistic_gamma", "occurrence_coef", [math.nan, 0.0, 0.0]),
+        ("logistic_gamma", "aux", math.nan),
+        ("logistic_lognormal", "aux", math.inf),
+    ],
+)
+def test_evaluate_rejects_non_finite_model_json(tmp_path, capsys, method, key, value):
+    # simulation-mode scoring never reads lambda_hat or a Gamma aux, so only the model reader can refuse them
+    data = tmp_path / "d.csv"
+    write_dataset_csv(make_datasets(SimConfig(setting="correct", n=400, p=3, seed=4, n_test=10)).train, data)
+    model = tmp_path / "model.json"
+    rate = ["--lambda-eps", "0.5", "--tol", "1e-5"] if method == "pu_omm_true_lambda" else []
+    assert main(["fit", "--data", str(data), "--method", method, "--out", str(model)] + rate) == 0
+    payload = json.loads(model.read_text())
+    payload[key] = value
+    model.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(model), "--data", str(data), "--mode", "simulation",
+               "--out", str(tmp_path / "metrics.csv")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_cli_method_choices_are_the_registry_keys():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["fit"]._actions if a.dest == "method")
+    assert list(method.choices) == list(METHODS)
+
+
+def test_cli_fit_and_experiment_fit_the_same_models(tmp_path, monkeypatch):
+    # the experiment's first trial simulates with seed base_seed = 11; the CLI fits that same training set
+    setting = SimConfig(setting="correct", n=300, p=3, lambda_eps_true=0.24, n_test=50, seed=11)
+    write_dataset_csv(make_datasets(setting).train, tmp_path / "train.csv")
+    fitted = {}
+    evaluate_trial = experiment.evaluate_trial
+
+    def capturing(models, *args, **kwargs):
+        fitted.update(models)
+        return evaluate_trial(models, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "evaluate_trial", capturing)
+    cfg = ExperimentConfig(mode="simulation", methods=list(METHODS), trials=1, base_seed=11,
+                           output_dir=str(tmp_path / "exp"), settings=[setting], n_values=[300],
+                           grid_size=3, tol=1e-6)
+    run_experiment(cfg)
+    assert sorted(fitted) == sorted(METHODS)
+    for method, model in fitted.items():
+        write_model_json(model, method, tmp_path / f"{method}.experiment.json")
+        assert main(["fit", "--data", str(tmp_path / "train.csv"), "--method", method, "--grid-size", "3",
+                     "--tol", "1e-6", "--lambda-eps", "0.24", "--out", str(tmp_path / f"{method}.json")]) == 0
+        assert (tmp_path / f"{method}.json").read_bytes() == (tmp_path / f"{method}.experiment.json").read_bytes()
+    assert fitted["pu_omm_true_lambda"].lambda_hat == 0.24
+
+
+def test_run_experiment_gets_fit_pu_omm_from_the_module_attribute(tmp_path, monkeypatch):
+    # the benchmark checks each grid-selected model by replacing experiment.fit_pu_omm
+    calls = []
+    fit_pu_omm = experiment.fit_pu_omm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_pu_omm(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_pu_omm", counting)
+    cfg = ExperimentConfig(mode="simulation", methods=["pu_omm", "logistic_gamma"], trials=2, base_seed=3,
+                           output_dir=str(tmp_path), settings=[SimConfig(setting="correct", n=200, p=2, n_test=50)],
+                           n_values=[200], grid_size=2, tol=1e-6)
+    long_path, _ = run_experiment(cfg)
+    assert len(calls) == 2
+    assert all(line.endswith(",ok") for line in long_path.read_text().splitlines()[1:])
 
 
 def test_experiment_simulation_cardinality_and_determinism(tmp_path):

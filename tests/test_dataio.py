@@ -272,8 +272,8 @@ def test_ingest_simulated_names_first_latent_mismatch(tmp_path):
     assert ingest_csv(path, schema="observed_only").n == 40
 
 
-def _split_at(rows):
-    return mock.patch.object(dataio, "_SPLIT_MIN_ROWS", rows)
+def _split_at(cells):
+    return mock.patch.object(dataio, "_SPLIT_MIN_CELLS", cells)
 
 
 def _serial():
@@ -378,7 +378,7 @@ def test_split_ingest_blank_line_in_head_is_located(tmp_path):
     lines = ["x_1,z"] + ["0.5,1.0"] * 20_000
     lines.insert(100, "")
     path.write_text("\n".join(lines) + "\n")
-    with _counting_fork() as fork, pytest.raises(ValueError, match="line 101: expected 2 cells, got 0"):
+    with _split_at(100), _counting_fork() as fork, pytest.raises(ValueError, match="line 101: expected 2 cells, got 0"):
         ingest_csv(path)
     assert fork.call_count == 1
 

@@ -14,16 +14,10 @@ from puomm.metrics import (
     rmse_pred,
     smape,
 )
-from puomm.model import Dataset, ParamPair
-from puomm.optimizer import FitResult
-from puomm.selection import PuOmmModel
+from puomm.model import Dataset
 from scipy.special import expit
 
-
-def _pu_model(beta, theta, lam=0.5):
-    omega = ParamPair(np.asarray(beta, dtype=float), np.asarray(theta, dtype=float))
-    res = FitResult(omega_hat=omega, converged=True, iterations=1, final_loss=0.0)
-    return PuOmmModel(omega_hat=omega, lambda_hat=lam, fit=res, selection_scores=[(lam, 0.0)])
+from conftest import pu_model
 
 
 def test_rmse_params_zero_and_hand_value():
@@ -88,8 +82,8 @@ def test_smape_boundary_and_zero_pair():
 
 
 def test_predict_occurrence_pu_model_uses_theta_only():
-    m1 = _pu_model([5.0, 5.0], [0.0, 0.0], lam=0.1)
-    m2 = _pu_model([5.0, 5.0], [0.0, 0.0], lam=10.0)
+    m1 = pu_model([5.0, 5.0], [0.0, 0.0], lam=0.1)
+    m2 = pu_model([5.0, 5.0], [0.0, 0.0], lam=10.0)
     x = np.array([0.3, -0.7])
     assert predict_occurrence(m1, x) == 0.5
     assert predict_occurrence(m1, x) == predict_occurrence(m2, x)
@@ -106,7 +100,7 @@ def test_predict_occurrence_baseline_delegates_to_logistic():
 
 def test_predict_magnitude_families():
     x = np.array([0.0, 0.0])
-    assert predict_magnitude(_pu_model([0.0, 0.0], [1.0, 1.0]), x) == 1.0
+    assert predict_magnitude(pu_model([0.0, 0.0], [1.0, 1.0]), x) == 1.0
     logn = TwoPartModel(np.zeros(2), np.zeros(2), "lognormal", aux=0.25)
     assert predict_magnitude(logn, x) == pytest.approx(np.exp(0.125), abs=1e-15)
     gamma = TwoPartModel(np.zeros(2), np.array([0.3, -0.2]), "gamma", aux=1.0)
@@ -124,7 +118,7 @@ def test_evaluate_trial_simulation_mode_counts_and_floors():
     u = (rng.random(n) < expit(x @ theta0)).astype(float)
     y = np.where(u > 0, np.exp(x @ beta0), 0.0)  # deterministic size given x
     test = Dataset(x=x, z=y.copy(), y=y, u=u, r=u.copy())
-    perfect = _pu_model(beta0, theta0)
+    perfect = pu_model(beta0, theta0)
     reports = evaluate_trial({"perfect": perfect}, test, truth=(beta0, theta0), trial_id=3)
     rep = reports[0]
     assert rep.n_eval == n
@@ -141,7 +135,7 @@ def test_evaluate_trial_observed_mode_skips_truth_metrics():
     x = rng.standard_normal((100, 2))
     z = np.where(rng.random(100) < 0.4, rng.exponential(1.0, 100), 0.0)
     test = Dataset(x=x, z=z)
-    model = _pu_model([0.1, 0.1], [0.2, -0.2])
+    model = pu_model([0.1, 0.1], [0.2, -0.2])
     rep = evaluate_trial({"m": model}, test)[0]
     assert rep.rmse_beta is None and rep.rmse_theta is None
     assert rep.n_eval_size == int((z > 0).sum())
@@ -150,11 +144,11 @@ def test_evaluate_trial_observed_mode_skips_truth_metrics():
 def test_evaluate_trial_missing_latent_raises():
     test = Dataset(x=np.ones((5, 1)), z=np.zeros(5))
     with pytest.raises(ValueError):
-        evaluate_trial({"m": _pu_model([0.0], [0.0])}, test, mode="simulation")
+        evaluate_trial({"m": pu_model([0.0], [0.0])}, test, mode="simulation")
 
 
 def test_metrics_report_csv_row_roundtrip():
-    model = _pu_model([0.0, 0.0], [0.0, 0.0])
+    model = pu_model([0.0, 0.0], [0.0, 0.0])
     rng = np.random.default_rng(4)
     x = rng.standard_normal((50, 2))
     z = np.where(rng.random(50) < 0.5, rng.exponential(1.0, 50), 0.0)

@@ -5,101 +5,112 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
+from puomm import special
+from puomm.metrics import predict_magnitude, predict_occurrence
 from puomm.model import (
     Dataset,
     DetectionParam,
     NumericalError,
-    ObservedSample,
     ParamPair,
-    detection_prob,
     gradient,
-    magnitude_density,
     make_hessian,
     make_objective,
-    mixture_link,
-    mixture_link_partials,
     neg_log_likelihood,
-    occurrence_prob,
-    per_sample_loss,
     phi,
-    sigmoid,
 )
-from puomm.selection import default_radius
+from puomm.selection import default_radius, observed_occurrence_prob
+from puomm.simulate import Setting, apply_missingness
 
-from conftest import central_diff_gradient, random_dataset
+from conftest import central_diff_gradient, pu_model, random_dataset, reference_loss_and_gradient
+
+
+# The likelihood's logistic function is special.expit.
 
 
 def test_sigmoid_symmetry_point():
-    assert sigmoid(0.0) == 0.5
+    assert special.expit(0.0) == 0.5
 
 
 def test_sigmoid_reflection_identity():
-    assert sigmoid(3.7) == pytest.approx(1.0 - sigmoid(-3.7), abs=1e-15)
+    assert special.expit(3.7) == pytest.approx(1.0 - special.expit(-3.7), abs=1e-15)
 
 
 def test_sigmoid_saturates_without_overflow():
     with np.errstate(over="raise"):
-        assert sigmoid(500.0) == pytest.approx(1.0, abs=1e-15)
-        assert sigmoid(-700.0) >= 0.0
+        assert special.expit(500.0) == pytest.approx(1.0, abs=1e-15)
+        assert special.expit(-700.0) >= 0.0
+
+
+# P(event | x) = expit(x.theta), as metrics.predict_occurrence scores a fitted model.
 
 
 def test_occurrence_prob_zero_inputs():
-    theta = np.array([1.2, -0.5])
-    assert occurrence_prob(np.zeros(2), theta) == 0.5
-    assert occurrence_prob(np.array([0.3, 4.0]), np.zeros(2)) == 0.5
+    assert predict_occurrence(pu_model(np.zeros(2), [1.2, -0.5]), np.zeros(2)) == 0.5
+    assert predict_occurrence(pu_model(np.zeros(2), np.zeros(2)), np.array([0.3, 4.0])) == 0.5
 
 
 def test_occurrence_prob_log3():
     # sigma(log 3) = 3/4 by hand
-    assert occurrence_prob(np.array([np.log(3.0)]), np.array([1.0])) == pytest.approx(0.75, abs=1e-15)
+    assert predict_occurrence(pu_model([0.0], [1.0]), np.array([np.log(3.0)])) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_occurrence_prob_dim_mismatch():
-    with pytest.raises(ValueError):
-        occurrence_prob(np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        observed_occurrence_prob(ParamPair(np.zeros(2), np.zeros(2)), 0.5, np.zeros(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        phi(np.zeros(3), np.zeros(2), DetectionParam(0.5))
+
+
+def _recorded_row_density(t, x, beta, theta):
+    """Likelihood of one row recorded at size t > 0: the magnitude density g(t | x) times expit(x.theta)."""
+    ds = Dataset(x=np.atleast_2d(x), z=np.array([t]))
+    return np.exp(-neg_log_likelihood(ParamPair(beta, theta), ds, DetectionParam(1.0)))
 
 
 def test_magnitude_density_unit_rate():
-    assert magnitude_density(1.0, np.zeros(2), np.zeros(2)) == pytest.approx(np.exp(-1.0), abs=1e-15)
+    # x.beta = 0: the exponential density at t = 1 is exp(-1)
+    x, beta, theta = np.array([1.0, 0.0]), np.array([0.0, 0.7]), np.array([0.4, -2.0])
+    assert _recorded_row_density(1.0, x, beta, theta) == pytest.approx(np.exp(-1.0) * expit(0.4), rel=1e-14)
 
 
 def test_magnitude_density_integrates_to_one():
-    x, beta = np.array([1.3]), np.array([1.0])
-    total, _ = quad(lambda t: magnitude_density(t, x, beta), 0, np.inf)
-    assert total == pytest.approx(1.0, abs=1e-9)
+    x, beta, theta = np.array([1.3]), np.array([1.0]), np.array([0.2])
+    total, _ = quad(lambda t: _recorded_row_density(t, x, beta, theta), 0, np.inf)
+    assert total / expit(1.3 * 0.2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_magnitude_density_mean_matches_log_link():
-    x, beta = np.array([-0.5]), np.array([1.0])
-    mean, _ = quad(lambda t: t * magnitude_density(t, x, beta), 0, np.inf)
-    assert mean == pytest.approx(np.exp(-0.5), rel=1e-9)
+    # the mean event size is exp(x.beta), the conditional mean that predict_magnitude reports
+    x, beta, theta = np.array([-0.5]), np.array([1.0]), np.array([0.0])
+    mean, _ = quad(lambda t: t * _recorded_row_density(t, x, beta, theta), 0, np.inf)
+    assert mean / expit(0.0) == pytest.approx(np.exp(-0.5), rel=1e-9)
+    assert predict_magnitude(pu_model(beta, theta), x) == pytest.approx(np.exp(-0.5), rel=1e-15)
 
 
 def test_magnitude_density_rejects_nonpositive_t():
-    with pytest.raises(ValueError):
-        magnitude_density(0.0, np.zeros(1), np.zeros(1))
+    # z = 0 is an unrecorded row; a negative size is rejected with its row
+    with pytest.raises(ValueError, match=r"z must be nonnegative \(row 1\)"):
+        Dataset(x=np.zeros((2, 1)), z=np.array([0.0, -1.0]))
 
 
-def test_detection_prob_at_zero():
-    assert detection_prob(0.0, DetectionParam(0.24)) == 0.0
-
-
-def test_detection_prob_half_point():
-    y = np.log(2.0) / 0.24
-    assert detection_prob(y, DetectionParam(0.24)) == pytest.approx(0.5, abs=1e-15)
+# The detection curve 1 - exp(-lambda_eps y) is drawn by the simulator; the
+# likelihood sees it only through phi.
 
 
 def test_detection_prob_no_missingness_limit():
-    assert detection_prob(1.0, DetectionParam(1e6)) == pytest.approx(1.0, abs=1e-6)
+    y = np.ones(1000)
+    r, z = apply_missingness(y, Setting.CORRECT, 1e6, 3.0, np.random.default_rng(0))
+    assert r.all() and np.array_equal(z, y)
 
 
 def test_detection_prob_monotone_and_rejects_negative():
-    d = DetectionParam(0.7)
+    # on the same uniforms, a larger event is recorded wherever a smaller one is
     ys = np.linspace(0, 10, 50)
-    vals = detection_prob(ys, d)
-    assert np.all(np.diff(vals) >= 0)
+    low, _ = apply_missingness(ys, Setting.CORRECT, 0.7, 3.0, np.random.default_rng(1))
+    high, _ = apply_missingness(ys + 0.5, Setting.CORRECT, 0.7, 3.0, np.random.default_rng(1))
+    assert np.all(low <= high)
     with pytest.raises(ValueError):
-        detection_prob(-0.1, d)
+        apply_missingness(-0.1, Setting.CORRECT, 0.7, 3.0, np.random.default_rng(0))
 
 
 def test_phi_hand_value():
@@ -123,30 +134,31 @@ def test_phi_two_closed_forms_agree(rng):
 def test_phi_matches_quadrature():
     x, beta = np.array([0.7]), np.array([1.0])
     d = DetectionParam(0.24)
-    integral, _ = quad(
-        lambda y: detection_prob(y, d) * magnitude_density(y, x, beta), 0, np.inf
-    )
+    rate = np.exp(-x @ beta)
+    integral, _ = quad(lambda y: -np.expm1(-0.24 * y) * rate * np.exp(-rate * y), 0, np.inf)
     assert phi(x, beta, d) == pytest.approx(integral, abs=1e-8)
 
 
+# The per-sample loss is neg_log_likelihood on a one-row dataset.
+
+
 def test_per_sample_loss_zero_branch():
-    s = ObservedSample(x=np.zeros(3), z=0.0)
+    ds = Dataset(x=np.zeros((1, 3)), z=np.zeros(1))
     om = ParamPair(np.zeros(3), np.zeros(3))
-    assert per_sample_loss(om, s, DetectionParam(1.0)) == pytest.approx(np.log(0.75), abs=1e-12)
+    assert -neg_log_likelihood(om, ds, DetectionParam(1.0)) == pytest.approx(np.log(0.75), abs=1e-12)
 
 
 def test_per_sample_loss_positive_branch():
-    s = ObservedSample(x=np.array([1.0, 0.0]), z=1.0)
+    ds = Dataset(x=np.array([[1.0, 0.0]]), z=np.ones(1))
     om = ParamPair(np.zeros(2), np.zeros(2))
-    assert per_sample_loss(om, s, DetectionParam(1.0)) == pytest.approx(-1.0 - np.log(2.0), abs=1e-12)
+    assert -neg_log_likelihood(om, ds, DetectionParam(1.0)) == pytest.approx(-1.0 - np.log(2.0), abs=1e-12)
 
 
 def test_per_sample_loss_no_missingness_limit(rng):
     # z = 0 branch collapses to log(1 - p1) when detection is certain
     x = rng.standard_normal(4)
     om = ParamPair(rng.standard_normal(4) * 0.5, rng.standard_normal(4) * 0.5)
-    s = ObservedSample(x=x, z=0.0)
-    val = per_sample_loss(om, s, DetectionParam(1e9))
+    val = -neg_log_likelihood(om, Dataset(x=x[None, :], z=np.zeros(1)), DetectionParam(1e9))
     assert val == pytest.approx(np.log1p(-expit(x @ om.theta)), abs=1e-6)
 
 
@@ -168,7 +180,7 @@ def test_neg_log_likelihood_additivity(rng):
     ds = random_dataset(rng, 3, 2)
     om = ParamPair(rng.standard_normal(2), rng.standard_normal(2))
     d = DetectionParam(0.9)
-    per = [per_sample_loss(om, ds.row(i), d) for i in range(3)]
+    per = [-neg_log_likelihood(om, ds.subset([i]), d) for i in range(3)]
     assert neg_log_likelihood(om, ds, d) == pytest.approx(-sum(per) / 3, rel=1e-12)
 
 
@@ -178,51 +190,63 @@ def test_neg_log_likelihood_rejects_empty():
         neg_log_likelihood(om, Dataset(x=np.zeros((0, 2)), z=np.zeros(0)), DetectionParam(1.0))
 
 
+def _zero_row(a, b):
+    """Loss and gradient of one unrecorded row at x = 1 and lambda_eps = 1, where a = beta and b = theta.
+
+    The row's log-likelihood is log(1 - expit(a) expit(b)) = log expit(-h)
+    for the mixture link h(a, b) = logit(expit(a) expit(b)); its gradient
+    is expit(h) times the partials of h.
+    """
+    ds, om, d = Dataset(x=np.ones((1, 1)), z=np.zeros(1)), ParamPair([a], [b]), DetectionParam(1.0)
+    return neg_log_likelihood(om, ds, d), gradient(om, ds, d)
+
+
+def _link_prob(a, b):
+    """expit(h(a, b)), recovered from the zero row's loss -log(1 - expit(h))."""
+    return -np.expm1(-_zero_row(a, b)[0])
+
+
 def test_mixture_link_hand_value():
-    assert mixture_link(0.0, 0.0) == pytest.approx(-np.log(3.0), abs=1e-12)
+    # h(0, 0) = -log 3, so expit(h) = 1/4
+    assert _link_prob(0.0, 0.0) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_mixture_link_saturated_first_argument():
-    # sigma(50) ~ 1, so h collapses to the logit of sigma(b)
-    assert mixture_link(50.0, 0.3) == pytest.approx(0.3, abs=1e-6)
+    # expit(50) ~ 1, so h collapses to b
+    assert _link_prob(50.0, 0.3) == pytest.approx(expit(0.3), abs=1e-6)
 
 
 def test_mixture_link_symmetry():
-    assert mixture_link(1.2, -0.4) == pytest.approx(mixture_link(-0.4, 1.2), abs=1e-14)
+    assert _zero_row(1.2, -0.4)[0] == pytest.approx(_zero_row(-0.4, 1.2)[0], abs=1e-14)
 
 
 def test_mixture_link_sigmoid_identity(rng):
     for _ in range(20):
         a, b = rng.uniform(-8, 8, size=2)
-        assert sigmoid(mixture_link(a, b)) == pytest.approx(sigmoid(a) * sigmoid(b), rel=1e-12)
+        assert _link_prob(a, b) == pytest.approx(expit(a) * expit(b), rel=1e-12)
 
 
 def test_mixture_link_partials_hand_value():
-    h1, h2 = mixture_link_partials(0.0, 0.0)
-    assert h1 == pytest.approx(2.0 / 3.0, abs=1e-14)
-    assert h2 == pytest.approx(2.0 / 3.0, abs=1e-14)
+    # at a = b = 0 both partials of h are 2/3, and expit(h) = 1/4
+    assert _zero_row(0.0, 0.0)[1] == pytest.approx([1 / 6, 1 / 6], abs=1e-15)
 
 
 def test_mixture_link_partials_swap():
-    h1, _ = mixture_link_partials(0.9, -1.1)
-    _, h2 = mixture_link_partials(-1.1, 0.9)
-    assert h1 == pytest.approx(h2, abs=1e-15)
+    assert _zero_row(0.9, -1.1)[1][0] == pytest.approx(_zero_row(-1.1, 0.9)[1][1], abs=1e-15)
 
 
 def test_mixture_link_partials_bounded(rng):
-    a, b = rng.uniform(-30, 30, size=(2, 100))
-    h1, h2 = mixture_link_partials(a, b)
-    assert np.all((h1 >= 0) & (h1 <= 1))
-    assert np.all((h2 >= 0) & (h2 <= 1))
+    # a zero row's score in either linear predictor lies in [0, 1]
+    for a, b in rng.uniform(-30, 30, size=(100, 2)):
+        g = _zero_row(a, b)[1]
+        assert np.all((g >= 0) & (g <= 1))
 
 
 def test_mixture_link_partials_match_finite_differences():
     a, b, step = 1.5, 0.2, 1e-5
-    h1, h2 = mixture_link_partials(a, b)
-    fd1 = (mixture_link(a + step, b) - mixture_link(a - step, b)) / (2 * step)
-    fd2 = (mixture_link(a, b + step) - mixture_link(a, b - step)) / (2 * step)
-    assert h1 == pytest.approx(fd1, abs=1e-6)
-    assert h2 == pytest.approx(fd2, abs=1e-6)
+    fd1 = (_zero_row(a + step, b)[0] - _zero_row(a - step, b)[0]) / (2 * step)
+    fd2 = (_zero_row(a, b + step)[0] - _zero_row(a, b - step)[0]) / (2 * step)
+    assert _zero_row(a, b)[1] == pytest.approx([fd1, fd2], abs=1e-6)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -251,14 +275,16 @@ def _rel_err(a, b, floor=1e-3):
 
 
 def test_make_objective_matches_public_loss_and_gradient():
+    # the public functions read the optimizer's row terms; both must match the per-row reference
     for ds, om, d in _criterion_1_draws():
         loss, loss_and_grad = make_objective(ds, d)
         w = om.as_vector()
         value, g = loss_and_grad(w)
-        expected = neg_log_likelihood(om, ds, d)
-        assert loss(w) == value
+        assert loss(w) == value == neg_log_likelihood(om, ds, d)
+        assert np.array_equal(g, gradient(om, ds, d))
+        expected, expected_g = reference_loss_and_gradient(om, ds, d)
         assert abs(value - expected) <= 1e-10 * abs(expected)
-        assert _rel_err(g, gradient(om, ds, d)).max() < 1e-10
+        assert _rel_err(g, expected_g).max() < 1e-10
 
 
 def _fd_derivative(f, w, scale=1.0):
@@ -420,6 +446,16 @@ def test_per_sample_loss_nonfinite_carries_index():
     with pytest.raises(NumericalError) as exc:
         neg_log_likelihood(om, ds, DetectionParam(1.0))
     assert exc.value.index == 1
+
+
+def test_neg_log_likelihood_names_the_bad_row_in_the_original_order():
+    # rows 3 and 4 are the 2nd and 3rd recorded rows; exp(-x.beta) overflows on both
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-71.0, 0.0], [-80.0, 0.0]])
+    z = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    om = ParamPair(np.array([10.0, 0.0]), np.zeros(2))
+    with pytest.raises(NumericalError, match="non-finite log-likelihood term at sample 3") as exc:
+        neg_log_likelihood(om, Dataset(x=x, z=z), DetectionParam(1.0))
+    assert exc.value.index == 3
 
 
 def test_neg_log_likelihood_sum_overflow_raises():
