@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
-from .simulate import SimOutput
 from .special import digamma, expit, log_expit, trigamma
 
 GRAD_TOL = 1e-8
@@ -205,13 +204,11 @@ def fit_lognormal(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
     return coef, float(np.mean(resid**2))
 
 
-def fit_oracle(sim: SimOutput | Dataset) -> TwoPartModel:
+def fit_oracle(train: Dataset) -> TwoPartModel:
     """Two GLMs on the unmasked training responses: logistic on 1{y>0}, exponential on y>0.
 
-    Accepts either a simulator output (its train split is used) or a
-    dataset that carries latent magnitudes.
+    train must carry latent magnitudes.
     """
-    train = sim.train if isinstance(sim, SimOutput) else sim
     if train.y is None:
         raise ValueError("oracle fit needs latent magnitudes")
     u = (train.y > 0).astype(float)
@@ -234,7 +231,7 @@ def fit_oracle(sim: SimOutput | Dataset) -> TwoPartModel:
 
 def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
     """Logistic stage on 1{z>0} plus the requested size family on recorded positives."""
-    if family not in ("gamma", "lognormal", "exponential"):
+    if family not in ("gamma", "lognormal"):
         raise ValueError(f"unknown magnitude family {family!r}")
     if train.n < 1:
         raise ValueError("training data must be nonempty")
@@ -247,15 +244,12 @@ def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
         occ = fit_logistic(train.x, v)
         pos = train.z > 0
         Xp, zp = train.x[pos], train.z[pos]
-        aux = None
         if pos.sum() <= Xp.shape[1]:
             warnings.warn("too few positives for the magnitude stage", DegenerateFitWarning)
         if family == "gamma":
             mag, aux = fit_gamma_glm(Xp, zp)
-        elif family == "lognormal":
-            mag, aux = fit_lognormal(Xp, zp)
         else:
-            mag = fit_exponential_glm(Xp, zp)
+            mag, aux = fit_lognormal(Xp, zp)
     for w in caught:
         if issubclass(w.category, SeparationWarning):
             flags.append("separation")

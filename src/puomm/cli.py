@@ -13,15 +13,17 @@ Exit codes: 0 success, 1 runtime failure (JSON error object on stderr),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import dataio
-from .experiment import METHODS, ExperimentConfig, run_experiment
+from .experiment import LATENT_METHODS, METHODS, ExperimentConfig, run_experiment
 from .metrics import evaluate_trial
+from .optimizer import FitConfig
 from .selection import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_SIZE
-from .simulate import SimConfig, make_datasets
+from .simulate import SimConfig, Setting, make_datasets
 
 
 def _add_fit_options(p: argparse.ArgumentParser) -> None:
@@ -29,8 +31,8 @@ def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--grid-lo", type=float, default=DEFAULT_GRID_LO)
     p.add_argument("--grid-hi", type=float, default=DEFAULT_GRID_HI)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=FitConfig.tol)
+    p.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     p.add_argument("--add-intercept", action="store_true", help="prepend a constant-1 feature")
 
 
@@ -38,15 +40,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="puomm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="generate one synthetic train/test pair")
-    p_sim.add_argument("--setting", choices=["correct", "lognormal", "threshold"], default="correct")
+    # an option left out is absent from the namespace, so SimConfig supplies its default
+    p_sim = sub.add_parser("simulate", help="generate one synthetic train/test pair",
+                           argument_default=argparse.SUPPRESS)
+    p_sim.add_argument("--setting", choices=[s.value for s in Setting], default="correct")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--p", type=int, default=10)
-    p_sim.add_argument("--n-test", type=int, default=50000)
-    p_sim.add_argument("--lambda-eps", type=float, default=0.24, help="true detection rate")
-    p_sim.add_argument("--tau", type=float, default=3.0, help="threshold-setting cutoff")
-    p_sim.add_argument("--rho", type=float, default=0.2)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--p", type=int)
+    p_sim.add_argument("--n-test", type=int)
+    p_sim.add_argument("--lambda-eps", type=float, dest="lambda_eps_true", metavar="LAMBDA_EPS",
+                       help="true detection rate")
+    p_sim.add_argument("--tau", type=float, help="threshold-setting cutoff")
+    p_sim.add_argument("--rho", type=float)
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", required=True, help="output directory")
 
     p_fit = sub.add_parser("fit", help="fit one method on a dataset CSV")
@@ -73,16 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    cfg = SimConfig(
-        setting=args.setting,
-        n=args.n,
-        p=args.p,
-        lambda_eps_true=args.lambda_eps,
-        tau=args.tau,
-        rho=args.rho,
-        seed=args.seed,
-        n_test=args.n_test,
-    )
+    given = vars(args)
+    cfg = SimConfig(**{f.name: given[f.name] for f in dataclasses.fields(SimConfig) if f.name in given})
     sim = make_datasets(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,7 +91,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    schema = "simulated" if args.method == "oracle" else "observed_only"
+    schema = "simulated" if args.method in LATENT_METHODS else "observed_only"
     data = dataio.ingest_csv(args.data, schema=schema)
     if args.add_intercept:
         data = data.with_intercept()

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import itertools
 import json
@@ -370,21 +371,8 @@ def _json_dump(obj, path: str | Path) -> None:
 
 def write_sim_meta(sim: SimOutput, path: str | Path) -> None:
     """JSON sidecar: generation settings plus the true coefficient vectors."""
-    cfg = sim.config
     meta = {
-        "config": None
-        if cfg is None
-        else {
-            "setting": cfg.setting.value,
-            "n": cfg.n,
-            "p": cfg.p,
-            "lambda_eps_true": cfg.lambda_eps_true,
-            "tau": cfg.tau,
-            "rho": cfg.rho,
-            "param_scale": cfg.param_scale,
-            "seed": cfg.seed,
-            "n_test": cfg.n_test,
-        },
+        "config": dataclasses.asdict(sim.config),
         "beta0": [float(v) for v in sim.beta0],
         "theta0": [float(v) for v in sim.theta0],
     }
@@ -399,19 +387,17 @@ def read_sim_meta(path: str | Path) -> dict:
     return meta
 
 
-def sim_config_from_dict(d: dict) -> SimConfig:
-    # n may be omitted in experiment configs, where n_values supplies it
-    return SimConfig(
-        setting=d["setting"],
-        n=int(d.get("n", 1)),
-        p=int(d.get("p", 10)),
-        lambda_eps_true=float(d.get("lambda_eps_true", 0.24)),
-        tau=float(d.get("tau", 3.0)),
-        rho=float(d.get("rho", 0.2)),
-        param_scale=d.get("param_scale"),
-        seed=int(d.get("seed", 0)),
-        n_test=int(d.get("n_test", 50000)),
-    )
+def reject_unknown_keys(d: dict, allowed, where: str) -> None:
+    """Raise ValueError naming every key of d that allowed lacks."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {where}; expected some of {sorted(allowed)}")
+
+
+def sim_config_from_dict(d: dict, where: str) -> SimConfig:
+    """A SimConfig from a config's settings entry; n may be omitted where n_values supplies it."""
+    reject_unknown_keys(d, [f.name for f in dataclasses.fields(SimConfig)], where)
+    return SimConfig(**{"n": 1, **d})
 
 
 def model_to_dict(model, method: str) -> dict:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import fit_observed_mixture, fit_oracle
-from .dataio import ingest_csv, sim_config_from_dict
+from .dataio import ingest_csv, reject_unknown_keys, sim_config_from_dict
 from .optimizer import FitConfig
 from .selection import (
     DEFAULT_GRID_HI,
@@ -62,7 +62,7 @@ def _pu_omm_true_lambda(train, opts, true_lambda):
 
 # Every method the CLI and the experiment harness fit, as
 # method(train, opts, true_lambda) -> model.  train may carry latent columns;
-# only the oracle reads them.  opts is anything with grid_size, grid_lo,
+# only the LATENT_METHODS read them.  opts is anything with grid_size, grid_lo,
 # grid_hi, tol, max_iter and radius attributes (an ExperimentConfig or the
 # CLI's arguments).  The fitters are looked up as module globals at call
 # time, so replacing experiment.fit_pu_omm replaces what the registry calls.
@@ -73,6 +73,8 @@ METHODS = {
     "logistic_gamma": lambda train, opts, true_lambda: fit_observed_mixture(train.observed_only(), "gamma"),
     "logistic_lognormal": lambda train, opts, true_lambda: fit_observed_mixture(train.observed_only(), "lognormal"),
 }
+# The methods that read the latent columns y, u, r, so fit only simulated data.
+LATENT_METHODS = frozenset({"oracle"})
 
 
 @dataclass
@@ -90,8 +92,8 @@ class ExperimentConfig:
     grid_size: int = DEFAULT_GRID_SIZE
     grid_lo: float = DEFAULT_GRID_LO
     grid_hi: float = DEFAULT_GRID_HI
-    tol: float = 1e-8
-    max_iter: int = 10000
+    tol: float = FitConfig.tol
+    max_iter: int = FitConfig.max_iter
     radius: float | None = None
     add_intercept: bool | None = None  # default: on for real data, off for simulations
 
@@ -111,26 +113,31 @@ class ExperimentConfig:
                 raise ValueError("real_data mode needs input_csv")
             if not 0 < self.split_fraction < 1:
                 raise ValueError("split_fraction must lie in (0, 1)")
-            if "oracle" in self.methods:
-                raise ValueError("the oracle method requires simulation mode (latent labels)")
+            latent = [m for m in self.methods if m in LATENT_METHODS]
+            if latent:
+                raise ValueError(f"the {latent[0]} method requires simulation mode (latent labels)")
         if self.add_intercept is None:
             self.add_intercept = self.mode == "real_data"
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from parsed JSON; an unknown key at any level raises ValueError.
+
+        Nested grid {size, lo, hi} and fit {tol, max_iter, radius} fill the fields no top-level key sets.
+        """
         d = dict(d)
+        grid = d.pop("grid", None) or {}
+        fit_opts = d.pop("fit", None) or {}
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "the experiment config")
+        reject_unknown_keys(grid, ("size", "lo", "hi"), "grid")
+        reject_unknown_keys(fit_opts, ("tol", "max_iter", "radius"), "fit")
+        for key, value in grid.items():
+            d.setdefault(f"grid_{key}", value)
+        for key, value in fit_opts.items():
+            d.setdefault(key, value)
         if d.get("mode") == "simulation":
-            d["settings"] = [sim_config_from_dict(s) for s in d.get("settings", [])]
-        grid = d.pop("grid", None)
-        if grid:
-            d.setdefault("grid_size", grid.get("size", DEFAULT_GRID_SIZE))
-            d.setdefault("grid_lo", grid.get("lo", DEFAULT_GRID_LO))
-            d.setdefault("grid_hi", grid.get("hi", DEFAULT_GRID_HI))
-        fit_opts = d.pop("fit", None)
-        if fit_opts:
-            d.setdefault("tol", fit_opts.get("tol", 1e-8))
-            d.setdefault("max_iter", fit_opts.get("max_iter", 10000))
-            d.setdefault("radius", fit_opts.get("radius"))
+            settings = d.get("settings", [])
+            d["settings"] = [sim_config_from_dict(s, f"settings[{i}]") for i, s in enumerate(settings)]
         return cls(**d)
 
 
@@ -158,17 +165,7 @@ def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
     for sim_cfg in cfg.settings:
         for n in cfg.n_values:
             for trial in range(cfg.trials):
-                trial_cfg = SimConfig(
-                    setting=sim_cfg.setting,
-                    n=n,
-                    p=sim_cfg.p,
-                    lambda_eps_true=sim_cfg.lambda_eps_true,
-                    tau=sim_cfg.tau,
-                    rho=sim_cfg.rho,
-                    param_scale=sim_cfg.param_scale,
-                    seed=cfg.base_seed + trial,
-                    n_test=sim_cfg.n_test,
-                )
+                trial_cfg = replace(sim_cfg, n=n, seed=cfg.base_seed + trial)
                 sim = make_datasets(trial_cfg)
                 train, test = sim.train, sim.test
                 if cfg.add_intercept:

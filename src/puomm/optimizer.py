@@ -3,10 +3,10 @@
 The loss is non-convex, but any local minimiser inside a large enough
 ball has the estimator's statistical error, so what matters is which
 basin the method settles in.  Phase 1 is projected gradient descent
-(PGD) with a backtracking sufficient-decrease test, from the start
-point, which picks the basin.  Once a PGD step moves the iterate by at
-most NEWTON_SWITCH, every later iteration first tries a Newton step on
-the analytic Hessian: the minimiser of the local quadratic model over
+(PGD) with a backtracking sufficient-decrease test, from zero, which
+picks the basin.  Once a PGD step moves the iterate by at most
+NEWTON_SWITCH, every later iteration first tries a Newton step on the
+analytic Hessian: the minimiser of the local quadratic model over
 the ball, a trust-region subproblem solved exactly from one
 eigendecomposition (More & Sorensen 1983), damped by an Armijo search
 along the segment to it.  An iteration whose Hessian is not positive
@@ -25,7 +25,13 @@ import numpy as np
 
 from .model import Dataset, DetectionParam, NumericalError, ParamPair, make_hessian, make_objective
 
+# A PGD step starts at INIT_STEP each iteration and shrinks by BACKTRACK_FACTOR
+# until the projected sufficient-decrease test passes, or gives up below STEP_FLOOR.
+INIT_STEP = 1.0
+BACKTRACK_FACTOR = 0.5
 STEP_FLOOR = 1e-16
+# Sufficient-decrease constant of both the PGD and the Newton search.
+ARMIJO_C = 1e-4
 # A PGD step that moves the iterate by at most this much switches the fit to Newton steps.
 NEWTON_SWITCH = 1e-2
 # The Newton search tries the full step and then up to this many halvings of it.
@@ -37,18 +43,15 @@ SECULAR_MAX_ITER = 60
 
 @dataclass
 class FitConfig:
-    """Optimizer settings.
+    """Optimizer settings, and the only place their defaults are written.
 
-    radius is the l2 search-ball radius; a PGD step starts at init_step
-    each iteration and shrinks by backtrack_factor until the projected
-    sufficient-decrease test passes.  armijo_c sets the sufficient
-    decrease of both the PGD and the Newton search.
+    radius is the l2 search-ball radius; the fit stops once an iteration
+    moves the iterate by at most tol, or after max_iter iterations.  The
+    line searches are fixed by the module constants INIT_STEP,
+    BACKTRACK_FACTOR, ARMIJO_C and NEWTON_HALVINGS.
     """
 
     radius: float
-    init_step: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
     max_iter: int = 10000
     tol: float = 1e-8
     record_iterates: bool = False
@@ -56,12 +59,6 @@ class FitConfig:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if self.init_step <= 0:
-            raise ValueError("init_step must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
@@ -103,6 +100,14 @@ def project_l2_ball(v: np.ndarray, r: float) -> np.ndarray:
     return v * (r / norm)
 
 
+def _trial_loss(loss_vec: Callable[[np.ndarray], float], candidate: np.ndarray) -> float:
+    """Loss at a line-search trial point; +inf, which rejects the point, where it is not finite."""
+    try:
+        return loss_vec(candidate)
+    except NumericalError:
+        return np.inf
+
+
 def _backtrack(
     w: np.ndarray,
     grad: np.ndarray,
@@ -110,22 +115,21 @@ def _backtrack(
     loss_vec: Callable[[np.ndarray], float],
     cfg: FitConfig,
 ) -> tuple[np.ndarray, float, float]:
-    """Largest step eta = init_step * factor^k passing the projected decrease test.
+    """Largest step eta = INIT_STEP * BACKTRACK_FACTOR^k passing the projected decrease test.
 
     Accepts w_plus = P(w - eta * grad) when
-    loss(w_plus) <= loss(w) - (armijo_c / eta) * ||w_plus - w||^2.
-    Returns (w, 0, loss(w)) if no eta >= STEP_FLOOR qualifies.
+    loss(w_plus) <= loss(w) - (ARMIJO_C / eta) * ||w_plus - w||^2; a
+    non-finite loss rejects that eta.  Returns (w, 0, loss(w)) if no
+    eta >= STEP_FLOOR qualifies.
     """
-    eta = cfg.init_step
+    eta = INIT_STEP
     while eta >= STEP_FLOOR:
         candidate = project_l2_ball(w - eta * grad, cfg.radius)
-        decrease = np.sum((candidate - w) ** 2) * (cfg.armijo_c / eta)
-        loss_c = loss_vec(candidate)
-        if not np.isfinite(loss_c):
-            raise FloatingPointError(f"non-finite loss {loss_c} during line search at step {eta}")
+        decrease = np.sum((candidate - w) ** 2) * (ARMIJO_C / eta)
+        loss_c = _trial_loss(loss_vec, candidate)
         if loss_c <= loss_w - decrease:
             return candidate, eta, loss_c
-        eta *= cfg.backtrack_factor
+        eta *= BACKTRACK_FACTOR
     return w.copy(), 0.0, loss_w
 
 
@@ -169,7 +173,7 @@ def _newton_step(
     """Damped step toward the ball-constrained Newton point v.
 
     Accepts w_plus = w + t (v - w) for the first t in 1, 1/2, ..., 2^-8 with
-    loss(w_plus) <= loss(w) + armijo_c * grad.(w_plus - w); a non-finite loss
+    loss(w_plus) <= loss(w) + ARMIJO_C * grad.(w_plus - w); a non-finite loss
     rejects that t.  Returns (w_plus, t, loss(w_plus)), or None when hess is
     not positive definite or no t qualifies.
     """
@@ -177,14 +181,11 @@ def _newton_step(
     if v is None:
         return None
     direction = v - w
-    slope = cfg.armijo_c * float(grad @ direction)
+    slope = ARMIJO_C * float(grad @ direction)
     t = 1.0
     for _ in range(NEWTON_HALVINGS + 1):
         candidate = project_l2_ball(w + t * direction, cfg.radius)
-        try:
-            loss_c = loss_vec(candidate)
-        except NumericalError:
-            loss_c = np.inf
+        loss_c = _trial_loss(loss_vec, candidate)
         if loss_c <= loss_w + t * slope:
             return candidate, t, loss_c
         t *= 0.5
@@ -195,9 +196,8 @@ def fit(
     data: Dataset,
     d: DetectionParam,
     cfg: FitConfig,
-    omega0: ParamPair | None = None,
 ) -> FitResult:
-    """Minimize the mean negative log-likelihood over the l2 ball.
+    """Minimize the mean negative log-likelihood over the l2 ball, starting at zero.
 
     PGD steps until one moves the iterate by at most NEWTON_SWITCH, then
     Newton steps, each falling back to the PGD step when it fails.
@@ -206,11 +206,7 @@ def fit(
     not an error.  A failed line search (no admissible step) also
     returns the current iterate with converged=False.
     """
-    if omega0 is None:
-        omega0 = ParamPair.zeros(data.p)
-    w = omega0.as_vector()
-    if np.linalg.norm(w) > cfg.radius:
-        raise ValueError("initial point lies outside the search ball")
+    w = ParamPair.zeros(data.p).as_vector()
 
     loss_vec, loss_and_grad = make_objective(data, d)
     hessian = make_hessian(data, d)

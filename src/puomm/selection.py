@@ -130,7 +130,7 @@ def fit_pu_omm(
         lam = float(lam)
         try:
             res, score = _fit_and_score(train, lam, cfg)
-        except (ValueError, FloatingPointError) as exc:
+        except ValueError as exc:
             failures.append(f"lambda={lam}: {exc}")
             res, score = None, np.inf
         scores.append((lam, score))

@@ -64,7 +64,7 @@ class SimOutput:
     test: Dataset
     beta0: np.ndarray
     theta0: np.ndarray
-    config: SimConfig | None = None
+    config: SimConfig
 
 
 def ar_covariance(p: int, rho: float) -> np.ndarray:

@@ -189,7 +189,7 @@ def ordering_trials():
         train = sim.train.observed_only()
         cfg = FitConfig(radius=default_radius(10), tol=1e-6)
         models = {
-            "oracle": fit_oracle(sim),
+            "oracle": fit_oracle(sim.train),
             "pu_omm": fit_pu_omm(train, make_lambda_grid(), cfg),
             "pu_omm_true_lambda": fit_at_lambda(train, 0.24, cfg),
             "logistic": fit_observed_mixture(train, "gamma"),

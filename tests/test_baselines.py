@@ -154,7 +154,7 @@ def test_lognormal_rank_deficient_flagged():
 
 def test_oracle_is_composition_of_stage_fits():
     sim = make_datasets(SimConfig(setting="correct", n=3000, p=4, seed=12, n_test=10))
-    model = fit_oracle(sim)
+    model = fit_oracle(sim.train)
     u = (sim.train.y > 0).astype(float)
     occ = fit_logistic(sim.train.x, u)
     mag = fit_exponential_glm(sim.train.x[sim.train.y > 0], sim.train.y[sim.train.y > 0])
@@ -185,7 +185,7 @@ def test_oracle_beats_observed_mixtures_majority_wise():
         sim = make_datasets(
             SimConfig(setting="correct", n=20000, p=10, lambda_eps_true=0.24, seed=500 + trial, n_test=10)
         )
-        oracle = fit_oracle(sim)
+        oracle = fit_oracle(sim.train)
         gamma = fit_observed_mixture(sim.train.observed_only(), "gamma")
         logn = fit_observed_mixture(sim.train.observed_only(), "lognormal")
         o_rmse = np.linalg.norm(oracle.occurrence_coef - sim.theta0)

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from puomm import experiment
+from puomm import cli, dataio, experiment
 from puomm.cli import build_parser, main
 from puomm.dataio import read_model_json, write_dataset_csv, write_model_json
-from puomm.experiment import METHODS, ExperimentConfig, run_experiment
+from puomm.experiment import LATENT_METHODS, METHODS, ExperimentConfig, run_experiment
 from puomm.model import Dataset
+from puomm.optimizer import FitConfig
+from puomm.selection import default_radius
 from puomm.simulate import SimConfig, make_datasets
 
 pytestmark = pytest.mark.usefixtures("fork_hygiene")
@@ -351,3 +353,85 @@ def test_experiment_non_converged_fit_is_not_ok(tmp_path):
     assert all(r[5] != "" for r in rows)  # metrics are still written
     summary = [line.split(",") for line in summary_path.read_text().splitlines()[1:]]
     assert {r[2] for r in summary} == {"oracle"}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_latent_methods_alone_read_latent_columns_and_need_simulation_mode(tmp_path, monkeypatch, method):
+    schemas = []
+
+    def ingest(path, schema):
+        schemas.append(schema)
+        raise ValueError("stop after the read")
+
+    monkeypatch.setattr(dataio, "ingest_csv", ingest)
+    main(["fit", "--data", "d.csv", "--method", method, "--lambda-eps", "0.5", "--out", str(tmp_path / "m.json")])
+    assert schemas == ["simulated" if method in LATENT_METHODS else "observed_only"]
+
+    real = dict(mode="real_data", methods=[method], trials=1, base_seed=0,
+                output_dir=str(tmp_path), input_csv="d.csv")
+    if method in LATENT_METHODS:
+        with pytest.raises(ValueError, match=f"the {method} method requires simulation mode"):
+            ExperimentConfig(**real)
+    else:
+        ExperimentConfig(**real)
+
+
+_SIM_CONFIG = {
+    "mode": "simulation",
+    "methods": ["logistic_gamma"],
+    "settings": [{"setting": "correct", "p": 2, "n_test": 20}],
+    "n_values": [50],
+    "trials": 1,
+    "base_seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"settings": [{"setting": "correct", "lamda_eps_true": 0.9, "n_tset": 7}]}, "lamda_eps_true"),
+        ({"grid": {"points": 3}}, "points"),
+        ({"fit": {"tolerance": 1e-3}}, "tolerance"),
+        ({"n_value": [50]}, "n_value"),
+    ],
+)
+def test_experiment_config_unknown_key_is_an_error(tmp_path, capsys, change, key):
+    raw = {**_SIM_CONFIG, "output_dir": str(tmp_path / "out"), **change}
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_config_nested_keys_fill_fields():
+    cfg = ExperimentConfig.from_dict({
+        **_SIM_CONFIG,
+        "output_dir": "unused",
+        "grid": {"size": 3, "lo": 0.1, "hi": 2.0},
+        "fit": {"tol": 1e-3, "max_iter": 7, "radius": 4.0},
+        "settings": [{"setting": "threshold", "tau": 2.0}],
+    })
+    assert (cfg.grid_size, cfg.grid_lo, cfg.grid_hi) == (3, 0.1, 2.0)
+    assert (cfg.tol, cfg.max_iter, cfg.radius) == (1e-3, 7, 4.0)
+    assert cfg.settings == [SimConfig(setting="threshold", n=1, tau=2.0)]
+
+
+def test_simulate_defaults_are_sim_config_defaults(tmp_path, monkeypatch):
+    built = []
+
+    def record(cfg):
+        built.append(cfg)
+        raise ValueError("stop after the config")
+
+    monkeypatch.setattr(cli, "make_datasets", record)
+    main(["simulate", "--n", "40", "--out", str(tmp_path)])
+    assert built == [SimConfig(setting="correct", n=40, seed=0)]
+
+
+def test_fit_defaults_are_fit_config_defaults():
+    args = build_parser().parse_args(["fit", "--data", "d.csv", "--method", "pu_omm", "--out", "m.json"])
+    assert experiment._fit_config(args, 7) == FitConfig(radius=default_radius(7))

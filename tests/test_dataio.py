@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import tempfile
@@ -500,6 +501,15 @@ def test_sim_meta_roundtrip(tmp_path):
     assert np.array_equal(meta["theta0"], sim.theta0)
     assert meta["config"]["setting"] == "lognormal"
     assert meta["config"]["seed"] == 6
+
+
+def test_sim_meta_config_holds_every_sim_config_field(tmp_path):
+    cfg = SimConfig(setting="threshold", n=20, p=3, tau=1.5, param_scale=0.5, seed=2, n_test=10)
+    path = tmp_path / "meta.json"
+    write_sim_meta(make_datasets(cfg), path)
+    config = read_sim_meta(path)["config"]
+    assert list(config) == sorted(f.name for f in dataclasses.fields(SimConfig))
+    assert SimConfig(**config) == cfg
 
 
 def test_pu_omm_model_json_roundtrip(tmp_path):

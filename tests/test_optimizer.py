@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from puomm import optimizer
-from puomm.model import Dataset, DetectionParam, ParamPair, make_objective, neg_log_likelihood
+from puomm.model import Dataset, DetectionParam, NumericalError, make_objective, neg_log_likelihood
 from puomm.optimizer import FitConfig, fit, project_l2_ball
 from puomm.selection import default_radius
 from puomm.simulate import SimConfig, make_datasets
@@ -123,19 +123,31 @@ def test_fit_final_loss_matches_public_evaluation(rng):
     assert res.final_loss == pytest.approx(neg_log_likelihood(res.omega_hat, ds, DetectionParam(0.4)), rel=1e-12)
 
 
-def test_fit_rejects_initial_point_outside_ball(rng):
-    ds = random_dataset(rng, 50, 2)
-    with pytest.raises(ValueError):
-        fit(ds, DetectionParam(0.24), FitConfig(radius=0.5), ParamPair(np.ones(2), np.ones(2)))
-
-
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(radius=-1.0)
     with pytest.raises(ValueError):
-        FitConfig(radius=1.0, backtrack_factor=1.5)
+        FitConfig(radius=1.0, tol=0.0)
     with pytest.raises(ValueError):
-        FitConfig(radius=1.0, armijo_c=0.0)
+        FitConfig(radius=1.0, max_iter=0)
+
+
+def test_fit_rejects_a_pgd_trial_step_whose_loss_overflows():
+    # one feature on a scale of hundreds: the full first PGD step overflows the
+    # loss at some row, and the search must shrink the step instead of failing
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2000, 3)) * [1, 1, 400]
+    z = np.where(rng.random(2000) < 0.3, rng.exponential(2.0, 2000), 0)
+    ds = Dataset(x, z)
+    cfg = FitConfig(radius=default_radius(3))
+    loss, loss_and_grad = make_objective(ds, DetectionParam(0.5))
+    grad = loss_and_grad(np.zeros(6))[1]
+    with pytest.raises(NumericalError):
+        loss(project_l2_ball(-grad, cfg.radius))  # the full first step from zero
+    res = fit(ds, DetectionParam(0.5), cfg)
+    assert res.converged
+    assert res.trace[1][2] < optimizer.INIT_STEP
+    assert res.final_loss == pytest.approx(0.957360, abs=1e-6)
 
 
 def test_fit_gets_its_objective_from_the_module_attribute(rng, monkeypatch):
