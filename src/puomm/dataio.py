@@ -397,7 +397,10 @@ def reject_unknown_keys(d: dict, allowed, where: str) -> None:
 def sim_config_from_dict(d: dict, where: str) -> SimConfig:
     """A SimConfig from a config's settings entry; n may be omitted where n_values supplies it."""
     reject_unknown_keys(d, [f.name for f in dataclasses.fields(SimConfig)], where)
-    return SimConfig(**{"n": 1, **d})
+    try:
+        return SimConfig(**{"n": 1, **d})
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def model_to_dict(model, method: str) -> dict:

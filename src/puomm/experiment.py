@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -108,6 +109,8 @@ class ExperimentConfig:
         if self.mode == "simulation":
             if not self.settings or not self.n_values:
                 raise ValueError("simulation mode needs settings and n_values")
+            if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.n_values):
+                raise ValueError(f"n_values must be integers >= 1, got {self.n_values}")
         else:
             if self.input_csv is None:
                 raise ValueError("real_data mode needs input_csv")

@@ -5,14 +5,18 @@ ball has the estimator's statistical error, so what matters is which
 basin the method settles in.  Phase 1 is projected gradient descent
 (PGD) with a backtracking sufficient-decrease test, from zero, which
 picks the basin.  Once a PGD step moves the iterate by at most
-NEWTON_SWITCH, every later iteration first tries a Newton step on the
-analytic Hessian: the minimiser of the local quadratic model over
+NEWTON_SWITCH (0.1), every later iteration first tries a Newton step on
+the analytic Hessian: the minimiser of the local quadratic model over
 the ball, a trust-region subproblem solved exactly from one
 eigendecomposition (More & Sorensen 1983), damped by an Armijo search
 along the segment to it.  An iteration whose Hessian is not positive
 definite or not finite, or whose search fails, takes the PGD step
-instead, as in projected Newton methods (Bertsekas 1982).  Iterates
-never leave the ball and the loss trace is monotone non-increasing.
+instead, as in projected Newton methods (Bertsekas 1982).  After a
+Newton step that moved the iterate by at most HESSIAN_REUSE, the next
+step reuses the same eigendecomposition instead of a new Hessian (the
+lazy-Hessian scheme of Doikov, Chayti & Jaggi 2023); a longer step or a
+PGD step means a fresh one.  Iterates never leave the ball and the loss
+trace is monotone non-increasing.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ STEP_FLOOR = 1e-16
 # Sufficient-decrease constant of both the PGD and the Newton search.
 ARMIJO_C = 1e-4
 # A PGD step that moves the iterate by at most this much switches the fit to Newton steps.
-NEWTON_SWITCH = 1e-2
+NEWTON_SWITCH = 1e-1
+# A Newton step that moves the iterate by at most this much keeps its Hessian's
+# eigendecomposition for the next Newton step.
+HESSIAN_REUSE = 1e-3
 # The Newton search tries the full step and then up to this many halvings of it.
 NEWTON_HALVINGS = 8
 # Root finding for the multiplier of the ball constraint: relative accuracy and iteration cap.
@@ -48,7 +55,10 @@ class FitConfig:
     radius is the l2 search-ball radius; the fit stops once an iteration
     moves the iterate by at most tol, or after max_iter iterations.  The
     line searches are fixed by the module constants INIT_STEP,
-    BACKTRACK_FACTOR, ARMIJO_C and NEWTON_HALVINGS.
+    BACKTRACK_FACTOR, ARMIJO_C and NEWTON_HALVINGS; the phases by
+    NEWTON_SWITCH (Newton steps start after a PGD step of at most 0.1)
+    and HESSIAN_REUSE (a Newton step of at most 1e-3 keeps its Hessian's
+    eigendecomposition for the next one).
     """
 
     radius: float
@@ -133,22 +143,28 @@ def _backtrack(
     return w.copy(), 0.0, loss_w
 
 
-def _ball_newton_point(w: np.ndarray, grad: np.ndarray, hess: np.ndarray, r: float) -> np.ndarray | None:
-    """Minimiser over the ball of the model grad.(v - w) + (v - w)^T hess (v - w) / 2.
-
-    Returns None unless hess is finite and positive definite.  The model's
-    minimiser over the ball is v(mu) = (hess + mu I)^{-1} (hess w - grad)
-    with mu = 0 when that point lies in the ball, and otherwise with the
-    mu > 0 at which ||v(mu)|| = r.  Newton's method on 1/r - 1/||v(mu)||,
-    a concave function of mu, finds that root from mu = 0; after its first
-    step it approaches the root from above, so every later v(mu) lies in
-    the ball.
-    """
+def _pd_eigh(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues (ascending) and eigenvectors of hess; None unless it is finite and positive definite."""
     if not np.isfinite(hess).all():
         return None
     evals, evecs = np.linalg.eigh(hess)
-    if evals[0] <= 0.0:
-        return None
+    return (evals, evecs) if evals[0] > 0.0 else None
+
+
+def _ball_newton_point(
+    w: np.ndarray, grad: np.ndarray, eig: tuple[np.ndarray, np.ndarray], r: float
+) -> np.ndarray:
+    """Minimiser over the ball of the model grad.(v - w) + (v - w)^T H (v - w) / 2.
+
+    eig = (evals, evecs) is the eigendecomposition of a positive definite
+    H.  The model's minimiser over the ball is
+    v(mu) = (H + mu I)^{-1} (H w - grad) with mu = 0 when that point lies
+    in the ball, and otherwise with the mu > 0 at which ||v(mu)|| = r.
+    Newton's method on 1/r - 1/||v(mu)||, a concave function of mu, finds
+    that root from mu = 0; after its first step it approaches the root
+    from above, so every later v(mu) lies in the ball.
+    """
+    evals, evecs = eig
     c = evals * (evecs.T @ w) - evecs.T @ grad
     y = c / evals
     if np.linalg.norm(y) > r:
@@ -167,20 +183,17 @@ def _newton_step(
     grad: np.ndarray,
     loss_w: float,
     loss_vec: Callable[[np.ndarray], float],
-    hess: np.ndarray,
+    eig: tuple[np.ndarray, np.ndarray],
     cfg: FitConfig,
 ) -> tuple[np.ndarray, float, float] | None:
-    """Damped step toward the ball-constrained Newton point v.
+    """Damped step toward the ball-constrained Newton point v of the Hessian eig decomposes.
 
     Accepts w_plus = w + t (v - w) for the first t in 1, 1/2, ..., 2^-8 with
     loss(w_plus) <= loss(w) + ARMIJO_C * grad.(w_plus - w); a non-finite loss
-    rejects that t.  Returns (w_plus, t, loss(w_plus)), or None when hess is
-    not positive definite or no t qualifies.
+    rejects that t.  Returns (w_plus, t, loss(w_plus)), or None when no t
+    qualifies.
     """
-    v = _ball_newton_point(w, grad, hess, cfg.radius)
-    if v is None:
-        return None
-    direction = v - w
+    direction = _ball_newton_point(w, grad, eig, cfg.radius) - w
     slope = ARMIJO_C * float(grad @ direction)
     t = 1.0
     for _ in range(NEWTON_HALVINGS + 1):
@@ -200,7 +213,9 @@ def fit(
     """Minimize the mean negative log-likelihood over the l2 ball, starting at zero.
 
     PGD steps until one moves the iterate by at most NEWTON_SWITCH, then
-    Newton steps, each falling back to the PGD step when it fails.
+    Newton steps, each falling back to the PGD step when it fails.  A
+    Newton step that moved at most HESSIAN_REUSE leaves its Hessian's
+    eigendecomposition to the next one.
     Stops when the iterate change drops to cfg.tol or max_iter is
     reached; exhausting max_iter is reported through converged=False,
     not an error.  A failed line search (no admissible step) also
@@ -216,16 +231,25 @@ def fit(
 
     converged = False
     newton = False
+    eig = None  # eigendecomposition kept from the last Newton step, when it was short
     iterations = 0
     for t in range(1, cfg.max_iter + 1):
-        step = _newton_step(w, grad, loss_w, loss_vec, hessian(w), cfg) if newton else None
+        step = None
+        if newton:
+            if eig is None:
+                eig = _pd_eigh(hessian(w))
+            if eig is not None:
+                step = _newton_step(w, grad, loss_w, loss_vec, eig, cfg)
         if step is None:
+            eig = None
             step = _backtrack(w, grad, loss_w, loss_vec, cfg)
             if step[1] == 0.0:
                 break
         candidate, eta, loss_c = step
         change = float(np.linalg.norm(candidate - w))
         newton = newton or change <= NEWTON_SWITCH
+        if change > HESSIAN_REUSE:
+            eig = None
         w, loss_w = candidate, loss_c
         iterations = t
         trace.append((t, loss_w, eta, change))

@@ -13,6 +13,7 @@ and true-response evaluation remain possible.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,19 @@ class SimConfig:
 
     def __post_init__(self):
         self.setting = Setting(self.setting)
-        if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive")
+        for name in ("n", "p", "n_test", "seed"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("n", "p", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not abs(self.rho) < 1:
+            raise ValueError(f"rho must lie in (-1, 1), got {self.rho!r}")
+        if self.param_scale is not None and not self.param_scale > 0:
+            raise ValueError(f"param_scale must be positive, got {self.param_scale!r}")
         if self.setting is not Setting.THRESHOLD and self.lambda_eps_true <= 0:
             raise ValueError("lambda_eps_true must be positive")
         if self.setting is Setting.THRESHOLD and self.tau <= 0:

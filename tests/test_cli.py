@@ -407,6 +407,25 @@ def test_experiment_config_unknown_key_is_an_error(tmp_path, capsys, change, key
     assert not (tmp_path / "out").exists()
 
 
+def test_experiment_config_bad_setting_field_names_entry_and_field(tmp_path, capsys):
+    raw = {**_SIM_CONFIG, "output_dir": str(tmp_path / "out"),
+           "settings": [{"setting": "correct", "p": 2}, {"setting": "correct", "p": 10.0}]}
+    with pytest.raises(ValueError, match=r"^settings\[1\]: p must be an integer, got 10.0$"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "settings[1]: p must be an integer" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_values", [[50.0], [50, 0], ["50"]])
+def test_experiment_config_rejects_bad_n_values(n_values):
+    # checked with the config, before run_experiment makes its output directory
+    with pytest.raises(ValueError, match=r"^n_values must be integers >= 1"):
+        ExperimentConfig.from_dict({**_SIM_CONFIG, "output_dir": "unused", "n_values": n_values})
+
+
 def test_experiment_config_nested_keys_fill_fields():
     cfg = ExperimentConfig.from_dict({
         **_SIM_CONFIG,

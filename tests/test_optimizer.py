@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puomm import optimizer
 from puomm.model import Dataset, DetectionParam, NumericalError, make_objective, neg_log_likelihood
 from puomm.optimizer import FitConfig, fit, project_l2_ball
-from puomm.selection import default_radius
+from puomm.selection import default_radius, fit_pu_omm, make_lambda_grid
 from puomm.simulate import SimConfig, make_datasets
 
 from conftest import random_dataset
@@ -176,3 +178,81 @@ def test_fit_gets_its_objective_from_the_module_attribute(rng, monkeypatch):
     assert len(built) == 1
     assert isinstance(built[0], tuple) and len(built[0]) == 2 and all(callable(f) for f in built[0])
     assert calls["loss"] > 0 and calls["loss_and_grad"] > 0
+
+
+@pytest.fixture(scope="module")
+def sweep_like():
+    # the shape of the benchmark's solver workload: n=5000, coefficient variance 0.02
+    sim = make_datasets(SimConfig(setting="correct", n=5000, p=10, param_scale=0.02, seed=3, n_test=10))
+    return sim.train.observed_only(), DetectionParam(0.24), FitConfig(radius=default_radius(10))
+
+
+def test_fit_reuses_the_hessian_after_short_newton_steps(sweep_like, monkeypatch):
+    counts = {"hessians": 0, "newton_steps": 0}
+    make_hessian, newton_step = optimizer.make_hessian, optimizer._newton_step
+
+    def counting_make_hessian(data, d):
+        hess = make_hessian(data, d)
+
+        def call(w):
+            counts["hessians"] += 1
+            return hess(w)
+
+        return call
+
+    def counting_newton_step(*args):
+        step = newton_step(*args)
+        counts["newton_steps"] += step is not None
+        return step
+
+    monkeypatch.setattr(optimizer, "make_hessian", counting_make_hessian)
+    monkeypatch.setattr(optimizer, "_newton_step", counting_newton_step)
+    assert fit(*sweep_like).converged
+    assert 0 < counts["hessians"] < counts["newton_steps"]
+
+
+def test_fit_without_hessian_reuse_reaches_the_same_point(sweep_like, monkeypatch):
+    lazy = fit(*sweep_like)
+    monkeypatch.setattr(optimizer, "HESSIAN_REUSE", 0.0)
+    fresh = fit(*sweep_like)
+    assert lazy.converged and fresh.converged
+    assert np.linalg.norm(lazy.omega_hat.as_vector() - fresh.omega_hat.as_vector()) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 300),
+    p=st.integers(1, 4),
+    lam=st.sampled_from([0.02, 50.0]),  # the ends of the default grid
+    max_iter=st.integers(1, 200),
+)
+def test_fit_at_the_grid_ends_is_monotone_in_the_ball_and_reports_exhaustion(seed, n, p, lam, max_iter):
+    ds = random_dataset(np.random.default_rng(seed), n, p)
+    cfg = FitConfig(radius=default_radius(p), max_iter=max_iter, record_iterates=True)
+    res = fit(ds, DetectionParam(lam), cfg)
+    losses = [t[1] for t in res.trace]
+    assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+    assert np.all(np.linalg.norm(res.iterates, axis=1) <= cfg.radius + 1e-12)
+    assert len(res.trace) == res.iterations + 1 <= max_iter + 1
+    last_change = res.trace[-1][3]
+    if res.converged:
+        assert res.iterations >= 1 and last_change <= cfg.tol
+    if res.iterations == max_iter and last_change > cfg.tol:
+        assert not res.converged
+
+
+def test_default_grid_keeps_the_interior_basin_on_threshold_data():
+    # PGD picks the basin before Newton takes over; Newton steps from the
+    # first PGD step on land this dataset's fit at the grid's low end on a
+    # worse minimum near the sphere (norm 15.4, loss 0.50651)
+    sim = make_datasets(SimConfig(setting="threshold", n=10000, p=10, seed=2, n_test=10))
+    train, grid = sim.train.observed_only(), make_lambda_grid()
+    cfg = FitConfig(radius=default_radius(10))
+    model = fit_pu_omm(train, grid, cfg)
+    assert model.lambda_hat == grid.values[5]
+    assert model.omega_hat.norm() < cfg.radius - 1.0
+    low_end = fit(train, DetectionParam(grid.values[0]), cfg)
+    assert low_end.converged
+    assert low_end.omega_hat.norm() < cfg.radius - 1.0
+    assert low_end.final_loss < 0.4930

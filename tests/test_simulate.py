@@ -157,6 +157,33 @@ def test_sim_config_validation():
     assert SimConfig(setting="threshold", n=10, lambda_eps_true=-1.0).setting is Setting.THRESHOLD
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p", 10.0, "p must be an integer, got 10.0"),
+        ("n", "500", "n must be an integer, got '500'"),
+        ("n_test", 2.5, "n_test must be an integer, got 2.5"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("p", 0, "p must be >= 1, got 0"),
+        ("n_test", 0, "n_test must be >= 1, got 0"),
+        ("rho", 1.0, r"rho must lie in \(-1, 1\), got 1.0"),
+        ("rho", -1.5, r"rho must lie in \(-1, 1\), got -1.5"),
+        ("rho", float("nan"), r"rho must lie in \(-1, 1\), got nan"),
+        ("param_scale", -1.0, "param_scale must be positive, got -1.0"),
+        ("param_scale", 0.0, "param_scale must be positive, got 0.0"),
+    ],
+)
+def test_sim_config_names_the_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(**{"setting": "correct", "n": 10, field: value})
+
+
+def test_sim_config_stores_integer_fields_as_int():
+    cfg = SimConfig(setting="correct", n=np.int64(40), p=np.int32(3), seed=np.uint8(7), n_test=np.int64(5))
+    assert [type(v) for v in (cfg.n, cfg.p, cfg.seed, cfg.n_test)] == [int] * 4
+    assert SimConfig(setting="correct", n=10, param_scale=None).scale == 0.9
+
+
 def test_ar_covariance_cholesky_exists():
     for rho in (-0.9, 0.0, 0.5, 0.99):
         np.linalg.cholesky(ar_covariance(6, rho))
