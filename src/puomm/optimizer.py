@@ -186,7 +186,7 @@ def _newton_step(
     eig: tuple[np.ndarray, np.ndarray],
     cfg: FitConfig,
 ) -> tuple[np.ndarray, float, float] | None:
-    """Damped step toward the ball-constrained Newton point v of the Hessian eig decomposes.
+    """Damped step toward the ball-constrained Newton point v of the Hessian that eig decomposes.
 
     Accepts w_plus = w + t (v - w) for the first t in 1, 1/2, ..., 2^-8 with
     loss(w_plus) <= loss(w) + ARMIJO_C * grad.(w_plus - w); a non-finite loss

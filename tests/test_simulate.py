@@ -155,6 +155,7 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(setting="threshold", n=10, tau=0.0)
     assert SimConfig(setting="threshold", n=10, lambda_eps_true=-1.0).setting is Setting.THRESHOLD
+    assert SimConfig(setting="correct", n=10, param_scale=None).scale == 0.9  # None means 9/p
 
 
 @pytest.mark.parametrize(
@@ -181,7 +182,6 @@ def test_sim_config_names_the_bad_field(field, value, message):
 def test_sim_config_stores_integer_fields_as_int():
     cfg = SimConfig(setting="correct", n=np.int64(40), p=np.int32(3), seed=np.uint8(7), n_test=np.int64(5))
     assert [type(v) for v in (cfg.n, cfg.p, cfg.seed, cfg.n_test)] == [int] * 4
-    assert SimConfig(setting="correct", n=10, param_scale=None).scale == 0.9
 
 
 def test_ar_covariance_cholesky_exists():
