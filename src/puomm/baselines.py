@@ -211,16 +211,17 @@ def fit_oracle(train: Dataset) -> TwoPartModel:
     """
     if train.y is None:
         raise ValueError("oracle fit needs latent magnitudes")
-    u = (train.y > 0).astype(float)
-    if not u.any():
+    events = train.y > 0
+    if not events.any():
         raise ValueError("no positive responses; cannot fit the magnitude stage")
     flags = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        occ = fit_logistic(train.x, u)
+        occ = fit_logistic(train.x, events.astype(float))
     if any(issubclass(w.category, SeparationWarning) for w in caught):
         flags.append("separation")
-    mag = fit_exponential_glm(train.x[train.y > 0], train.y[train.y > 0])
+    rows = np.flatnonzero(events)
+    mag = fit_exponential_glm(train.x.take(rows, axis=0), train.y[rows])
     return TwoPartModel(
         occurrence_coef=occ,
         magnitude_coef=mag,
@@ -235,16 +236,16 @@ def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
         raise ValueError(f"unknown magnitude family {family!r}")
     if train.n < 1:
         raise ValueError("training data must be nonempty")
-    v = (train.z > 0).astype(float)
-    if not v.any():
+    recorded = train.z > 0
+    if not recorded.any():
         raise ValueError("no positive observations; cannot fit the magnitude stage")
     flags = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        occ = fit_logistic(train.x, v)
-        pos = train.z > 0
-        Xp, zp = train.x[pos], train.z[pos]
-        if pos.sum() <= Xp.shape[1]:
+        occ = fit_logistic(train.x, recorded.astype(float))
+        rows = np.flatnonzero(recorded)
+        Xp, zp = train.x.take(rows, axis=0), train.z[rows]
+        if rows.size <= Xp.shape[1]:
             warnings.warn("too few positives for the magnitude stage", DegenerateFitWarning)
         if family == "gamma":
             mag, aux = fit_gamma_glm(Xp, zp)

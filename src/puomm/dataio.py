@@ -284,9 +284,15 @@ def _schema_columns(path: Path, header: list[str], schema: str) -> tuple[int, bo
 
 
 def _check_values(path: Path, table: np.ndarray, z_col: int) -> None:
-    """Raise at the first row holding NaN, +-inf, or a negative z."""
-    finite = np.isfinite(table).all(axis=1)
-    bad = np.flatnonzero(~finite | (table[:, z_col] < 0))
+    """Raise at the first row holding NaN, +-inf, or a negative z.
+
+    One scan of the whole table decides; rows are located only when it fails.
+    """
+    finite, negative = np.isfinite(table), table[:, z_col] < 0
+    if finite.all() and not negative.any():
+        return
+    finite = finite.all(axis=1)
+    bad = np.flatnonzero(~finite | negative)
     if bad.size:
         i = int(bad[0])
         line = i + 2  # header occupies line 1

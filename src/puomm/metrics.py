@@ -3,7 +3,9 @@
 Occurrence is scored against the true event indicator in simulation mode
 and against the recorded indicator on real data; size metrics condition
 on the rows where an event (or a record) exists and compare against each
-model's conditional-mean prediction.
+model's conditional-mean prediction.  A test set with no such rows leaves
+the size metrics undefined: they are reported as None (an empty CSV
+cell), never as NaN.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ class MetricsReport:
     rmse_theta: float | None
     brier: float
     misclassification: float
-    mad: float
-    rmse_pred: float
-    smape: float
+    mad: float | None
+    rmse_pred: float | None
+    smape: float | None
     n_eval: int
     n_eval_size: int
 
@@ -105,9 +107,7 @@ def smape(y, yhat) -> float:
     """Symmetric mean absolute percentage error in [0, 2]; 0/0 pairs count as 0."""
     y, yhat = _check_pair_lengths(y, yhat)
     denom = np.abs(y) + np.abs(yhat)
-    terms = np.zeros(y.shape[0])
-    ok = denom > 0
-    terms[ok] = 2.0 * np.abs(y[ok] - yhat[ok]) / denom[ok]
+    terms = np.divide(2.0 * np.abs(y - yhat), denom, out=np.zeros(y.shape[0]), where=denom > 0)
     return float(np.mean(terms))
 
 
@@ -160,6 +160,8 @@ def evaluate_trial(
     1{y > 0} over all rows and size on the y > 0 rows against the true
     magnitudes.  Real-data mode scores occurrence against 1{z > 0} with
     each model's recorded-occurrence predictor and size on the z > 0 rows.
+    The size rows are selected once for all models; when there are none,
+    mad, rmse_pred and smape are None.
     """
     if mode == "auto":
         mode = "simulation" if test.has_latent else "observed"
@@ -169,21 +171,26 @@ def evaluate_trial(
         raise ValueError("simulation-mode evaluation needs latent y")
 
     reports = []
-    if mode == "simulation":
-        labels = (test.y > 0).astype(float)
-        size_mask = test.y > 0
-        size_truth = test.y[size_mask]
-    else:
-        labels = (test.z > 0).astype(float)
-        size_mask = test.z > 0
-        size_truth = test.z[size_mask]
+    outcome = test.y if mode == "simulation" else test.z
+    events = outcome > 0
+    labels = events.astype(float)
+    size_idx = np.flatnonzero(events)
+    size_truth = outcome[size_idx]
+    x_size = test.x.take(size_idx, axis=0)
 
     for name, model in models.items():
         if mode == "simulation":
             probs = predict_occurrence(model, test.x)
         else:
             probs = _recorded_occurrence_prob(model, test.x)
-        yhat = predict_magnitude(model, test.x[size_mask])
+        size_scores = dict.fromkeys(("mad", "rmse_pred", "smape"))
+        if size_idx.size:
+            yhat = predict_magnitude(model, x_size)
+            size_scores = {
+                "mad": mad(size_truth, yhat),
+                "rmse_pred": rmse_pred(size_truth, yhat),
+                "smape": smape(size_truth, yhat),
+            }
 
         rb = rt = None
         if truth is not None and mode == "simulation":
@@ -200,11 +207,9 @@ def evaluate_trial(
                 rmse_theta=rt,
                 brier=brier(labels, probs),
                 misclassification=misclassification(labels, probs),
-                mad=mad(size_truth, yhat),
-                rmse_pred=rmse_pred(size_truth, yhat),
-                smape=smape(size_truth, yhat),
+                **size_scores,
                 n_eval=test.n,
-                n_eval_size=int(size_mask.sum()),
+                n_eval_size=size_idx.size,
             )
         )
     return reports

@@ -104,7 +104,8 @@ class Dataset:
     consumed exclusively by oracle fitting and evaluation code.  x and z
     must be finite and z nonnegative, and every column must have n
     entries; a violation raises ValueError naming the first bad row or
-    the column.
+    the column.  Each check scans the whole array once, and the first
+    bad row is located only when that scan fails.
     """
 
     x: np.ndarray
@@ -120,10 +121,12 @@ class Dataset:
             raise ValueError("x must be an (n, p) matrix")
         if self.z.shape != (self.n,):
             raise ValueError("z must be a length-n vector")
-        for name, bad in (("x", ~np.isfinite(self.x).all(axis=1)), ("z", ~np.isfinite(self.z))):
-            if bad.any():
-                raise ValueError(f"{name} must be finite (row {int(np.argmax(bad))})")
-        if np.any(self.z < 0):
+        for name, col in (("x", self.x), ("z", self.z)):
+            finite = np.isfinite(col)
+            if not finite.all():
+                row_ok = finite.all(axis=1) if col.ndim == 2 else finite
+                raise ValueError(f"{name} must be finite (row {int(np.argmin(row_ok))})")
+        if (self.z < 0).any():
             bad = int(np.argmax(self.z < 0))
             raise ValueError(f"z must be nonnegative (row {bad})")
         for name in ("y", "u", "r"):
@@ -215,11 +218,11 @@ class _RowTerms:
         if data.n < 1:
             raise ValueError("dataset must contain at least one sample")
         pos = data.z > 0
-        xt = data.x.T
-        self.XpT, self.XnT = np.ascontiguousarray(xt[:, pos]), np.ascontiguousarray(xt[:, ~pos])
-        self.zp = data.z[pos]
-        # each block's rows in the original order, to name the first bad row
+        # each block's rows in the original order, also used to name the first bad row
         self.rows_p, self.rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
+        self.XpT = np.ascontiguousarray(data.x.take(self.rows_p, axis=0).T)
+        self.XnT = np.ascontiguousarray(data.x.take(self.rows_n, axis=0).T)
+        self.zp = data.z[self.rows_p]
         self.n, self.p = data.n, data.p
         self.loglam = np.log(d.lambda_eps)
         self.w = None

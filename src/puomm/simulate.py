@@ -127,8 +127,8 @@ def gen_latent(
     xt = x2 @ theta0
     u = (rng.random(x2.shape[0]) < expit(xt)).astype(float)
     y = np.zeros(x2.shape[0])
-    events = u > 0
-    if events.any():
+    events = np.flatnonzero(u)
+    if events.size:
         if setting is Setting.LOGNORMAL:
             y[events] = rng.lognormal(mean=xb[events], sigma=1.0)
         else:

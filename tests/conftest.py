@@ -3,6 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from puomm.model import Dataset, ParamPair, neg_log_likelihood
 from puomm.optimizer import FitResult
@@ -70,6 +71,49 @@ def random_dataset(rng: np.random.Generator, n: int, p: int, detect_rate: float 
     y = np.where(u, rng.exponential(np.exp(x @ beta)), 0.0)
     r = rng.random(n) < -np.expm1(-detect_rate * y)
     return Dataset(x=x, z=y * r)
+
+
+@st.composite
+def z_pattern_datasets(draw, latent=False):
+    """Small datasets whose size rows are all rows, one row, no row or a random share.
+
+    Without latent columns the size rows are z > 0.  With them they are
+    y > 0, and z = y * r records a random share of those rows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    rows = {
+        "all": np.ones(n, dtype=bool),
+        "one": np.arange(n) == rng.integers(n),
+        "none": np.zeros(n, dtype=bool),
+        "random": rng.random(n) < 0.5,
+    }[draw(st.sampled_from(["all", "one", "none", "random"]))]
+    x = rng.standard_normal((n, p))
+    sizes = np.where(rows, rng.exponential(1.0, n) + 1e-3, 0.0)
+    if not latent:
+        return Dataset(x=x, z=sizes)
+    r = (rng.random(n) < 0.5).astype(float)
+    return Dataset(x=x, z=sizes * r, y=sizes, u=rows.astype(float), r=r)
+
+
+@st.composite
+def tables_with_bad_cells(draw):
+    """(x, z) with one to three cells set to NaN, +-inf or a negative z.
+
+    A negative value always lands in z, where it is the only place it is bad.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    x = rng.standard_normal((n, p))
+    z = np.where(rng.random(n) < 0.5, rng.exponential(1.0, n), 0.0)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p))
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.5]))
+        if j == p or value == -1.5:
+            z[i] = value
+        else:
+            x[i, j] = value
+    return x, z
 
 
 @pytest.fixture

@@ -1,0 +1,96 @@
+import contextlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import bench_pairs  # noqa: E402
+
+
+def test_parse_seeds_ranges_and_lists():
+    assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    assert bench_pairs.parse_seeds("5") == [5]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("3-1")
+
+
+def _summary(op_s, attempted, failed=0):
+    return {
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {"op_s.mean_norm": {"value": op_s, "unit": "s"}, "beta_err": {"value": 0.5, "unit": "l2"}},
+    }
+
+
+def test_paired_summary_counts_wins_and_leaves_ties_to_neither_side():
+    pairs = [
+        {"before": _summary(b, 10), "after": _summary(a, 12, failed=f)}
+        for b, a, f in [(0.20, 0.18, 0), (0.21, 0.22, 1), (0.19, 0.17, 0), (0.20, 0.20, 0), (0.22, 0.19, 0)]
+    ]
+    out = bench_pairs.paired_summary(pairs)
+    op = out["op_s.mean_norm"]
+    assert op["unit"] == "s" and op["pairs"] == 5
+    assert op["pairs_after_lower"] == 3
+    assert op["before"]["values"] == [0.20, 0.21, 0.19, 0.20, 0.22]
+    assert op["before"]["q1"] <= op["before"]["median"] <= op["before"]["q3"]
+    assert op["before"]["median"] == 0.2
+    assert out["beta_err"]["pairs_after_lower"] == 0  # identical estimates tie
+    assert out["ops"] == {
+        "before": {"attempted": [10] * 5, "failed": 0},
+        "after": {"attempted": [12] * 5, "failed": 1},
+    }
+
+
+def test_exported_tree_is_removed_when_the_body_or_the_export_fails(tmp_path, monkeypatch):
+    made = tmp_path / "tree"
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", lambda prefix: str(made.mkdir() or made))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: type("Done", (), {"stdout": b""})())
+    with pytest.raises(RuntimeError):
+        with bench_pairs.exported_tree("HEAD") as tree:
+            assert tree == made and tree.is_dir()
+            raise RuntimeError("run failed")
+    assert not made.exists()
+
+    def failing_run(*args, **kwargs):
+        raise bench_pairs.subprocess.CalledProcessError(128, args[0])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", failing_run)
+    with pytest.raises(bench_pairs.subprocess.CalledProcessError):
+        with bench_pairs.exported_tree("no-such-commit"):
+            pass
+    assert not made.exists()
+
+
+def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypatch):
+    runs = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        side = "before" if tree == tmp_path else "after"
+        runs.append((seed, workload, side, seconds))
+        result = tmp_path / f"{side}-{workload}-{seed}.json"
+        result.write_text('{"environment": {"nproc": 2}}')
+        return {"summary": _summary(0.2 if side == "before" else 0.1, 10), "result_file": result}
+
+    monkeypatch.setattr(bench_pairs, "exported_tree", lambda commit: contextlib.nullcontext(tmp_path))
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "compare_runs", lambda a, b: {"identical": True})
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "checkout")
+    (tmp_path / "checkout").mkdir()
+    (tmp_path / "checkout" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 50, "workloads": [{"name": "cli_io"}, {"name": "experiment_sweep"}]}'
+    )
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: type("Done", (), {"stdout": "abc1234\n"})())
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--seeds", "1-2", "--out", str(out), "--change", "c"]) == 0
+    assert [r[2] for r in runs] == ["before", "after"] * 2 + ["after", "before"] * 2
+    assert {r[3] for r in runs} == {50}
+    summary = bench_pairs.json.loads(out.read_text())
+    assert summary["before"] == "abc1234" and summary["seeds"] == [1, 2]
+    assert summary["environment"] == {"nproc": 2}
+    for wl in ("cli_io", "experiment_sweep"):
+        assert summary["end_to_end"][wl]["op_s.mean_norm"]["pairs_after_lower"] == 2
+        assert [c["seed"] for c in summary["compare"][wl]] == [1, 2]
+

@@ -255,6 +255,33 @@ def test_experiment_real_data_split_sizes(tmp_path):
     assert "rmse_beta" not in metrics  # no truth on real data
 
 
+def test_experiment_real_data_test_split_without_records_leaves_size_metrics_out(tmp_path):
+    # 6 records in 60 rows (every 10th row): at base seed 0 the 6-row test
+    # split holds 2 of them in trial 0 and none in trials 1 and 2
+    rng = np.random.default_rng(3)
+    z = np.zeros(60)
+    z[::10] = rng.exponential(1.0, 6) + 0.1
+    path = tmp_path / "sparse.csv"
+    write_dataset_csv(Dataset(x=rng.standard_normal((60, 2)), z=z), path)
+    cfg = ExperimentConfig(
+        mode="real_data",
+        methods=["logistic_gamma"],
+        trials=3,
+        base_seed=0,
+        output_dir=str(tmp_path / "out"),
+        input_csv=str(path),
+        split_fraction=0.9,
+    )
+    long_path, summary_path = run_experiment(cfg)
+    rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
+    assert all(r[6] == "ok" and r[5] not in ("", "nan") for r in rows)
+    assert {int(r[2]) for r in rows if r[4] == "brier"} == {0, 1, 2}
+    assert {int(r[2]) for r in rows if r[4] in ("mad", "rmse_pred", "smape")} == {0}
+    summary = {r[3]: r for r in (line.split(",") for line in summary_path.read_text().splitlines()[1:])}
+    assert "nan" not in summary_path.read_text()
+    assert summary["mad"][6] == "1" and summary["brier"][6] == "3"
+
+
 def test_experiment_oracle_rejected_on_real_data(tmp_path):
     data = _write_standin_csv(tmp_path / "real.csv")
     with pytest.raises(ValueError, match="oracle"):

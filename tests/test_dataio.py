@@ -30,6 +30,8 @@ from puomm.optimizer import FitResult
 from puomm.selection import PuOmmModel
 from puomm.simulate import SimConfig, make_datasets
 
+from conftest import tables_with_bad_cells
+
 pytestmark = pytest.mark.usefixtures("fork_hygiene")
 
 
@@ -228,6 +230,22 @@ def test_ingest_accepts_files_read_as_before(tmp_path, content):
     ds = ingest_csv(path)
     assert np.array_equal(ds.x, [[0.5], [10.0]])
     assert np.array_equal(ds.z, [1.0, 2.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_with_bad_cells())
+def test_ingest_names_the_first_bad_line(table):
+    x, z = table
+    lines = [",".join([f"x_{j + 1}" for j in range(x.shape[1])] + ["z"])]
+    lines += [",".join(repr(float(v)) for v in [*row, zi]) for row, zi in zip(x, z)]
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(z)
+    i = int(np.flatnonzero(~finite | (z < 0))[0])
+    expected = "non-finite cell" if not finite[i] else f"z must be nonnegative, got {z[i]}"
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f": line {i + 2}: {expected}$"):
+            ingest_csv(path)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puomm.baselines import TwoPartModel, fit_logistic
 from puomm.metrics import (
     CSV_COLUMNS,
+    MetricsReport,
+    _coef_pair,
+    _recorded_occurrence_prob,
     brier,
     evaluate_trial,
     mad,
@@ -17,7 +22,7 @@ from puomm.metrics import (
 from puomm.model import Dataset
 from scipy.special import expit
 
-from conftest import pu_model
+from conftest import pu_model, z_pattern_datasets
 
 
 def test_rmse_params_zero_and_hand_value():
@@ -158,3 +163,73 @@ def test_metrics_report_csv_row_roundtrip():
     assert row[0] == "m"
     assert row[2] == ""  # absent rmse_beta serializes empty
     assert float(row[4]) == rep.brier
+
+
+@pytest.mark.parametrize("mode", ["simulation", "observed"])
+def test_evaluate_trial_leaves_size_metrics_blank_without_size_rows(mode):
+    # no y > 0 (simulation) or z > 0 (observed) rows: the size metrics are
+    # undefined, so they are None and no empty-mean warning is raised
+    x = np.random.default_rng(5).standard_normal((40, 2))
+    zeros = np.zeros(40)
+    test = Dataset(x=x, z=zeros, y=zeros, u=zeros, r=zeros) if mode == "simulation" else Dataset(x=x, z=zeros)
+    truth = (np.zeros(2), np.zeros(2)) if mode == "simulation" else None
+    models = {
+        "pu": pu_model([0.1, 0.2], [0.3, -0.1]),
+        "tp": TwoPartModel(np.zeros(2), np.zeros(2), "lognormal", aux=1.0),
+    }
+    for rep in evaluate_trial(models, test, truth=truth, mode=mode):
+        assert (rep.mad, rep.rmse_pred, rep.smape) == (None, None, None)
+        assert rep.n_eval_size == 0 and rep.n_eval == 40
+        assert 0.0 <= rep.brier <= 1.0
+        row = dict(zip(CSV_COLUMNS, rep.to_csv_row()))
+        assert row["mad"] == row["rmse_pred"] == row["smape"] == ""
+
+
+def reference_evaluate_trial(models, test, truth, mode) -> list[MetricsReport]:
+    """evaluate_trial written with boolean-mask row selection, model by model."""
+    reports = []
+    for name, model in models.items():
+        outcome = test.y if mode == "simulation" else test.z
+        mask = outcome > 0
+        labels = mask.astype(float)
+        if mode == "simulation":
+            probs = predict_occurrence(model, test.x)
+        else:
+            probs = _recorded_occurrence_prob(model, test.x)
+        size = dict.fromkeys(("mad", "rmse_pred", "smape"))
+        if mask.any():
+            y, yhat = outcome[mask], predict_magnitude(model, test.x[mask])
+            size = {"mad": mad(y, yhat), "rmse_pred": rmse_pred(y, yhat), "smape": smape(y, yhat)}
+        rb = rt = None
+        if truth is not None:
+            est_beta, est_theta = _coef_pair(model)
+            rb, rt = rmse_params(est_beta, truth[0]), rmse_params(est_theta, truth[1])
+        reports.append(MetricsReport(
+            method_name=name, trial_id=0, rmse_beta=rb, rmse_theta=rt,
+            brier=brier(labels, probs), misclassification=misclassification(labels, probs),
+            **size, n_eval=test.n, n_eval_size=int(mask.sum()),
+        ))
+    return reports
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["simulation", "observed"]))
+def test_evaluate_trial_matches_the_boolean_mask_reference(data, mode):
+    test = data.draw(z_pattern_datasets(latent=mode == "simulation"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = test.p
+
+    def coef():
+        return rng.standard_normal(p) * 0.5
+
+    models = {
+        "pu": pu_model(coef(), coef(), lam=float(rng.uniform(0.05, 2.0))),
+        "exponential": TwoPartModel(coef(), coef(), "exponential"),
+        "gamma": TwoPartModel(coef(), coef(), "gamma", aux=1.5),
+        "lognormal": TwoPartModel(coef(), coef(), "lognormal", aux=0.7),
+    }
+    truth = (coef(), coef()) if mode == "simulation" else None
+    got = evaluate_trial(models, test, truth=truth, mode=mode)
+    expected = reference_evaluate_trial(models, test, truth, mode)
+    # repr round-trips every float, so equal rows are bit-equal reports
+    assert [r.to_csv_row() for r in got] == [r.to_csv_row() for r in expected]

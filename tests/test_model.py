@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from puomm import special
 from puomm.metrics import predict_magnitude, predict_occurrence
 from puomm.model import (
     Dataset,
+    _RowTerms,
     DetectionParam,
     NumericalError,
     ParamPair,
@@ -21,7 +24,14 @@ from puomm.model import (
 from puomm.selection import default_radius, observed_occurrence_prob
 from puomm.simulate import Setting, apply_missingness
 
-from conftest import central_diff_gradient, pu_model, random_dataset, reference_loss_and_gradient
+from conftest import (
+    central_diff_gradient,
+    pu_model,
+    random_dataset,
+    reference_loss_and_gradient,
+    tables_with_bad_cells,
+    z_pattern_datasets,
+)
 
 
 # The likelihood's logistic function is special.expit.
@@ -513,3 +523,45 @@ def test_dataset_rejects_latent_column_of_wrong_length(name):
     cols[name] = np.zeros(2)
     with pytest.raises(ValueError, match=f"^{name} must be a length-n vector"):
         Dataset(x=np.zeros((3, 1)), z=np.zeros(3), **cols)
+
+
+def reference_row_blocks(data: Dataset) -> dict:
+    """The recorded and zero row blocks, feature-major, selected by boolean masks."""
+    pos = data.z > 0
+    xt = data.x.T
+    return {
+        "XpT": np.ascontiguousarray(xt[:, pos]),
+        "XnT": np.ascontiguousarray(xt[:, ~pos]),
+        "zp": data.z[pos],
+        "rows_p": np.flatnonzero(pos),
+        "rows_n": np.flatnonzero(~pos),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(z_pattern_datasets())
+def test_row_terms_blocks_match_the_boolean_mask_reference(ds):
+    state = _RowTerms(ds, DetectionParam(0.24))
+    for name, expected in reference_row_blocks(ds).items():
+        got = getattr(state, name)
+        assert got.shape == expected.shape and got.dtype == expected.dtype, name
+        assert got.flags.c_contiguous == expected.flags.c_contiguous, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def reference_dataset_error(x: np.ndarray, z: np.ndarray) -> str | None:
+    """The message Dataset raises for (x, z): x's first non-finite row, then z's, then z's first negative."""
+    for name, bad in (("x", ~np.isfinite(x).all(axis=1)), ("z", ~np.isfinite(z))):
+        if bad.any():
+            return f"{name} must be finite (row {np.flatnonzero(bad)[0]})"
+    if (z < 0).any():
+        return f"z must be nonnegative (row {np.flatnonzero(z < 0)[0]})"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_bad_cells())
+def test_dataset_names_the_first_bad_row(table):
+    x, z = table
+    with pytest.raises(ValueError, match=f"^{re.escape(reference_dataset_error(x, z))}$"):
+        Dataset(x=x, z=z)

@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent commit against this checkout.
+
+    python3 tools/bench_pairs.py --parent a59f222 --seeds 1-10 --out BENCH_rows.json \\
+        --change "what the change does"
+
+The parent commit is exported with `git archive` into a temporary
+directory, which is removed on every exit path (including Ctrl-C and
+SIGTERM).  For each seed and each workload in BENCHMARK.json,
+perfbench/run.py runs for the benchmark's run_seconds once on the parent's
+tree and once on this checkout's, one process at a time; the parent runs
+first on odd seeds and second on even ones.  perfbench/compare.py
+then checks the two runs' per-op counts and estimates.  The summary goes to
+--out in the schema of BENCH_solver.json: per metric, each side's median and
+quartiles (statistics.quantiles, as compare.py reports them), every run's
+value, and the number of pairs in which the change's value is lower.
+Each run's result file is kept as .bench_out/pairs/<side>-<workload>-seed<seed>.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import shutil
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("before", "after")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-10' or '1,3,5' (or a mix, '1-3,7') as a list of seeds in the order given."""
+    seeds = []
+    for part in text.split(","):
+        lo, sep, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi) + 1) if sep else [int(lo)])
+    if not seeds:
+        raise ValueError("no seeds given")
+    return seeds
+
+
+@contextlib.contextmanager
+def exported_tree(commit: str):
+    """The files of commit in a fresh temporary directory, removed on exit.
+
+    `git archive` copies the committed files only, so nothing is registered
+    in this repository's .git that a killed run could leave behind.
+    """
+    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    try:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
+        yield tmp
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in tree; the run's summary line and its result file."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    result_file = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+    return {"summary": summary, "result_file": result_file}
+
+
+def compare_runs(before_file: Path, after_file: Path) -> dict:
+    """perfbench/compare.py's verdict on two result files, at tolerance 0."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/compare.py", str(before_file), str(after_file), "--tol", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    counts = next((ln for ln in lines if ln.startswith("counts:")), "")
+    estimates = next((ln for ln in lines if ln.startswith("estimates:")), "")
+    return {"identical": proc.returncode == 0, "counts": counts, "estimates": estimates}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def paired_summary(pairs: list[dict]) -> dict:
+    """Per metric: each side's quartiles and values, and the pairs the change won.
+
+    pairs holds one {"before": summary, "after": summary} per seed, where a
+    summary is run.py's last output line.  A tie counts for neither side.
+    """
+    out = {}
+    for name, info in pairs[0]["before"]["metrics"].items():
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        out[name] = {
+            "unit": info["unit"],
+            **{side: {**quartiles(values[side]), "values": values[side]} for side in SIDES},
+            "pairs_after_lower": sum(a < b for b, a in zip(values["before"], values["after"])),
+            "pairs": len(pairs),
+        }
+    out["ops"] = {
+        side: {
+            "attempted": [p[side]["attempted"] for p in pairs],
+            "failed": sum(p[side]["failed"] for p in pairs),
+        }
+        for side in SIDES
+    }
+    return out
+
+
+def _raise_exit(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="commit to compare against")
+    p.add_argument("--seeds", required=True, help="e.g. 1-10 or 1,3,5")
+    p.add_argument("--out", required=True, help="summary JSON path, e.g. BENCH_rows.json")
+    p.add_argument("--change", required=True, help="one line describing the change")
+    args = p.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads, seconds = [w["name"] for w in benchmark["workloads"]], benchmark["run_seconds"]
+    signal.signal(signal.SIGTERM, _raise_exit)  # so the parent's tree is removed on kill too
+
+    keep = ROOT / ".bench_out" / "pairs"
+    keep.mkdir(parents=True, exist_ok=True)
+    parent = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--short", args.parent], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    pairs = {wl: [] for wl in workloads}
+    checks = {wl: [] for wl in workloads}
+    environment = None
+    with exported_tree(parent) as before_tree:
+        trees = {"before": before_tree, "after": ROOT}
+        for seed in seeds:
+            order = SIDES if seed % 2 else SIDES[::-1]
+            for wl in workloads:
+                pair, files = {}, {}
+                for side in order:
+                    run = run_once(trees[side], wl, seed, seconds)
+                    files[side] = keep / f"{side}-{wl}-seed{seed}.json"
+                    shutil.copyfile(run["result_file"], files[side])
+                    pair[side] = run["summary"]
+                    if environment is None:
+                        environment = json.loads(files[side].read_text())["environment"]
+                    value = run["summary"]["metrics"]["op_s.mean_norm"]["value"]
+                    print(f"seed {seed} {wl} {side}: op_s.mean_norm {value:.6g} s", flush=True)
+                pairs[wl].append(pair)
+                checks[wl].append({"seed": seed, **compare_runs(files["before"], files["after"])})
+
+    summary = {
+        "change": args.change,
+        "before": parent,
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
+        "run_seconds": seconds,
+        "seeds": seeds,
+        "pairing": "one before run and one after run per seed and workload, run back to back, "
+        "one process at a time; before ran first on odd seeds, after on even seeds",
+        "environment": environment,
+        "end_to_end": {wl: paired_summary(pairs[wl]) for wl in workloads},
+        "compare": checks,
+    }
+    Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
