@@ -193,6 +193,8 @@ def _real_data_rows(cfg: ExperimentConfig) -> list[tuple]:
         data = data.with_intercept()
     label = Path(cfg.input_csv).stem
     n_train = math.ceil(cfg.split_fraction * data.n)
+    if n_train >= data.n:
+        raise ValueError(f"split_fraction {cfg.split_fraction} leaves no test rows from n={data.n} samples")
     rows = []
     for trial in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed + trial, _SPLIT_TAG]))

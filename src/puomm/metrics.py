@@ -75,13 +75,19 @@ def _check_paired(labels, probs):
 
 def brier(labels, probs) -> float:
     """Mean squared difference between probabilities and binary outcomes."""
-    labels, probs = _check_paired(labels, probs)
-    return float(np.mean((probs - labels) ** 2))
+    return _brier(*_check_paired(labels, probs))
 
 
 def misclassification(labels, probs) -> float:
     """Mean disagreement of the strict threshold-at-0.5 classifier."""
-    labels, probs = _check_paired(labels, probs)
+    return _misclassification(*_check_paired(labels, probs))
+
+
+def _brier(labels: np.ndarray, probs: np.ndarray) -> float:
+    return float(np.mean((probs - labels) ** 2))
+
+
+def _misclassification(labels: np.ndarray, probs: np.ndarray) -> float:
     return float(np.mean((probs > 0.5).astype(float) != labels))
 
 
@@ -161,8 +167,12 @@ def evaluate_trial(
     magnitudes.  Real-data mode scores occurrence against 1{z > 0} with
     each model's recorded-occurrence predictor and size on the z > 0 rows.
     The size rows are selected once for all models; when there are none,
-    mad, rmse_pred and smape are None.
+    mad, rmse_pred and smape are None.  An empty test set raises
+    ValueError.  Each model's probabilities are validated once, for both
+    brier and misclassification.
     """
+    if test.n == 0:
+        raise ValueError("the test set is empty: there is nothing to score")
     if mode == "auto":
         mode = "simulation" if test.has_latent else "observed"
     if mode not in ("simulation", "observed"):
@@ -183,6 +193,7 @@ def evaluate_trial(
             probs = predict_occurrence(model, test.x)
         else:
             probs = _recorded_occurrence_prob(model, test.x)
+        checked = _check_paired(labels, probs)
         size_scores = dict.fromkeys(("mad", "rmse_pred", "smape"))
         if size_idx.size:
             yhat = predict_magnitude(model, x_size)
@@ -205,8 +216,8 @@ def evaluate_trial(
                 trial_id=trial_id,
                 rmse_beta=rb,
                 rmse_theta=rt,
-                brier=brier(labels, probs),
-                misclassification=misclassification(labels, probs),
+                brier=_brier(*checked),
+                misclassification=_misclassification(*checked),
                 **size_scores,
                 n_eval=test.n,
                 n_eval_size=size_idx.size,

@@ -13,14 +13,19 @@ are split once into recorded and zero blocks, stored feature-major
 (p x rows), and one pass per point computes both linear predictors, the
 expit pairs and the log-likelihood total.  The terms of the last point
 are kept, so loss, gradient and Hessian at one point share that pass.
-The optimizer's closures (make_objective, make_hessian) keep a state
-across calls; neg_log_likelihood and gradient build one per call.  A
+The optimizer's closures (make_objective, make_hessian) read one shared
+state per Dataset object, rate and thread, so a fit splits the rows once
+and a Hessian at the point the gradient just saw reuses its terms.  The
+state is held weakly: it lives only while some closure uses it.
+neg_log_likelihood and gradient build a private state per call.  A
 non-finite total is traced back to its rows only then, so NumericalError
 still names the first bad sample in the original row order.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,13 +215,15 @@ class _RowTerms:
     so evaluating the loss, the gradient and the Hessian at one point pays
     for them once, and mutating the caller's array in place never serves
     stale terms.  Overflow is left to produce inf, which loss() and
-    loss_and_grad() report as NumericalError and the Hessian as
-    non-finite entries, not as a warning.
+    loss_and_grad() report as NumericalError and hessian() as non-finite
+    entries, not as a warning.
     """
 
     def __init__(self, data: Dataset, d: DetectionParam):
         if data.n < 1:
             raise ValueError("dataset must contain at least one sample")
+        # held so that id(data), _state_for's key, is not reused while this state lives
+        self.data = data
         pos = data.z > 0
         # each block's rows in the original order, also used to name the first bad row
         self.rows_p, self.rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
@@ -280,6 +287,48 @@ class _RowTerms:
             raise NumericalError("non-finite gradient sum")
         return value, g
 
+    def hessian(self) -> np.ndarray:
+        """The 2p x 2p Hessian of loss() at the current point, in blocks [[bb, bt], [tb, tt]].
+
+        Each row's loss depends on omega only through a = x.beta + log
+        lambda_eps and b = x.theta, so the Hessian is X^T diag(w) X in four
+        blocks.  A zero row contributes f = -log(1 - q), q = expit(a)
+        expit(b); with A = df/da = q expit(-a) / (1 - q) and B = df/db,
+            f_aa = A (expit(-a) - expit(a) + A),   f_bb likewise in b,
+            f_ab = A expit(-b) / (1 - q).
+        A recorded row adds z exp(-x.beta) to the beta block and
+        expit(b) expit(-b) to the theta block, with no cross term.  Each
+        block is a sum of (X^T * weights) @ X over the feature-major row
+        blocks, O(n p^2) per call.  Overflow shows as non-finite entries.
+        """
+        XnT, XpT, p = self.XnT, self.XpT, self.p
+        h = np.empty((2 * p, 2 * p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_minus = 1.0 - self.qn
+            scaled = self.qn / one_minus
+            fa, fb = scaled * self.comp_an, scaled * self.comp_bn
+            w_bb, w_tt = fa * (self.comp_an - self.sig_an + fa), fb * (self.comp_bn - self.sig_bn + fb)
+            h[:p, :p] = (XnT * w_bb) @ XnT.T + (XpT * (self.ratep * self.zp)) @ XpT.T
+            h[p:, p:] = (XnT * w_tt) @ XnT.T + (XpT * (self.sig_bp * self.comp_bp)) @ XpT.T
+            h[:p, p:] = (XnT * (fa * self.comp_bn / one_minus)) @ XnT.T
+            h[p:, :p] = h[:p, p:].T
+            h /= self.n
+        return h
+
+
+# The live shared state of each (id(data), lambda_eps, thread); an entry goes
+# when the last closure reading its state is dropped.
+_STATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _state_for(data: Dataset, d: DetectionParam) -> _RowTerms:
+    """The live _RowTerms of this Dataset object, rate and thread, or a new one."""
+    key = (id(data), d.lambda_eps, threading.get_ident())
+    state = _STATES.get(key)
+    if state is None:
+        state = _STATES[key] = _RowTerms(data, d)
+    return state
+
 
 def _state_at(omega: ParamPair, data: Dataset, d: DetectionParam) -> _RowTerms:
     """A fresh row-terms state at omega, whose dimension must match the data's."""
@@ -309,10 +358,11 @@ def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
 def make_objective(data: Dataset, d: DetectionParam):
     """Loss and loss+gradient closures over the stacked parameter vector.
 
-    Both read one _RowTerms state, so loss_and_grad(w) right after loss(w)
-    costs only the two gradient products.
+    Both read the _RowTerms state that _state_for shares with every live
+    closure of this Dataset object, rate and thread, so loss_and_grad(w)
+    right after loss(w) costs only the two gradient products.
     """
-    state = _RowTerms(data, d)
+    state = _state_for(data, d)
 
     def loss(w: np.ndarray) -> float:
         return state.at(w).loss()
@@ -324,32 +374,18 @@ def make_objective(data: Dataset, d: DetectionParam):
 
 
 def make_hessian(data: Dataset, d: DetectionParam):
-    """Closure for the 2p x 2p Hessian of make_objective's loss.
+    """Closure for the 2p x 2p Hessian of make_objective's loss (see _RowTerms.hessian).
 
-    Each row's loss depends on omega only through a = x.beta + log
-    lambda_eps and b = x.theta, so the Hessian is X^T diag(w) X in four
-    blocks.  A zero row contributes f = -log(1 - q), q = expit(a)
-    expit(b); with A = df/da = q expit(-a) / (1 - q) and B = df/db,
-        f_aa = A (expit(-a) - expit(a) + A),   f_bb likewise in b,
-        f_ab = A expit(-b) / (1 - q).
-    A recorded row adds z exp(-x.beta) to the beta block and
-    expit(b) expit(-b) to the theta block, with no cross term.  The
-    closure keeps its own _RowTerms state, and each block is a sum of
-    (X^T * weights) @ X over the feature-major row blocks, O(n p^2) per
-    call.  Overflow shows as non-finite entries, which the optimizer
-    rejects.
+    It reads the same shared state as make_objective's closures for this
+    Dataset object, rate and thread, so a Hessian at the point that
+    loss_and_grad has just evaluated recomputes no row terms.  The state
+    is held weakly by the lookup and strongly by the closures: it lives
+    while any of them does.  Overflow shows as non-finite entries, which
+    the optimizer rejects.
     """
-    state = _RowTerms(data, d)
+    state = _state_for(data, d)
 
     def hess(w: np.ndarray) -> np.ndarray:
-        s = state.at(w)
-        XnT, XpT = s.XnT, s.XpT
-        with np.errstate(over="ignore", invalid="ignore"):
-            one_minus = 1.0 - s.qn
-            fa, fb = s.qn / one_minus * s.comp_an, s.qn / one_minus * s.comp_bn
-            h_bb = (XnT * (fa * (s.comp_an - s.sig_an + fa))) @ XnT.T + (XpT * (s.ratep * s.zp)) @ XpT.T
-            h_tt = (XnT * (fb * (s.comp_bn - s.sig_bn + fb))) @ XnT.T + (XpT * (s.sig_bp * s.comp_bp)) @ XpT.T
-            h_bt = (XnT * (fa * s.comp_bn / one_minus)) @ XnT.T
-            return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / s.n
+        return state.at(w).hessian()
 
     return hess

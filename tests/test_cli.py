@@ -102,6 +102,19 @@ def test_evaluate_produces_metrics_csv(tmp_path):
     assert float(cells[2]) >= 0.0  # rmse_beta present in simulation mode
 
 
+def test_evaluate_rejects_an_empty_test_set(tmp_path, capsys):
+    data = _write_standin_csv(tmp_path / "data.csv", n=40, p=2)
+    model, out = tmp_path / "logistic_gamma.json", tmp_path / "metrics.csv"
+    assert main(["fit", "--data", str(data), "--method", "logistic_gamma", "--out", str(model)]) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text(data.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(empty), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "empty" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "method, key, value",
     [
@@ -280,6 +293,32 @@ def test_experiment_real_data_test_split_without_records_leaves_size_metrics_out
     summary = {r[3]: r for r in (line.split(",") for line in summary_path.read_text().splitlines()[1:])}
     assert "nan" not in summary_path.read_text()
     assert summary["mad"][6] == "1" and summary["brier"][6] == "3"
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_experiment_real_data_rejects_a_split_without_test_rows(tmp_path, monkeypatch, n):
+    # ceil(0.9 * 9) = 9 leaves no test row; 10 rows leave one
+    data = _write_standin_csv(tmp_path / "tiny.csv", n=n, p=2, seed=1)
+    fits = []
+    fit_observed_mixture = experiment.fit_observed_mixture
+    monkeypatch.setattr(experiment, "fit_observed_mixture", lambda *a: fits.append(a) or fit_observed_mixture(*a))
+    cfg = ExperimentConfig(
+        mode="real_data",
+        methods=["logistic_gamma"],
+        trials=1,
+        base_seed=0,
+        output_dir=str(tmp_path / "out"),
+        input_csv=str(data),
+    )
+    if n == 9:
+        with pytest.raises(ValueError, match=r"split_fraction 0\.9 leaves no test rows from n=9"):
+            run_experiment(cfg)
+        assert fits == []
+        return
+    long_path, _ = run_experiment(cfg)
+    rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
+    assert rows and all(r[1] == "9" and r[6] == "ok" and r[5] not in ("", "nan") for r in rows)
+    assert len(fits) == 1
 
 
 def test_experiment_oracle_rejected_on_real_data(tmp_path):

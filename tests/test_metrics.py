@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puomm import metrics
 from puomm.baselines import TwoPartModel, fit_logistic
 from puomm.metrics import (
     CSV_COLUMNS,
@@ -150,6 +151,23 @@ def test_evaluate_trial_missing_latent_raises():
     test = Dataset(x=np.ones((5, 1)), z=np.zeros(5))
     with pytest.raises(ValueError):
         evaluate_trial({"m": pu_model([0.0], [0.0])}, test, mode="simulation")
+
+
+def test_evaluate_trial_validates_each_models_probabilities_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((60, 2))
+    test = Dataset(x=x, z=np.where(rng.random(60) < 0.5, rng.exponential(1.0, 60), 0.0))
+    models = {"a": pu_model([0.1, 0.1], [0.2, -0.2]), "b": pu_model([0.0, 0.3], [-0.1, 0.4])}
+    expected = evaluate_trial(models, test)
+    calls = []
+    check = metrics._check_paired
+    monkeypatch.setattr(metrics, "_check_paired", lambda *a: calls.append(a) or check(*a))
+    got = evaluate_trial(models, test)
+    assert len(calls) == len(models)
+    assert got == expected
+    probs = _recorded_occurrence_prob(models["a"], x)
+    labels = (test.z > 0).astype(float)
+    assert (got[0].brier, got[0].misclassification) == (brier(labels, probs), misclassification(labels, probs))
 
 
 def test_metrics_report_csv_row_roundtrip():

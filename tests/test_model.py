@@ -1,4 +1,6 @@
 import re
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from puomm.metrics import predict_magnitude, predict_occurrence
 from puomm.model import (
     Dataset,
     _RowTerms,
+    _STATES,
+    _state_for,
     DetectionParam,
     NumericalError,
     ParamPair,
@@ -390,24 +394,76 @@ def test_objective_memo_never_serves_a_mutated_point(case, other):
     for f in (loss, loss_and_grad, hess):
         f(w)
     w[:] = w2
-    fresh_loss, fresh_loss_and_grad = make_objective(ds, d)
+    # new closures would share the kept closures' state, so the reference is a state of its own
+    ref = _RowTerms(ds, d).at(w2.copy())
     try:
-        fresh_loss_and_grad(w2)
+        ref.loss_and_grad()
     except NumericalError:
         # w2 comes from another case, so x.w2 may overflow: each kept closure
-        # must then raise what a fresh closure raises at w2
-        for kept, fresh in zip((loss, loss_and_grad), make_objective(ds, d)):
+        # must then raise what the reference raises at w2
+        for kept, fresh in zip((loss, loss_and_grad), (ref.loss, ref.loss_and_grad)):
             with pytest.raises(NumericalError) as expected:
-                fresh(w2)
+                fresh()
             with pytest.raises(NumericalError) as got:
                 kept(w)
             assert str(got.value) == str(expected.value)
         return
     value, g = loss_and_grad(w)
-    expected_value, expected_g = fresh_loss_and_grad(w2)
-    assert loss(w) == value == expected_value == fresh_loss(w2)
+    expected_value, expected_g = ref.loss_and_grad()
+    assert loss(w) == value == expected_value == ref.loss()
     assert np.array_equal(g, expected_g)
-    assert np.array_equal(hess(w), make_hessian(ds, d)(w2))
+    assert np.array_equal(hess(w), ref.hessian())
+
+
+def test_make_hessian_reads_the_row_terms_hessian():
+    for ds, om, d in _criterion_1_draws():
+        w = om.as_vector()
+        assert np.array_equal(make_hessian(ds, d)(w), _RowTerms(ds, d).at(w).hessian())
+
+
+def test_hessian_after_loss_and_grad_recomputes_no_row_terms(rng, monkeypatch):
+    passes = []
+    monkeypatch.setattr("puomm.model.expit_pair", lambda v: passes.append(1) or special.expit_pair(v))
+    ds, d = random_dataset(rng, 80, 3), DetectionParam(0.24)
+    _, loss_and_grad = make_objective(ds, d)
+    hess = make_hessian(ds, d)
+    w = rng.standard_normal(6) * 0.3
+    loss_and_grad(w)
+    done = len(passes)
+    assert done > 0
+    hess(w)
+    assert len(passes) == done
+    hess(w + 0.1)  # a new point recomputes them
+    assert len(passes) > done
+
+
+def test_closures_share_a_state_only_within_one_dataset_object_rate_and_thread(rng):
+    ds, d = random_dataset(rng, 30, 2), DetectionParam(0.24)
+    loss, _ = make_objective(ds, d)
+    hess = make_hessian(ds, DetectionParam(0.24))
+    state = _state_for(ds, d)
+    assert loss.__closure__[0].cell_contents is state is hess.__closure__[0].cell_contents
+    others = [_state_for(Dataset(x=ds.x, z=ds.z), d), _state_for(ds, DetectionParam(0.5))]
+    worker = threading.Thread(target=lambda: others.append(_state_for(ds, d)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(others) == 3
+    assert all(other is not state for other in others)
+    assert len({id(other) for other in others}) == 3
+
+
+def test_no_state_remains_once_the_closures_are_dropped(rng):
+    ds, d = random_dataset(rng, 30, 2), DetectionParam(0.24)
+    key = (id(ds), d.lambda_eps, threading.get_ident())
+    loss, loss_and_grad = make_objective(ds, d)
+    hess = make_hessian(ds, d)
+    w = np.full(4, 0.1)
+    loss_and_grad(w), hess(w)
+    state = weakref.ref(_STATES[key])
+    del loss, loss_and_grad
+    assert state() is not None  # hess still reads it
+    del hess
+    assert state() is None and key not in _STATES
 
 
 def test_gradient_theta_block_all_positive(rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puomm import optimizer
+from puomm import model, optimizer, special
 from puomm.model import Dataset, DetectionParam, NumericalError, make_objective, neg_log_likelihood
 from puomm.optimizer import FitConfig, fit, project_l2_ball
 from puomm.selection import default_radius, fit_pu_omm, make_lambda_grid
@@ -209,6 +209,34 @@ def test_fit_reuses_the_hessian_after_short_newton_steps(sweep_like, monkeypatch
     monkeypatch.setattr(optimizer, "_newton_step", counting_newton_step)
     assert fit(*sweep_like).converged
     assert 0 < counts["hessians"] < counts["newton_steps"]
+
+
+def test_fit_builds_one_row_terms_state_and_its_hessians_recompute_no_row_terms(sweep_like, monkeypatch):
+    built, passes, hessian_passes = [], [], []
+
+    class CountingRowTerms(model._RowTerms):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    def counting_make_hessian(data, d):
+        hess = make_hessian(data, d)
+
+        def call(w):
+            before = len(passes)
+            h = hess(w)
+            hessian_passes.append(len(passes) - before)
+            return h
+
+        return call
+
+    make_hessian = optimizer.make_hessian
+    monkeypatch.setattr(model, "_RowTerms", CountingRowTerms)
+    monkeypatch.setattr(model, "expit_pair", lambda v: passes.append(1) or special.expit_pair(v))
+    monkeypatch.setattr(optimizer, "make_hessian", counting_make_hessian)
+    assert fit(*sweep_like).converged
+    assert len(built) == 1
+    assert hessian_passes and not any(hessian_passes)
 
 
 def test_fit_without_hessian_reuse_reaches_the_same_point(sweep_like, monkeypatch):
