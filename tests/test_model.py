@@ -415,10 +415,25 @@ def test_objective_memo_never_serves_a_mutated_point(case, other):
     assert np.array_equal(hess(w), ref.hessian())
 
 
+def reference_block_hessian(s: _RowTerms) -> np.ndarray:
+    """The Hessian of a state at its point, its four blocks joined by np.block and then scaled."""
+    XnT, XpT = s.XnT, s.XpT
+    one_minus = 1.0 - s.qn
+    fa, fb = s.qn / one_minus * s.comp_an, s.qn / one_minus * s.comp_bn
+    h_bb = (XnT * (fa * (s.comp_an - s.sig_an + fa))) @ XnT.T + (XpT * (s.ratep * s.zp)) @ XpT.T
+    h_tt = (XnT * (fb * (s.comp_bn - s.sig_bn + fb))) @ XnT.T + (XpT * (s.sig_bp * s.comp_bp)) @ XpT.T
+    h_bt = (XnT * (fa * s.comp_bn / one_minus)) @ XnT.T
+    return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / s.n
+
+
 def test_make_hessian_reads_the_row_terms_hessian():
+    # the closure's Hessian is a directly built state's, and the in-place build keeps every bit
     for ds, om, d in _criterion_1_draws():
         w = om.as_vector()
-        assert np.array_equal(make_hessian(ds, d)(w), _RowTerms(ds, d).at(w).hessian())
+        direct = _RowTerms(ds, d).at(w)
+        h = make_hessian(ds, d)(w)
+        assert np.array_equal(h, direct.hessian())
+        assert h.tobytes() == reference_block_hessian(direct).tobytes()
 
 
 def test_hessian_after_loss_and_grad_recomputes_no_row_terms(rng, monkeypatch):
@@ -439,10 +454,8 @@ def test_hessian_after_loss_and_grad_recomputes_no_row_terms(rng, monkeypatch):
 
 def test_closures_share_a_state_only_within_one_dataset_object_rate_and_thread(rng):
     ds, d = random_dataset(rng, 30, 2), DetectionParam(0.24)
-    loss, _ = make_objective(ds, d)
-    hess = make_hessian(ds, DetectionParam(0.24))
     state = _state_for(ds, d)
-    assert loss.__closure__[0].cell_contents is state is hess.__closure__[0].cell_contents
+    assert _state_for(ds, DetectionParam(0.24)) is state
     others = [_state_for(Dataset(x=ds.x, z=ds.z), d), _state_for(ds, DetectionParam(0.5))]
     worker = threading.Thread(target=lambda: others.append(_state_for(ds, d)))
     worker.start()
