@@ -78,6 +78,19 @@ METHODS = {
 LATENT_METHODS = frozenset({"oracle"})
 
 
+def _reject_duplicates(name: str, values: list) -> None:
+    """ValueError naming the first two equal entries of values, the config list called name.
+
+    The summary pools rows by setting label, n and method, so a repeated
+    entry would count one trial's rows twice.
+    """
+    first = {}
+    for i, value in enumerate(values):
+        j = first.setdefault(value, i)
+        if j != i:
+            raise ValueError(f"{name}[{j}] and {name}[{i}] are both {value!r}; each may appear once")
+
+
 @dataclass
 class ExperimentConfig:
     mode: str  # "simulation" | "real_data"
@@ -106,11 +119,14 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
+        _reject_duplicates("methods", self.methods)
         if self.mode == "simulation":
             if not self.settings or not self.n_values:
                 raise ValueError("simulation mode needs settings and n_values")
             if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.n_values):
                 raise ValueError(f"n_values must be integers >= 1, got {self.n_values}")
+            _reject_duplicates("settings", [s.setting.value for s in self.settings])
+            _reject_duplicates("n_values", self.n_values)
         else:
             if self.input_csv is None:
                 raise ValueError("real_data mode needs input_csv")
@@ -164,10 +180,16 @@ def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mo
 
 
 def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
-    rows = []
-    for sim_cfg in cfg.settings:
+    """Rows of every cell in setting -> n -> trial order.
+
+    The cells run trial by trial, so the cells that share a trial's designs
+    run one after another; the previous cell's datasets stay referenced
+    while the next cell's are made, which keeps their designs alive to share.
+    """
+    cells = {}
+    for trial in range(cfg.trials):
         for n in cfg.n_values:
-            for trial in range(cfg.trials):
+            for i, sim_cfg in enumerate(cfg.settings):
                 trial_cfg = replace(sim_cfg, n=n, seed=cfg.base_seed + trial)
                 sim = make_datasets(trial_cfg)
                 train, test = sim.train, sim.test
@@ -179,12 +201,16 @@ def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
                 true_lambda = (
                     None if trial_cfg.setting.value == "threshold" else trial_cfg.lambda_eps_true
                 )
-                rows.extend(
-                    _cell_rows(
-                        cfg, trial_cfg.setting.value, n, trial, train, test, truth, true_lambda, "simulation",
-                    )
+                cells[i, n, trial] = _cell_rows(
+                    cfg, trial_cfg.setting.value, n, trial, train, test, truth, true_lambda, "simulation",
                 )
-    return rows
+    return [
+        row
+        for i in range(len(cfg.settings))
+        for n in cfg.n_values
+        for trial in range(cfg.trials)
+        for row in cells[i, n, trial]
+    ]
 
 
 def _real_data_rows(cfg: ExperimentConfig) -> list[tuple]:

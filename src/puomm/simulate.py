@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,16 +167,31 @@ def apply_missingness(
     return r, z
 
 
+# The live designs by (split, seed, rows, p, rho).  Each is drawn from a
+# substream that depends on nothing else, so every setting and n value of a
+# trial reads one read-only array; an entry goes with the last Dataset holding it.
+_DESIGNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _design(split: str, n: int, cfg: SimConfig, stream: np.random.SeedSequence) -> np.ndarray:
+    """The live design of this split, seed, size, p and rho, or a new read-only draw from stream."""
+    key = (split, cfg.seed, n, cfg.p, cfg.rho)
+    x = _DESIGNS.get(key)
+    if x is None:
+        x = gen_design(n, cfg.p, cfg.rho, np.random.default_rng(stream))
+        x.flags.writeable = False
+        _DESIGNS[key] = x
+    return x
+
+
 def _build_split(
-    n: int,
+    x: np.ndarray,
     cfg: SimConfig,
     beta0: np.ndarray,
     theta0: np.ndarray,
-    rng_design: np.random.Generator,
     rng_latent: np.random.Generator,
     rng_missing: np.random.Generator,
 ) -> Dataset:
-    x = gen_design(n, cfg.p, cfg.rho, rng_design)
     u, y = gen_latent(x, beta0, theta0, cfg.setting, rng_latent)
     r, z = apply_missingness(y, cfg.setting, cfg.lambda_eps_true, cfg.tau, rng_missing)
     return Dataset(x=x, z=z, y=y, u=u, r=r)
@@ -186,26 +202,31 @@ def make_datasets(cfg: SimConfig) -> SimOutput:
 
     Parameters, design, latent draws, missingness and the test split each
     consume their own substream, so enlarging n leaves beta0/theta0 and
-    the leading design rows unchanged.
+    the leading design rows unchanged.  The train design depends only on
+    (seed, n, p, rho) and the test design only on (seed, n_test, p, rho),
+    so the settings and n values of one experiment trial see the same
+    designs (common random numbers).  While some Dataset holds a design,
+    every call with the same key returns that very array, which is why
+    the simulated x arrays are read-only.  The experiment harness runs a
+    trial's cells back to back to share their designs, and rejects a
+    repeated setting label, n value or method.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(5)
     beta0, theta0 = gen_params(cfg.p, cfg.scale, np.random.default_rng(children[_S_PARAMS]))
     train = _build_split(
-        cfg.n,
+        _design("train", cfg.n, cfg, children[_S_DESIGN]),
         cfg,
         beta0,
         theta0,
-        np.random.default_rng(children[_S_DESIGN]),
         np.random.default_rng(children[_S_LATENT]),
         np.random.default_rng(children[_S_MISSING]),
     )
     test_children = children[_S_TEST].spawn(3)
     test = _build_split(
-        cfg.n_test,
+        _design("test", cfg.n_test, cfg, test_children[0]),
         cfg,
         beta0,
         theta0,
-        np.random.default_rng(test_children[0]),
         np.random.default_rng(test_children[1]),
         np.random.default_rng(test_children[2]),
     )

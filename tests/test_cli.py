@@ -1,11 +1,13 @@
 import argparse
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from puomm import cli, dataio, experiment
+from puomm import cli, dataio, experiment, simulate
 from puomm.cli import build_parser, main
 from puomm.dataio import read_model_json, write_dataset_csv, write_model_json
 from puomm.experiment import LATENT_METHODS, METHODS, ExperimentConfig, run_experiment
@@ -219,6 +221,45 @@ def test_experiment_simulation_cardinality_and_determinism(tmp_path):
     long_lines = (tmp_path / "run1" / "results_long.csv").read_text().splitlines()
     assert long_lines[0] == "setting,n,trial,method,metric,value,status"
     assert all(line.endswith(",ok") for line in long_lines[1:])
+
+
+class _NeverHits(dict):
+    """A design lookup that finds nothing, so every cell draws its own designs."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_experiment_draws_each_trial_design_once_and_keeps_the_row_order(tmp_path, monkeypatch):
+    draws = []
+    gen_design = simulate.gen_design
+
+    def counting_gen_design(n, p, rho, rng):
+        draws.append(n)
+        return gen_design(n, p, rho, rng)
+
+    monkeypatch.setattr(simulate, "gen_design", counting_gen_design)
+    cfg = {
+        "mode": "simulation",
+        "methods": ["logistic_gamma"],
+        "settings": [{"setting": "correct", "p": 2, "n_test": 100}, {"setting": "lognormal", "p": 2, "n_test": 100}],
+        "n_values": [200, 300],
+        "trials": 2,
+        "base_seed": 6,
+    }
+    shared_long, _ = run_experiment(ExperimentConfig.from_dict({**cfg, "output_dir": str(tmp_path / "shared")}))
+    # per trial: one train design per n and one test design for all four cells
+    assert sorted(draws) == [100, 100, 200, 200, 300, 300]
+    rows = [line.split(",") for line in shared_long.read_text().splitlines()[1:]]
+    assert all(row[-1] == "ok" for row in rows)
+    cells = [(setting, n, trial) for setting in ("correct", "lognormal") for n in ("200", "300") for trial in "01"]
+    assert [cell for cell, _ in itertools.groupby(tuple(row[:3]) for row in rows)] == cells
+
+    draws.clear()
+    monkeypatch.setattr(simulate, "_DESIGNS", _NeverHits())
+    fresh_long, _ = run_experiment(ExperimentConfig.from_dict({**cfg, "output_dir": str(tmp_path / "fresh")}))
+    assert len(draws) == 16
+    assert fresh_long.read_bytes() == shared_long.read_bytes()
 
 
 def test_experiment_summary_matches_recomputation(tmp_path):
@@ -490,6 +531,30 @@ def test_experiment_config_rejects_bad_n_values(n_values):
     # checked with the config, before run_experiment makes its output directory
     with pytest.raises(ValueError, match=r"^n_values must be integers >= 1"):
         ExperimentConfig.from_dict({**_SIM_CONFIG, "output_dir": "unused", "n_values": n_values})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"methods": ["logistic_gamma", "logistic_gamma"]}, r"methods\[0\] and methods\[1\] are both 'logistic_gamma'"),
+        ({"n_values": [300, 50, 300]}, r"n_values\[0\] and n_values\[2\] are both 300"),
+        (
+            {"settings": [{"setting": "correct", "lambda_eps_true": 0.24}, {"setting": "correct", "lambda_eps_true": 2.0}]},
+            r"settings\[0\] and settings\[1\] are both 'correct'",
+        ),
+    ],
+    ids=["methods", "n_values", "settings"],
+)
+def test_experiment_config_rejects_duplicate_entries(tmp_path, capsys, change, message):
+    # the summary pools rows by setting label, n and method, so a repeat would pass as extra trials
+    raw = {**_SIM_CONFIG, "output_dir": str(tmp_path / "out"), **change}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert re.match(message, json.loads(capsys.readouterr().err)["message"])
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_config_nested_keys_fill_fields():

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from puomm import simulate
 from puomm.simulate import (
     SimConfig,
     Setting,
@@ -145,6 +148,51 @@ def test_make_datasets_bit_identical():
     assert np.array_equal(a.train.z, b.train.z)
     assert np.array_equal(a.test.y, b.test.y)
     assert np.array_equal(a.beta0, b.beta0)
+
+
+_SHARED = SimConfig(setting="correct", n=300, p=4, n_test=200, seed=13)
+
+
+def test_make_datasets_shares_one_read_only_design_across_settings():
+    a = make_datasets(_SHARED)
+    b = make_datasets(replace(_SHARED, setting="lognormal", lambda_eps_true=0.5, param_scale=0.3))
+    assert b.train.x is a.train.x and b.test.x is a.test.x
+    children = np.random.SeedSequence(13).spawn(5)
+    fresh_train = gen_design(300, 4, 0.2, np.random.default_rng(children[simulate._S_DESIGN]))
+    fresh_test = gen_design(200, 4, 0.2, np.random.default_rng(children[simulate._S_TEST].spawn(3)[0]))
+    assert np.array_equal(a.train.x, fresh_train) and np.array_equal(a.test.x, fresh_test)
+    for x in (a.train.x, a.test.x):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
+    assert not np.array_equal(a.train.z, b.train.z)  # only the design is shared
+
+
+@pytest.mark.parametrize(
+    "change, train_shared, test_shared",
+    [
+        ({"n": 301}, False, True),
+        ({"n_test": 201}, True, False),
+        ({"p": 5}, False, False),
+        ({"rho": 0.3}, False, False),
+        ({"seed": 14}, False, False),
+    ],
+)
+def test_make_datasets_draws_its_own_design_for_another_key(change, train_shared, test_shared):
+    a = make_datasets(_SHARED)
+    b = make_datasets(replace(_SHARED, **change))
+    assert (b.train.x is a.train.x) == train_shared
+    assert (b.test.x is a.test.x) == test_shared
+
+
+def test_no_design_outlives_its_datasets():
+    sim = make_datasets(_SHARED)
+    key = ("test", 13, 200, 4, 0.2)
+    assert simulate._DESIGNS[key] is sim.test.x
+    test = sim.test
+    del sim
+    assert key in simulate._DESIGNS  # test still holds it
+    del test
+    assert key not in simulate._DESIGNS
 
 
 def test_sim_config_validation():
