@@ -170,6 +170,8 @@ def apply_missingness(
 # The live designs by (split, seed, rows, p, rho).  Each is drawn from a
 # substream that depends on nothing else, so every setting and n value of a
 # trial reads one read-only array; an entry goes with the last Dataset holding it.
+# No lock: threads that miss one key at once each draw the same values, and
+# the last one's array stays in the map.
 _DESIGNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +195,34 @@ def test_no_design_outlives_its_datasets():
     assert key in simulate._DESIGNS  # test still holds it
     del test
     assert key not in simulate._DESIGNS
+
+
+def test_threads_racing_for_one_design_all_get_the_fresh_draw():
+    # a race may draw a design twice; every caller must still get the same values, read-only
+    cfg = replace(_SHARED, seed=21)
+    children = np.random.SeedSequence(21).spawn(5)
+    fresh = gen_design(300, 4, 0.2, np.random.default_rng(children[simulate._S_DESIGN]))
+    results = [None] * 6
+    start = threading.Barrier(len(results))
+
+    def work(k):
+        start.wait(timeout=10)
+        results[k] = make_datasets(cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for sim in results:
+        assert np.array_equal(sim.train.x, fresh) and not sim.train.x.flags.writeable
+        assert np.array_equal(sim.train.z, results[0].train.z)
 
 
 def test_sim_config_validation():
