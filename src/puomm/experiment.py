@@ -180,17 +180,13 @@ def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mo
 
 
 def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
-    """Rows of every cell in setting -> n -> trial order.
-
-    The cells run trial by trial, so the cells that share a trial's designs
-    run one after another; the previous cell's datasets stay referenced
-    while the next cell's are made, which keeps their designs alive to share.
-    """
-    cells = {}
-    for trial in range(cfg.trials):
+    rows = []
+    for sim_cfg in cfg.settings:
         for n in cfg.n_values:
-            for i, sim_cfg in enumerate(cfg.settings):
+            for trial in range(cfg.trials):
                 trial_cfg = replace(sim_cfg, n=n, seed=cfg.base_seed + trial)
+                # the previous cell's sim stays alive until this call returns,
+                # so back-to-back cells that need one design share it
                 sim = make_datasets(trial_cfg)
                 train, test = sim.train, sim.test
                 if cfg.add_intercept:
@@ -201,16 +197,12 @@ def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
                 true_lambda = (
                     None if trial_cfg.setting.value == "threshold" else trial_cfg.lambda_eps_true
                 )
-                cells[i, n, trial] = _cell_rows(
-                    cfg, trial_cfg.setting.value, n, trial, train, test, truth, true_lambda, "simulation",
+                rows.extend(
+                    _cell_rows(
+                        cfg, trial_cfg.setting.value, n, trial, train, test, truth, true_lambda, "simulation",
+                    )
                 )
-    return [
-        row
-        for i in range(len(cfg.settings))
-        for n in cfg.n_values
-        for trial in range(cfg.trials)
-        for row in cells[i, n, trial]
-    ]
+    return rows
 
 
 def _real_data_rows(cfg: ExperimentConfig) -> list[tuple]:

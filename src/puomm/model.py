@@ -105,9 +105,9 @@ class DetectionParam:
 class Dataset:
     """Feature matrix x (one row per sample) with the observed magnitude column.
 
-    x may be shared with other datasets: make_datasets hands every setting
-    and n value of a trial the same read-only design array, so nothing
-    writes into x.  Latent columns (y, u, r) are present only for simulated data and are
+    x may be shared with other datasets: while a simulated design is
+    alive, make_datasets returns that same read-only array for every
+    setting and n value of its trial, so nothing writes into x.  Latent columns (y, u, r) are present only for simulated data and are
     consumed exclusively by oracle fitting and evaluation code.  x and z
     must be finite and z nonnegative, and every column must have n
     entries; a violation raises ValueError naming the first bad row or

@@ -209,9 +209,10 @@ def make_datasets(cfg: SimConfig) -> SimOutput:
     so the settings and n values of one experiment trial see the same
     designs (common random numbers).  While some Dataset holds a design,
     every call with the same key returns that very array, which is why
-    the simulated x arrays are read-only.  The experiment harness runs a
-    trial's cells back to back to share their designs, and rejects a
-    repeated setting label, n value or method.
+    the simulated x arrays are read-only; copy one before writing.  The
+    experiment harness keeps each cell's datasets alive while it makes the
+    next cell's, so back-to-back cells share their designs, and it rejects
+    a repeated setting label, n value or method.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(5)
     beta0, theta0 = gen_params(cfg.p, cfg.scale, np.random.default_rng(children[_S_PARAMS]))
