@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-  simulate    write train/test CSVs plus a JSON sidecar for one setting
+  simulate    write train/test CSVs, their table sidecars and a JSON sidecar
+              for one setting
   fit         fit one method on a dataset CSV and write the model JSON
   evaluate    score a fitted model JSON against a dataset CSV
   experiment  run a multi-trial sweep described by a JSON config
@@ -83,10 +84,10 @@ def cmd_simulate(args) -> int:
     sim = make_datasets(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_dataset_csv(sim.train, out / "train.csv")
-    dataio.write_dataset_csv(sim.test, out / "test.csv")
+    for ds, name in ((sim.train, "train.csv"), (sim.test, "test.csv")):
+        dataio.write_dataset_with_table(ds, out / name)
     dataio.write_sim_meta(sim, out / "meta.json")
-    print(f"wrote train.csv, test.csv, meta.json to {out}")
+    print(f"wrote train.csv, test.csv (each with a .table sidecar), meta.json to {out}")
     return 0
 
 

@@ -30,6 +30,17 @@ child fails, either half fails to parse or parses to fewer rows than
 its range has lines, a "\\r" in the file) runs the serial code from
 the start, so accepted files, error messages and line numbers are those
 of the serial path.
+
+``puomm simulate`` also writes a table sidecar beside each dataset CSV
+(``train.csv`` -> ``train.csv.table``): the SHA-256 of the CSV's bytes,
+then an ``np.save`` payload of the float64 table the CSV was written
+from, every header column in header order.  ingest_csv hashes the CSV in
+the pass that counts its lines, and reads the sidecar instead of parsing
+only when the digest matches and the payload is a float64 array of one
+row per data line and one column per header cell.  Any other sidecar,
+or none, means the CSV is parsed, so an edited CSV is parsed again and
+deleting a sidecar is always safe.  The same value checks run either
+way, and ingest_csv never writes a file.
 """
 
 from __future__ import annotations
@@ -150,29 +161,94 @@ def _write_split(path: Path, header: str, table: np.ndarray) -> bool:
         os.unlink(part)
 
 
-def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
-    """Columns x_1..x_p, z and, when latent fields exist, y, u, r."""
-    path = Path(path)
+def _dataset_table(ds: Dataset) -> tuple[list[str], np.ndarray]:
+    """The column names and the float64 table of a dataset CSV: x_1..x_p, z and, when latent fields exist, y, u, r."""
     header = [f"x_{j + 1}" for j in range(ds.p)] + ["z"]
     cols = [ds.x, ds.z[:, None]]
     if ds.has_latent and ds.r is not None:
         header += list(LATENT_COLUMNS)
         cols += [ds.y[:, None], ds.u[:, None], ds.r[:, None]]
-    table = np.hstack(cols)
+    return header, np.hstack(cols)
+
+
+def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
+    """Columns x_1..x_p, z and, when latent fields exist, y, u, r."""
+    path = Path(path)
+    header, table = _dataset_table(ds)
     header = ",".join(header) + "\n"
     if not (_can_split(table.size) and _write_split(path, header, table)):
         _write_table(path, header, table)
 
 
-def _count_lines(path: Path) -> int:
+def _sha256():
+    import hashlib  # here, not at module level: importing puomm need not pay for it
+
+    return hashlib.sha256()
+
+
+def sidecar_path(path: str | Path) -> Path:
+    """Where the table sidecar of the dataset CSV at path lives: its name plus ".table"."""
+    path = Path(path)
+    return path.with_name(path.name + ".table")
+
+
+def write_dataset_with_table(ds: Dataset, path: str | Path) -> None:
+    """write_dataset_csv(ds, path), then the CSV's table sidecar.
+
+    The sidecar holds the SHA-256 of the CSV's bytes on disk, then the
+    np.save payload of ds's table.  np.save stamps nothing that varies
+    between runs, so the same dataset gives the same bytes.  The sidecar
+    is written to a temporary file and renamed into place, so a reader
+    never sees a partial one.
+    """
+    path = Path(path)
+    write_dataset_csv(ds, path)
+    digest = _sha256()
+    _count_lines(path, digest)
+    target = sidecar_path(path)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(digest.digest())
+            np.save(fh, _dataset_table(ds)[1], allow_pickle=False)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read_sidecar(path: Path, digest: bytes, shape: tuple[int, int]) -> np.ndarray | None:
+    """The table in path's sidecar, or None unless it holds digest and a float64 array of this shape.
+
+    The shape and dtype are checked in the array header before any data is
+    read; a missing, unreadable or truncated sidecar gives None too.
+    """
+    fmt = np.lib.format
+    try:
+        with open(sidecar_path(path), "rb") as fh:
+            if fh.read(len(digest)) != digest or fmt.read_magic(fh) != (1, 0):
+                return None
+            stored_shape, _, dtype = fmt.read_array_header_1_0(fh)
+            if stored_shape != shape or dtype != np.float64:
+                return None
+            fh.seek(len(digest))
+            return np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+
+
+def _count_lines(path: Path, digest=None) -> int:
     """Lines in the file, blank ones and a last one lacking its line end included.
 
     "\\n", "\\r\\n" and a lone "\\r" each end a line, for csv.reader and
-    np.loadtxt alike.
+    np.loadtxt alike.  A hashlib object passed as digest is fed the file's
+    bytes in the same pass.
     """
     lines, last = 0, b"\n"
     with open(path, "rb") as fh:
         while chunk := fh.read(_CHUNK_BYTES):
+            if digest is not None:
+                digest.update(chunk)
             lines += chunk.count(b"\n")
             if b"\r" in chunk:
                 lines += chunk.count(b"\r") - chunk.count(b"\r\n")
@@ -260,6 +336,9 @@ def _load_split(path: Path, records: int, n_cells: int) -> np.ndarray | None:
 
 def _schema_columns(path: Path, header: list[str], schema: str) -> tuple[int, bool]:
     """Validate the header; return p and whether the latent columns are read."""
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{path}: column {repeated!r} appears more than once in the header")
     if schema == "auto":
         schema = "simulated" if all(c in header for c in LATENT_COLUMNS) else "observed_only"
     x_names = [h for h in header if h.startswith("x_")]
@@ -335,19 +414,24 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
     requires y, u, r; auto reads the file as simulated exactly when its
     header names y, u and r.  Malformed or non-finite cells, negative z
     and, under the simulated schema, rows breaking u = 1{y > 0} or
-    z = y*r raise with the offending 1-based line number.
+    z = y*r raise with the offending 1-based line number.  A header that
+    names a column twice raises too.  The cells come from the CSV's table
+    sidecar when its digest matches the file (see the module docstring).
     """
     if schema not in ("observed_only", "simulated", "auto"):
         raise ValueError(f"unknown schema {schema!r}")
     path = Path(path)
-    records = _count_lines(path) - 1
     with open(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         p, simulated = _schema_columns(path, header, schema)
-        table = _load_split(path, records, len(header)) if _can_split(records * len(header)) else None
+        digest = _sha256() if sidecar_path(path).exists() else None
+        records = _count_lines(path, digest) - 1
+        table = None if digest is None else _read_sidecar(path, digest.digest(), (records, len(header)))
+        if table is None and _can_split(records * len(header)):
+            table = _load_split(path, records, len(header))
         if table is None:
             table = _load_rows(fh, records, len(header))
     needed = [f"x_{j + 1}" for j in range(p)] + ["z"] + (list(LATENT_COLUMNS) if simulated else [])

@@ -1,4 +1,5 @@
 import contextlib
+import tempfile
 import sys
 from pathlib import Path
 
@@ -94,3 +95,41 @@ def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypat
         assert summary["end_to_end"][wl]["op_s.mean_norm"]["pairs_after_lower"] == 2
         assert [c["seed"] for c in summary["compare"][wl]] == [1, 2]
 
+
+
+def test_neither_side_runs_in_the_checkout_and_both_trees_are_removed(tmp_path, monkeypatch):
+    checkout = tmp_path / "checkout"
+    (checkout / "src").mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_text('{"run_seconds": 50, "workloads": [{"name": "cli_io"}]}')
+    (checkout / "src" / "mod.py").write_text("edited = True\n")
+    (checkout / "src" / "__pycache__").mkdir()
+    (checkout / "src" / "__pycache__" / "mod.pyc").write_text("stale")
+    monkeypatch.setattr(bench_pairs, "ROOT", checkout)
+    mkdtemp = tempfile.mkdtemp
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", lambda prefix: mkdtemp(prefix=prefix, dir=tmp_path))
+
+    def fake_git(cmd, **kwargs):
+        listing = {"rev-parse": "abc1234\n", "ls-files": "BENCHMARK.json\0src/mod.py\0gone.py\0", "archive": b""}
+        return type("Done", (), {"stdout": next((v for k, v in listing.items() if k in cmd), b"")})()
+
+    trees = {}
+
+    def fake_run_once(tree, workload, seed, seconds):
+        side = "before" if tree.name.startswith("bench-parent-") else "after"
+        trees.setdefault(side, set()).add(tree)
+        assert tree.resolve() != checkout.resolve() and not tree.resolve().is_relative_to(checkout.resolve())
+        if side == "after":  # the working tree's files, with no cache carried over
+            assert (tree / "src" / "mod.py").read_text() == "edited = True\n"
+            assert not (tree / "src" / "__pycache__").exists() and not (tree / "gone.py").exists()
+        result = tmp_path / f"{side}-{seed}.json"
+        result.write_text('{"environment": {}}')
+        return {"summary": _summary(0.2, 10), "result_file": result}
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_git)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "compare_runs", lambda a, b: {"identical": True})
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--seeds", "1-2", "--out", str(out), "--change", "c"]) == 0
+    assert {side: len(t) for side, t in trees.items()} == {"before": 1, "after": 1}
+    assert not any(t.exists() for side in trees.values() for t in side)

@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +38,41 @@ def test_simulate_writes_files_and_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     header = (tmp_path / "a" / "train.csv").read_text().splitlines()[0]
     assert header == "x_1,x_2,x_3,z,y,u,r"
+
+
+def test_simulate_writes_byte_identical_table_sidecars(tmp_path):
+    args = ["simulate", "--setting", "lognormal", "--n", "60", "--p", "3", "--n-test", "30", "--seed", "5"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    names = ["meta.json", "test.csv", "test.csv.table", "train.csv", "train.csv.table"]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == names
+    for name in ("train.csv.table", "test.csv.table"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["oracle", "logistic_gamma"])
+def test_fit_and_evaluate_outputs_do_not_depend_on_the_sidecars(tmp_path, method):
+    outputs = {}
+    for sidecars in (True, False):
+        d = tmp_path / str(sidecars)
+        assert main(["simulate", "--setting", "threshold", "--n", "300", "--p", "3",
+                     "--n-test", "200", "--seed", "9", "--out", str(d)]) == 0
+        if not sidecars:
+            for name in ("train.csv", "test.csv"):
+                dataio.sidecar_path(d / name).unlink()
+        assert main(["fit", "--data", str(d / "train.csv"), "--method", method,
+                     "--out", str(d / f"{method}.json")]) == 0
+        assert main(["evaluate", "--model", str(d / f"{method}.json"), "--data", str(d / "test.csv"),
+                     "--truth", str(d / "meta.json"), "--mode", "simulation", "--out", str(d / "metrics.csv")]) == 0
+        outputs[sidecars] = [(d / name).read_bytes() for name in (f"{method}.json", "metrics.csv")]
+    assert outputs[True] == outputs[False]
+
+
+def test_importing_puomm_does_not_import_hashlib():
+    code = "import sys, puomm.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_pu_omm_emits_full_selection_scores(tmp_path):

@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -528,6 +531,122 @@ def test_sim_meta_config_holds_every_sim_config_field(tmp_path):
     config = read_sim_meta(path)["config"]
     assert list(config) == sorted(f.name for f in dataclasses.fields(SimConfig))
     assert SimConfig(**config) == cfg
+
+
+@pytest.mark.parametrize("header", ["x_1,z,z", "x_1,x_1,z", "x_1,z,y,u,r,r", "x_1,z,note,note"])
+def test_ingest_rejects_a_repeated_column_name(tmp_path, header):
+    path = tmp_path / "dup.csv"
+    names = header.split(",")
+    row = {"x_1": "0.5", "z": "1.0", "y": "1.0", "u": "1.0", "r": "1.0", "note": "2.0"}
+    cells = [row[name] for name in names]
+    cells[-1] = "-3.0"  # the second copy would be rejected if read, and must not be skipped silently
+    path.write_text(header + "\n" + ",".join(cells) + "\n")
+    repeated = next(name for i, name in enumerate(names) if name in names[:i])
+    for schema in _SCHEMAS:
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: column '{repeated}' appears more than once"):
+            ingest_csv(path, schema)
+
+
+_SCHEMAS = ("observed_only", "simulated", "auto")
+
+
+def _simulated_csv(tmp_path, setting="correct", seed=21, n=300):
+    """A simulated training CSV with its table sidecar, and the dataset it was written from."""
+    sim = make_datasets(SimConfig(setting=setting, n=n, p=3, seed=seed, n_test=10))
+    path = tmp_path / "train.csv"
+    dataio.write_dataset_with_table(sim.train, path)
+    return path, sim.train
+
+
+@contextlib.contextmanager
+def _no_parse():
+    """Fail every parse of CSV text, so a read that succeeds came from the sidecar."""
+    with contextlib.ExitStack() as stack:
+        for name in ("_load_rows", "_load_split", "_parse_rows"):
+            stack.enter_context(mock.patch.object(dataio, name, side_effect=AssertionError(f"{name} ran")))
+        yield
+
+
+@pytest.mark.parametrize("setting", ["correct", "lognormal", "threshold"])
+def test_sidecar_read_is_bit_identical_to_the_parse(tmp_path, setting):
+    path, train = _simulated_csv(tmp_path, setting)
+    with _no_parse():
+        via_sidecar = {schema: ingest_csv(path, schema) for schema in _SCHEMAS}
+    dataio.sidecar_path(path).unlink()
+    for schema, ds in via_sidecar.items():
+        assert _same_dataset(ds, ingest_csv(path, schema))
+    assert _same_dataset(via_sidecar["simulated"], train)
+    assert via_sidecar["observed_only"].y is None and via_sidecar["auto"].has_latent
+
+
+def _npy(table):
+    buf = io.BytesIO()
+    np.save(buf, table, allow_pickle=False)
+    return buf.getvalue()
+
+
+_BAD_SIDECARS = {
+    "truncated": lambda data, table: data[:-9],
+    "truncated_header": lambda data, table: data[:40],
+    "garbage": lambda data, table: bytes(range(256)) * 8,
+    "wrong_digest": lambda data, table: bytes([data[0] ^ 1]) + data[1:],
+    "wrong_shape": lambda data, table: data[:32] + _npy(table[:-1]),
+    "wrong_dtype": lambda data, table: data[:32] + _npy(table.astype(np.float32)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_SIDECARS))
+def test_a_bad_sidecar_falls_back_to_the_parse(tmp_path, bad):
+    path, train = _simulated_csv(tmp_path)
+    sidecar = dataio.sidecar_path(path)
+    table = np.load(io.BytesIO(sidecar.read_bytes()[32:]))
+    sidecar.write_bytes(_BAD_SIDECARS[bad](sidecar.read_bytes(), table))
+    with mock.patch.object(dataio, "_load_rows", wraps=dataio._load_rows) as parse:
+        read = {schema: ingest_csv(path, schema) for schema in _SCHEMAS}
+    assert parse.call_count == len(_SCHEMAS)
+    assert _same_dataset(read["simulated"], train)
+    sidecar.unlink()
+    for schema, ds in read.items():
+        assert _same_dataset(ds, ingest_csv(path, schema))
+
+
+def test_an_edited_csv_is_parsed_again(tmp_path):
+    path, train = _simulated_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[0] = "1.25"  # x_1 of data row 4
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    ds = ingest_csv(path, schema="simulated")
+    assert ds.x[4, 0] == 1.25
+    assert np.array_equal(np.delete(ds.x, 4, axis=0), np.delete(train.x, 4, axis=0))
+
+
+def test_ingest_leaves_the_directory_listing_unchanged(tmp_path):
+    path, _ = _simulated_csv(tmp_path)
+    (tmp_path / "plain.csv").write_text("x_1,z\n0.5,1.0\n")
+    sidecar = dataio.sidecar_path(path)
+    for data in (sidecar.read_bytes(), b"garbage"):
+        sidecar.write_bytes(data)
+        before = sorted(os.listdir(tmp_path))
+        for schema in _SCHEMAS:
+            ingest_csv(path, schema)
+        ingest_csv(tmp_path / "plain.csv")
+        assert sorted(os.listdir(tmp_path)) == before
+        assert sidecar.read_bytes() == data
+    sidecar.unlink()
+    ingest_csv(path)
+    assert sorted(os.listdir(tmp_path)) == ["plain.csv", "train.csv"]
+
+
+def test_sidecar_holds_the_csv_digest_and_the_written_table(tmp_path):
+    path, train = _simulated_csv(tmp_path, n=20)
+    data = dataio.sidecar_path(path).read_bytes()
+    assert data[:32] == hashlib.sha256(path.read_bytes()).digest()
+    table = np.load(io.BytesIO(data[32:]), allow_pickle=False)
+    assert table.dtype == np.float64 and table.shape == (20, 7)
+    assert np.array_equal(_bits(table), _bits(np.loadtxt(path, delimiter=",", skiprows=1)))
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []  # no temporary file left
 
 
 def test_pu_omm_model_json_roundtrip(tmp_path):

@@ -4,11 +4,15 @@
     python3 tools/bench_pairs.py --parent a59f222 --seeds 1-10 --out BENCH_rows.json \\
         --change "what the change does"
 
-The parent commit is exported with `git archive` into a temporary
-directory, which is removed on every exit path (including Ctrl-C and
-SIGTERM).  For each seed and each workload in BENCHMARK.json,
+Neither side runs in this checkout.  The parent commit is exported with
+`git archive`, and this checkout's files (the ones git tracks or would
+add, as they are in the working tree) are copied, each into a fresh
+temporary directory; both are removed on every exit path (including
+Ctrl-C and SIGTERM).  So both sides start with no bytecode caches or
+benchmark outputs, and both keep their scratch files under the same
+temporary directory.  For each seed and each workload in BENCHMARK.json,
 perfbench/run.py runs for the benchmark's run_seconds once on the parent's
-tree and once on this checkout's, one process at a time; the parent runs
+tree and once on the change's, one process at a time; the parent runs
 first on odd seeds and second on even ones.  perfbench/compare.py
 then checks the two runs' per-op counts and estimates.  The summary goes to
 --out in the schema of BENCH_solver.json: per metric, each side's median and
@@ -56,6 +60,31 @@ def exported_tree(commit: str):
     try:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
+        yield tmp
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+@contextlib.contextmanager
+def copied_checkout():
+    """This checkout's working-tree files in a fresh temporary directory, removed on exit.
+
+    The files are those `git ls-files` lists as tracked, or untracked and
+    not ignored, so uncommitted edits are measured but no cache or earlier
+    output is carried over.  A tracked file deleted from the working tree
+    is left out.
+    """
+    tmp = Path(tempfile.mkdtemp(prefix="bench-change-"))
+    try:
+        listed = subprocess.run(
+            ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for name in filter(None, listed.split("\0")):
+            source = ROOT / name
+            if source.is_file():
+                (tmp / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, tmp / name)
         yield tmp
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -144,8 +173,8 @@ def main(argv=None) -> int:
     pairs = {wl: [] for wl in workloads}
     checks = {wl: [] for wl in workloads}
     environment = None
-    with exported_tree(parent) as before_tree:
-        trees = {"before": before_tree, "after": ROOT}
+    with exported_tree(parent) as before_tree, copied_checkout() as after_tree:
+        trees = {"before": before_tree, "after": after_tree}
         for seed in seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             for wl in workloads:
@@ -169,7 +198,8 @@ def main(argv=None) -> int:
         "run_seconds": seconds,
         "seeds": seeds,
         "pairing": "one before run and one after run per seed and workload, run back to back, "
-        "one process at a time; before ran first on odd seeds, after on even seeds",
+        "one process at a time; before ran first on odd seeds, after on even seeds; "
+        "each side ran in a fresh temporary copy of its files",
         "environment": environment,
         "end_to_end": {wl: paired_summary(pairs[wl]) for wl in workloads},
         "compare": checks,
