@@ -3,7 +3,10 @@
 All writers are byte-deterministic: floats are serialized with repr
 (shortest round-trip form), JSON keys are sorted, and line endings are
 fixed to "\\n".  Dataset CSVs are written a block of rows at a time, so
-the text held in memory stays small.
+the text held in memory stays small.  Their cells are formatted by
+orjson's Ryu, whose digits are repr's and whose text is repr's wherever
+repr writes a float positionally; the rows holding a cell repr writes
+in exponent form are formatted with repr itself.
 
 Dataset CSVs are parsed by one ``np.loadtxt`` call over every column.
 Its row count is checked against a count of the file's lines, because
@@ -15,21 +18,18 @@ lines and rows whose cell count differs from the header's; non-numeric,
 NaN or infinite cells in a column the schema reads; negative z; and,
 under the simulated schema, rows breaking u = 1{y > 0} or z = y*r.
 
-Neither repr nor loadtxt releases the interpreter lock, so a file of at
-least _SPLIT_MIN_CELLS cells is formatted or parsed on two cores: the
-rows are cut in two at a line boundary, and one forked child takes the
-second half while the process does the first.  That happens only where
-os.fork exists, a second CPU is usable and no other Python thread runs
-(a thread could hold a lock the child then waits on forever).  The
-writer's child formats its rows into a temporary file beside the
-output, which the parent appends to its own half, so the bytes are
-those of the serial writer.  The reader's child parses its byte range
-into a shared anonymous mmap that holds the whole table, and the parent
-parses the lines before the cut into the rest.  Any other outcome (the
-child fails, either half fails to parse or parses to fewer rows than
-its range has lines, a "\\r" in the file) runs the serial code from
-the start, so accepted files, error messages and line numbers are those
-of the serial path.
+loadtxt does not release the interpreter lock, so a file of at least
+_SPLIT_MIN_CELLS cells is parsed on two cores: the rows are cut in two
+at a line boundary, and one forked child takes the second half while the
+process does the first.  That happens only where os.fork exists, a
+second CPU is usable and no other Python thread runs (a thread could
+hold a lock the child then waits on forever).  The child parses its
+byte range into a shared anonymous mmap that holds the whole table, and
+the parent parses the lines before the cut into the rest.  Any other
+outcome (the child fails, either half fails to parse or parses to fewer
+rows than its range has lines, a "\\r" in the file) runs the serial
+code from the start, so accepted files, error messages and line numbers
+are those of the serial path.
 
 ``puomm simulate`` also writes a table sidecar beside each dataset CSV
 (``train.csv`` -> ``train.csv.table``): the SHA-256 of the CSV's bytes,
@@ -53,7 +53,6 @@ import itertools
 import json
 import mmap
 import os
-import shutil
 import signal
 import tempfile
 import threading
@@ -72,14 +71,18 @@ from .simulate import SimConfig, SimOutput
 
 LATENT_COLUMNS = ("y", "u", "r")
 
-_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held in memory
+# Rows formatted per write: bounds the text held in memory.  Larger blocks write
+# no faster, and the peak RSS of a process writing many files grows less steady:
+# on the cli_io benchmark (2-core VM), 1,024 rows read 59.4 MB in two runs, and
+# 4,096 rows 58.8 and 62.6 MB.
+_BLOCK_ROWS = 1024
 _CHUNK_BYTES = 1 << 20
-# Fewest cells (rows x columns) a file needs before a forked child takes half
+# Fewest cells (rows x columns) a file needs before a forked child parses half
 # of its rows.  A fork plus reap costs ~3 ms, and the split ~3 ms more, so the
 # work that pays for them grows with the cells, not the rows.  Serial -> split,
 # interleaved medians on a 2-core VM: a parse of 5,000 x 2 cells went from 5.1
 # to 8.4 ms; at ~50,000 cells, 25,000 x 2 and 3,600 x 14, parses went from 23
-# to 19 and from 26 to 21 ms, and writes from 71 to 45 and from 59 to 39 ms.
+# to 19 and from 26 to 21 ms.
 _SPLIT_MIN_CELLS = 50_000
 
 
@@ -131,53 +134,50 @@ def _forked(work: Callable[[], None]) -> Iterator[Callable[[], bool]]:
             os.waitpid(pid, 0)
 
 
-def _write_table(path: Path, header: str, table: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        # a repr'd float never holds a comma, quote or newline, so no cell needs csv quoting
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of block's rows, every cell written as repr writes it.
 
-
-def _write_split(path: Path, header: str, table: np.ndarray) -> bool:
-    """Write the first half of the rows while a forked child formats the rest; False if the child failed.
-
-    The child writes to a temporary file beside the output, which is then
-    appended in chunks, so the parent never holds the child's text.
+    orjson's Ryu digits are repr's shortest round-trip digits, written the
+    same way for 0 and every 1e-4 <= |v| < 1e16.  Outside that range repr
+    switches to exponent form ("1e-05", "1e+16") and orjson does not, so
+    the rows holding such a cell, or a NaN or infinity, are written with
+    repr.  A repr'd float never holds a comma, quote or newline, so no
+    cell needs csv quoting.
     """
-    mid = len(table) // 2
-    fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
-    os.close(fd)
-    try:
-        with _forked(lambda: _write_table(Path(part), "", table[mid:])) as join:
-            _write_table(path, header, table[:mid])
-            if not join():
-                return False
-        with open(part, "rb") as src, open(path, "ab") as dst:
-            shutil.copyfileobj(src, dst, _CHUNK_BYTES)
-        return True
-    finally:
-        os.unlink(part)
+    import orjson  # here, not at module level: importing puomm need not pay for it
+
+    lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    a = np.abs(block)
+    for i in np.flatnonzero(~((a == 0) | ((a >= 1e-4) & (a < 1e16))).all(axis=1)):
+        lines[i] = ",".join(map(repr, block[i].tolist())).encode()
+    lines.append(b"")
+    return b"\n".join(lines)
 
 
-def _dataset_table(ds: Dataset) -> tuple[list[str], np.ndarray]:
-    """The column names and the float64 table of a dataset CSV: x_1..x_p, z and, when latent fields exist, y, u, r."""
+def _dataset_columns(ds: Dataset) -> tuple[list[str], list[np.ndarray]]:
+    """The column names and 2-d column blocks of a dataset CSV: x_1..x_p, z and, when latent fields exist, y, u, r."""
     header = [f"x_{j + 1}" for j in range(ds.p)] + ["z"]
     cols = [ds.x, ds.z[:, None]]
     if ds.has_latent and ds.r is not None:
         header += list(LATENT_COLUMNS)
         cols += [ds.y[:, None], ds.u[:, None], ds.r[:, None]]
-    return header, np.hstack(cols)
+    return header, cols
 
 
-def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
-    """Columns x_1..x_p, z and, when latent fields exist, y, u, r."""
-    path = Path(path)
-    header, table = _dataset_table(ds)
-    header = ",".join(header) + "\n"
-    if not (_can_split(table.size) and _write_split(path, header, table)):
-        _write_table(path, header, table)
+def write_dataset_csv(ds: Dataset, path: str | Path) -> bytes:
+    """Columns x_1..x_p, z and, when latent fields exist, y, u, r; returns the SHA-256 of the bytes written."""
+    header, cols = _dataset_columns(ds)
+    digest = _sha256()
+    with open(path, "wb") as fh:
+        chunks = itertools.chain(
+            [(",".join(header) + "\n").encode()],
+            (_format_rows(np.hstack([c[start : start + _BLOCK_ROWS] for c in cols]))
+             for start in range(0, ds.n, _BLOCK_ROWS)),
+        )
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.digest()
 
 
 def _sha256():
@@ -195,22 +195,19 @@ def sidecar_path(path: str | Path) -> Path:
 def write_dataset_with_table(ds: Dataset, path: str | Path) -> None:
     """write_dataset_csv(ds, path), then the CSV's table sidecar.
 
-    The sidecar holds the SHA-256 of the CSV's bytes on disk, then the
+    The sidecar holds the SHA-256 of the CSV's bytes as written, then the
     np.save payload of ds's table.  np.save stamps nothing that varies
     between runs, so the same dataset gives the same bytes.  The sidecar
     is written to a temporary file and renamed into place, so a reader
     never sees a partial one.
     """
-    path = Path(path)
-    write_dataset_csv(ds, path)
-    digest = _sha256()
-    _count_lines(path, digest)
+    digest = write_dataset_csv(ds, path)
     target = sidecar_path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(digest.digest())
-            np.save(fh, _dataset_table(ds)[1], allow_pickle=False)
+            fh.write(digest)
+            np.save(fh, np.hstack(_dataset_columns(ds)[1]), allow_pickle=False)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

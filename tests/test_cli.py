@@ -69,7 +69,7 @@ def test_fit_and_evaluate_outputs_do_not_depend_on_the_sidecars(tmp_path, method
 
 
 def test_importing_puomm_does_not_import_hashlib():
-    code = "import sys, puomm.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    code = "import sys, puomm.cli; print(sorted({'hashlib', '_hashlib', 'orjson'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

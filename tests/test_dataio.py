@@ -137,7 +137,11 @@ def _csv_writer_bytes(ds):
     return buf.getvalue().encode()
 
 
-_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308, 0.1])
+# repr writes |v| < 1e-4 and |v| >= 1e16 in exponent form: values on both sides of each switch
+_EDGE_FLOATS = st.sampled_from([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308, 0.1,
+    1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, -1e-5, 2.0**53,
+])
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(2**53), 2**53).map(float),
@@ -168,9 +172,10 @@ def _bits(a):
 def test_dataset_csv_roundtrip_property(ds):
     with tempfile.TemporaryDirectory() as d:
         p1, p2 = Path(d) / "a.csv", Path(d) / "b.csv"
-        write_dataset_csv(ds, p1)
+        digest = write_dataset_csv(ds, p1)
         write_dataset_csv(ds, p2)
         assert p1.read_bytes() == p2.read_bytes() == _csv_writer_bytes(ds)
+        assert digest == hashlib.sha256(p1.read_bytes()).digest()
         back = ingest_csv(p1)
     assert back.x.shape == ds.x.shape and back.x.flags.c_contiguous
     assert np.array_equal(_bits(back.x), _bits(ds.x))
@@ -182,6 +187,28 @@ def test_dataset_csv_writer_matches_reference_with_latent(tmp_path):
     path = tmp_path / "d.csv"
     write_dataset_csv(sim.train, path)  # more than one block of rows
     assert path.read_bytes() == _csv_writer_bytes(sim.train)
+
+
+def test_dataset_csv_mixes_exponent_and_positional_cells_across_blocks(tmp_path):
+    rng = np.random.default_rng(8)
+    n = 2 * dataio._BLOCK_ROWS + 7
+    x = rng.standard_normal((n, 3))
+    x[::5, 0] *= 1e-4  # repr writes |v| < 1e-4 as 1.2e-05 ...
+    x[::7, 2] *= 1e16  # ... and |v| >= 1e16 as 1.2e+16, in rows whose other cells are positional
+    z = np.where(rng.random(n) < 0.5, rng.exponential(1.0, n), 0.0)
+    ds = Dataset(x=x, z=z)
+    path = tmp_path / "d.csv"
+    digest = write_dataset_csv(ds, path)
+    data = path.read_bytes()
+    assert data == _csv_writer_bytes(ds)
+    assert digest == hashlib.sha256(data).digest()
+    lines = data.splitlines()[1:]
+    for block in range(2):
+        rows = lines[block * dataio._BLOCK_ROWS : (block + 1) * dataio._BLOCK_ROWS]
+        assert any(b"e-" in row for row in rows) and any(b"e+" in row for row in rows)
+        assert any(b"e" not in row for row in rows)
+    back = ingest_csv(path)
+    assert np.array_equal(_bits(back.x), _bits(x)) and np.array_equal(_bits(back.z), _bits(z))
 
 
 _GOOD = ["x_1,z"] + [f"{i * 0.25},{i * 0.5}" for i in range(12)]
@@ -318,9 +345,8 @@ def test_split_write_and_ingest_match_serial(tmp_path):
     split, serial = tmp_path / "split.csv", tmp_path / "serial.csv"
     with _split_at(100), _counting_fork() as fork:
         write_dataset_csv(sim.train, split)
-        assert fork.call_count == 1
         read = {schema: ingest_csv(split, schema) for schema in ("observed_only", "simulated", "auto")}
-        assert fork.call_count == 4
+        assert fork.call_count == 3
         records, n_cells = 301, 7
         table = dataio._load_split(split, records, n_cells)  # the split itself succeeded
     with _serial():
@@ -335,10 +361,7 @@ def test_split_write_and_ingest_match_serial(tmp_path):
 def test_split_paths_succeed(tmp_path, end):
     table = np.arange(60.0).reshape(30, 2)
     path = tmp_path / "d.csv"
-    assert dataio._write_split(path, "x_1,z\n", table)
-    with _serial():
-        write_dataset_csv(Dataset(x=table[:, :1], z=table[:, 1]), tmp_path / "serial.csv")
-    assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    write_dataset_csv(Dataset(x=table[:, :1], z=table[:, 1]), path)
     path.write_text(path.read_text()[:-1] + end)
     assert np.array_equal(dataio._load_split(path, 30, 2), table)
 
@@ -452,28 +475,30 @@ def test_failed_child_gives_serial_result(tmp_path, fail):
     sim = make_datasets(SimConfig(setting="correct", n=300, p=2, seed=14, n_test=10))
     path = tmp_path / "d.csv"
     with _split_at(100), _counting_fork() as fork:
-        with mock.patch.object(dataio, "_write_table", _failing_in_child(dataio._write_table, fail)):
-            write_dataset_csv(sim.train, path)
+        write_dataset_csv(sim.train, path)
         assert path.read_bytes() == _csv_writer_bytes(sim.train)
         with mock.patch.object(dataio, "_newlines", _failing_in_child(dataio._newlines, fail)):
             ds = ingest_csv(path, schema="simulated")
-        assert fork.call_count == 2
+        assert fork.call_count == 1
     assert _same_dataset(ds, sim.train)
 
 
 def test_parent_half_error_reaps_child_and_removes_temp(tmp_path):
     sim = make_datasets(SimConfig(setting="correct", n=300, p=2, seed=15, n_test=10))
-    write_table = dataio._write_table
+    path = tmp_path / "d.csv"
+    write_dataset_csv(sim.train, path)
+    parent, load_rows = os.getpid(), dataio._load_rows
 
-    def parent_fails(path, header, table):
-        if header:  # the parent's half; the child's has no header
-            raise OSError("disk full")
-        write_table(path, header, table)
+    def parent_fails(*args):
+        if os.getpid() == parent:
+            raise OSError("read failed")
+        return load_rows(*args)
 
-    with _split_at(100), mock.patch.object(dataio, "_write_table", parent_fails):
-        with pytest.raises(OSError, match="disk full"):
-            write_dataset_csv(sim.train, tmp_path / "d.csv")
-    assert sorted(p.name for p in tmp_path.iterdir()) == []  # the output was never opened
+    with _split_at(100), _counting_fork() as fork, mock.patch.object(dataio, "_load_rows", parent_fails):
+        with pytest.raises(OSError, match="read failed"):
+            ingest_csv(path)
+        assert fork.call_count == 1  # the fork_hygiene fixture checks that the child was reaped
+    assert os.listdir(tmp_path) == ["d.csv"]
 
 
 def test_no_fork_while_another_thread_runs(tmp_path):
