@@ -18,19 +18,6 @@ lines and rows whose cell count differs from the header's; non-numeric,
 NaN or infinite cells in a column the schema reads; negative z; and,
 under the simulated schema, rows breaking u = 1{y > 0} or z = y*r.
 
-loadtxt does not release the interpreter lock, so a file of at least
-_SPLIT_MIN_CELLS cells is parsed on two cores: the rows are cut in two
-at a line boundary, and one forked child takes the second half while the
-process does the first.  That happens only where os.fork exists, a
-second CPU is usable and no other Python thread runs (a thread could
-hold a lock the child then waits on forever).  The child parses its
-byte range into a shared anonymous mmap that holds the whole table, and
-the parent parses the lines before the cut into the rest.  Any other
-outcome (the child fails, either half fails to parse or parses to fewer
-rows than its range has lines, a "\\r" in the file) runs the serial
-code from the start, so accepted files, error messages and line numbers
-are those of the serial path.
-
 ``puomm simulate`` also writes a table sidecar beside each dataset CSV
 (``train.csv`` -> ``train.csv.table``): the SHA-256 of the CSV's bytes,
 then an ``np.save`` payload of the float64 table the CSV was written
@@ -45,19 +32,13 @@ way, and ingest_csv never writes a file.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
-import gc
 import itertools
 import json
-import mmap
 import os
-import signal
 import tempfile
-import threading
 import warnings
-from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -77,61 +58,6 @@ LATENT_COLUMNS = ("y", "u", "r")
 # 4,096 rows 58.8 and 62.6 MB.
 _BLOCK_ROWS = 1024
 _CHUNK_BYTES = 1 << 20
-# Fewest cells (rows x columns) a file needs before a forked child parses half
-# of its rows.  A fork plus reap costs ~3 ms, and the split ~3 ms more, so the
-# work that pays for them grows with the cells, not the rows.  Serial -> split,
-# interleaved medians on a 2-core VM: a parse of 5,000 x 2 cells went from 5.1
-# to 8.4 ms; at ~50,000 cells, 25,000 x 2 and 3,600 x 14, parses went from 23
-# to 19 and from 26 to 21 ms.
-_SPLIT_MIN_CELLS = 50_000
-
-
-def _can_split(cells: int) -> bool:
-    """Whether a forked child may take half of the rows of a file with this many cells."""
-    if cells < _SPLIT_MIN_CELLS or not hasattr(os, "fork") or threading.active_count() != 1:
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) >= 2
-
-
-@contextlib.contextmanager
-def _forked(work: Callable[[], None]) -> Iterator[Callable[[], bool]]:
-    """Run work() in a forked child; yield a join() that waits for it and says whether it succeeded.
-
-    The child leaves through os._exit on every path, so it never unwinds
-    into the caller or flushes stdio buffers it inherited.  It runs no
-    garbage collection, which could finalize objects the parent still
-    owns.  A child not joined when the block is left, because the parent's
-    own half raised or failed, is killed; either way it is reaped here.
-    When no process can be had, join() reports a failed child.
-    """
-    try:
-        pid = os.fork()
-    except OSError:  # EAGAIN or ENOMEM: the caller's serial rerun does every row
-        yield lambda: False
-        return
-    if pid == 0:
-        code = 1
-        try:
-            gc.disable()
-            work()
-            code = 0
-        finally:
-            os._exit(code)
-    reaped = False
-
-    def join() -> bool:
-        nonlocal reaped
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        return os.waitstatus_to_exitcode(status) == 0
-
-    try:
-        yield join
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _format_rows(block: np.ndarray) -> bytes:
@@ -254,19 +180,6 @@ def _count_lines(path: Path, digest=None) -> int:
     return lines + (last not in (b"\n", b"\r"))
 
 
-def _newlines(path: Path, start: int, stop: int) -> int | None:
-    """Count of b"\\n" in bytes [start, stop) of the file; None if a b"\\r" is there."""
-    count = 0
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        while start < stop and (chunk := fh.read(min(_CHUNK_BYTES, stop - start))):
-            if b"\r" in chunk:
-                return None
-            count += chunk.count(b"\n")
-            start += len(chunk)
-    return count
-
-
 def _load_rows(lines, rows: int, n_cells: int) -> np.ndarray | None:
     """The table loadtxt reads from lines, or None unless it reads exactly one row per line.
 
@@ -280,55 +193,6 @@ def _load_rows(lines, rows: int, n_cells: int) -> np.ndarray | None:
         except ValueError:
             return None
     return table if table.shape == (rows, n_cells) else None
-
-
-def _load_split(path: Path, records: int, n_cells: int) -> np.ndarray | None:
-    """The records x n_cells table, parsed in two byte ranges cut at a line; None if any check fails.
-
-    A forked child parses the lines from the cut to the end into the tail
-    of a shared anonymous mmap; the parent parses the lines before it into
-    the head.  Each side counts the lines of its own range and needs one
-    row per line, so a blank line, which loadtxt skips, fails the split
-    instead of shifting rows.  With no "\\r" in the file the two counts
-    add up to records.
-    """
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        start = len(fh.readline())  # the header's line; a quoted newline in it fails the head's parse
-        fh.seek((start + size) // 2)
-        cut = fh.tell() + len(fh.readline())
-        fh.seek(-1, os.SEEK_END)
-        open_end = fh.read(1) != b"\n"  # the last line has no line end to count
-    if cut >= size:
-        return None
-    table = np.frombuffer(mmap.mmap(-1, records * n_cells * 8), dtype=float).reshape(records, n_cells)
-
-    def child() -> None:
-        tail_rows = _newlines(path, cut, size)
-        if tail_rows is None:
-            raise ValueError("\\r line end")
-        tail_rows += open_end
-        with open(path, newline="") as fh:
-            fh.seek(cut)
-            tail = _load_rows(fh, tail_rows, n_cells)
-        if tail is None:
-            raise ValueError("tail does not parse to one row per line")
-        table[records - tail_rows :] = tail
-
-    with _forked(child) as join:
-        head_rows = _newlines(path, 0, cut)
-        if head_rows is None:
-            return None
-        head_rows -= 1  # the header line
-        with open(path, newline="") as fh:
-            fh.seek(start)
-            head = _load_rows(itertools.islice(fh, head_rows), head_rows, n_cells)
-        if head is None:
-            return None
-        table[:head_rows] = head
-        if not join():
-            return None
-    return table
 
 
 def _schema_columns(path: Path, header: list[str], schema: str) -> tuple[int, bool]:
@@ -427,8 +291,6 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
         digest = _sha256() if sidecar_path(path).exists() else None
         records = _count_lines(path, digest) - 1
         table = None if digest is None else _read_sidecar(path, digest.digest(), (records, len(header)))
-        if table is None and _can_split(records * len(header)):
-            table = _load_split(path, records, len(header))
         if table is None:
             table = _load_rows(fh, records, len(header))
     needed = [f"x_{j + 1}" for j in range(p)] + ["z"] + (list(LATENT_COLUMNS) if simulated else [])

@@ -31,7 +31,7 @@ from .selection import (
     make_lambda_grid,
 )
 from .metrics import evaluate_trial
-from .simulate import SimConfig, make_datasets
+from .simulate import SimConfig, make_datasets, store_integer_fields
 
 SIM_METRICS = ("rmse_beta", "rmse_theta", "brier", "misclassification", "mad", "rmse_pred", "smape")
 REAL_METRICS = ("brier", "misclassification", "mad", "rmse_pred", "smape")
@@ -39,9 +39,9 @@ REAL_METRICS = ("brier", "misclassification", "mad", "rmse_pred", "smape")
 LONG_COLUMNS = ("setting", "n", "trial", "method", "metric", "value", "status")
 SUMMARY_COLUMNS = ("setting", "n", "method", "metric", "mean", "se", "n_trials")
 
-# Tag for the split substream so real-data partitions never share draws
-# with anything else derived from the trial seed.
-_SPLIT_TAG = 90
+# Tag for the train/test partition substream, so real-data partitions never
+# share draws with anything else derived from the trial seed.
+_PARTITION_TAG = 90
 
 
 def _fit_config(opts, p: int) -> FitConfig:
@@ -114,6 +114,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("simulation", "real_data"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        store_integer_fields(self, ("trials", "base_seed", "grid_size"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -215,7 +216,7 @@ def _real_data_rows(cfg: ExperimentConfig) -> list[tuple]:
         raise ValueError(f"split_fraction {cfg.split_fraction} leaves no test rows from n={data.n} samples")
     rows = []
     for trial in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed + trial, _SPLIT_TAG]))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed + trial, _PARTITION_TAG]))
         perm = rng.permutation(data.n)
         train = data.subset(perm[:n_train])
         test = data.subset(perm[n_train:])

@@ -67,10 +67,9 @@ class FitConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("radius", "tol"):
+            if not getattr(self, name) > 0:  # NaN fails this too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

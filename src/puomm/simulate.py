@@ -34,6 +34,16 @@ class Setting(str, enum.Enum):
 _S_PARAMS, _S_DESIGN, _S_LATENT, _S_MISSING, _S_TEST = range(5)
 
 
+def store_integer_fields(obj, names) -> None:
+    """Set each named field of obj to an int; ValueError naming the first field that is not an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            setattr(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class SimConfig:
     setting: Setting
@@ -48,12 +58,7 @@ class SimConfig:
 
     def __post_init__(self):
         self.setting = Setting(self.setting)
-        for name in ("n", "p", "n_test", "seed"):
-            value = getattr(self, name)
-            try:
-                setattr(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        store_integer_fields(self, ("n", "p", "n_test", "seed"))
         for name in ("n", "p", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -61,10 +66,9 @@ class SimConfig:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho!r}")
         if self.param_scale is not None and not self.param_scale > 0:
             raise ValueError(f"param_scale must be positive, got {self.param_scale!r}")
-        if self.setting is not Setting.THRESHOLD and self.lambda_eps_true <= 0:
-            raise ValueError("lambda_eps_true must be positive")
-        if self.setting is Setting.THRESHOLD and self.tau <= 0:
-            raise ValueError("tau must be positive")
+        rate = "tau" if self.setting is Setting.THRESHOLD else "lambda_eps_true"
+        if not 0 < getattr(self, rate) < np.inf:
+            raise ValueError(f"{rate} must be a finite positive real, got {getattr(self, rate)!r}")
 
     @property
     def scale(self) -> float:

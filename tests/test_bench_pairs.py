@@ -96,6 +96,21 @@ def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypat
         assert [c["seed"] for c in summary["compare"][wl]] == [1, 2]
 
 
+def test_a_failed_run_names_its_tree_workload_and_seed_and_ends_with_its_stderr(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'line {i}', file=sys.stderr)\n"
+        "sys.exit('ValueError: the workload failed')\n"
+    )
+    with pytest.raises(RuntimeError) as exc:
+        bench_pairs.run_once(tmp_path, "cli_io", 7, 1)
+    message = str(exc.value)
+    assert f"in {tmp_path} failed on workload cli_io, seed 7 (exit status 1)" in message
+    assert message.endswith("line 29\nValueError: the workload failed")
+    assert "line 0\n" not in message
+
 
 def test_neither_side_runs_in_the_checkout_and_both_trees_are_removed(tmp_path, monkeypatch):
     checkout = tmp_path / "checkout"

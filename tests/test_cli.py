@@ -569,6 +569,22 @@ def test_experiment_config_bad_setting_field_names_entry_and_field(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 1.5), ("base_seed", 7.0), ("base_seed", "7"), ("grid_size", 2.5)],
+)
+def test_experiment_config_names_a_non_integer_field(tmp_path, capsys, field, value):
+    raw = {**_SIM_CONFIG, "output_dir": str(tmp_path / "out"), field: value}
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("n_values", [[50.0], [50, 0], ["50"]])
 def test_experiment_config_rejects_bad_n_values(n_values):
     # checked with the config, before run_experiment makes its output directory

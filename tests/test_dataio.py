@@ -6,7 +6,6 @@ import io
 import os
 import re
 import tempfile
-import threading
 from pathlib import Path
 from unittest import mock
 
@@ -115,15 +114,29 @@ def test_ingest_indicator_counts(tmp_path):
     assert ds.n == 20
 
 
-def test_wildfire_scale_stand_in_loads(tmp_path):
-    # same shape as the motivating application: 15846 rows, 43 features
+def _wildfire_stand_in(tmp_path):
+    """A sidecar-less CSV of the motivating application's shape: 15846 rows, 43 features."""
     rng = np.random.default_rng(5)
     n, p = 15846, 43
     x = rng.standard_normal((n, p))
     z = np.where(rng.random(n) < 0.5, rng.exponential(1.0, n), 0.0)
     path = tmp_path / "standin.csv"
     write_dataset_csv(Dataset(x=x, z=z), path)
+    return path, n, p
+
+
+def test_wildfire_scale_stand_in_loads(tmp_path):
+    path, n, p = _wildfire_stand_in(tmp_path)
     ds = ingest_csv(path)
+    assert (ds.n, ds.p) == (n, p)
+
+
+def test_ingest_parses_a_large_file_without_forking(tmp_path):
+    path, n, p = _wildfire_stand_in(tmp_path)
+    assert n * (p + 1) >= 50_000
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        ds = ingest_csv(path)
+    assert fork.call_count == 0
     assert (ds.n, ds.p) == (n, p)
 
 
@@ -224,6 +237,7 @@ def _with_line(line_no, text):
     "content, message",
     [
         pytest.param("\n".join(_GOOD[:6] + [""] + _GOOD[6:]) + "\n", "line 7: expected 2 cells, got 0", id="blank"),
+        pytest.param("\n".join(_GOOD) + "\n\n", "line 14: expected 2 cells, got 0", id="blank-last-line"),
         pytest.param("x_1,z\n\n", "line 2: expected 2 cells, got 0", id="blank-only"),
         pytest.param(_with_line(5, "0.5"), "line 5: expected 2 cells, got 1", id="short"),
         pytest.param(_with_line(9, "0.5,1.0,2.0"), "line 9: expected 2 cells, got 3", id="long"),
@@ -251,6 +265,8 @@ def test_ingest_bad_file_names_first_bad_line(tmp_path, content, message):
         pytest.param('x_1,z\n"0.5",1.0\n1_0,"2.0"\n', id="quoted-and-underscore"),
         pytest.param("x_1,z\r\n0.5,1.0\r\n10.0,2.0\r\n", id="crlf"),
         pytest.param("x_1,z\r0.5,1.0\r10.0,2.0\r", id="cr"),
+        pytest.param("x_1,z\n0.5,1.0\r10.0,2.0\n", id="lone-cr"),
+        pytest.param('x_1,z,"a\nb"\n0.5,1.0,2.0\n10.0,2.0,3.0\n', id="header-spans-two-lines"),
         pytest.param("x_1,z\n0.5,1.0\n10.0,2.0", id="no-final-newline"),
     ],
 )
@@ -321,62 +337,11 @@ def test_ingest_simulated_names_first_latent_mismatch(tmp_path):
     assert ingest_csv(path, schema="observed_only").n == 40
 
 
-def _split_at(cells):
-    return mock.patch.object(dataio, "_SPLIT_MIN_CELLS", cells)
-
-
-def _serial():
-    return mock.patch.object(dataio, "_can_split", return_value=False)
-
-
-def _counting_fork():
-    return mock.patch.object(os, "fork", wraps=os.fork)
-
-
 def _same_dataset(a, b):
     return all(
         (getattr(a, k) is None and getattr(b, k) is None) or np.array_equal(_bits(getattr(a, k)), _bits(getattr(b, k)))
         for k in ("x", "z", "y", "u", "r")
     )
-
-
-def test_split_write_and_ingest_match_serial(tmp_path):
-    sim = make_datasets(SimConfig(setting="lognormal", n=301, p=3, seed=13, n_test=10))
-    split, serial = tmp_path / "split.csv", tmp_path / "serial.csv"
-    with _split_at(100), _counting_fork() as fork:
-        write_dataset_csv(sim.train, split)
-        read = {schema: ingest_csv(split, schema) for schema in ("observed_only", "simulated", "auto")}
-        assert fork.call_count == 3
-        records, n_cells = 301, 7
-        table = dataio._load_split(split, records, n_cells)  # the split itself succeeded
-    with _serial():
-        write_dataset_csv(sim.train, serial)
-        for schema, ds in read.items():
-            assert _same_dataset(ds, ingest_csv(serial, schema))
-    assert split.read_bytes() == serial.read_bytes() == _csv_writer_bytes(sim.train)
-    assert table is not None and np.array_equal(_bits(table), _bits(np.loadtxt(serial, delimiter=",", skiprows=1)))
-
-
-@pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
-def test_split_paths_succeed(tmp_path, end):
-    table = np.arange(60.0).reshape(30, 2)
-    path = tmp_path / "d.csv"
-    write_dataset_csv(Dataset(x=table[:, :1], z=table[:, 1]), path)
-    path.write_text(path.read_text()[:-1] + end)
-    assert np.array_equal(dataio._load_split(path, 30, 2), table)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_datasets())
-def test_split_roundtrip_property(ds):
-    with tempfile.TemporaryDirectory() as d, _split_at(2):
-        path = Path(d) / "a.csv"
-        write_dataset_csv(ds, path)
-        assert path.read_bytes() == _csv_writer_bytes(ds)
-        back = ingest_csv(path)
-        assert os.listdir(d) == ["a.csv"]
-    assert np.array_equal(_bits(back.x), _bits(ds.x))
-    assert np.array_equal(_bits(back.z), _bits(ds.z))
 
 
 _BAD_LINES = {
@@ -392,150 +357,28 @@ _BAD_LINES = {
 }
 
 
-def _error(path):
-    with pytest.raises(ValueError) as exc:
-        ingest_csv(path)
-    return str(exc.value)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(20, 60), st.sampled_from(sorted(_BAD_LINES)), st.floats(0.0, 1.0), st.booleans())
-@example(rows=40, kind="blank", where=0.1, insert=True)  # a blank line in the head: loadtxt skips it
+@example(rows=40, kind="blank", where=0.1, insert=True)  # a blank line, which loadtxt skips
 @example(rows=40, kind="blank", where=0.9, insert=True)
-def test_split_ingest_names_the_serial_error(rows, kind, where, insert):
+def test_ingest_names_the_bad_line_at_any_position(rows, kind, where, insert):
     lines = ["x_1,z"] + [f"{i * 0.25},{i * 0.5}" for i in range(rows)]
-    at = 1 + min(int(where * rows), rows - 1)  # 0-based index of a data line, in either half
+    at = 1 + min(int(where * rows), rows - 1)  # 0-based index of a data line
     lines[at : at + (not insert)] = [_BAD_LINES[kind]]
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "bad.csv"
         path.write_text("\n".join(lines) + "\n")
-        with _serial():
-            expected = _error(path)
-        with _split_at(20), _counting_fork() as fork:
-            assert _error(path) == expected
-            assert fork.call_count == 1
-    assert f"line {at + 1}:" in expected
+        with pytest.raises(ValueError, match=f": line {at + 1}: "):
+            ingest_csv(path)
 
 
-def test_split_ingest_blank_line_in_head_is_located(tmp_path):
-    # 20,000 rows and one blank line: the head must not read a row past the cut to make up for it
+def test_ingest_locates_a_blank_line_in_a_large_file(tmp_path):
     path = tmp_path / "blank.csv"
     lines = ["x_1,z"] + ["0.5,1.0"] * 20_000
     lines.insert(100, "")
     path.write_text("\n".join(lines) + "\n")
-    with _split_at(100), _counting_fork() as fork, pytest.raises(ValueError, match="line 101: expected 2 cells, got 0"):
+    with pytest.raises(ValueError, match="line 101: expected 2 cells, got 0"):
         ingest_csv(path)
-    assert fork.call_count == 1
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        pytest.param("x_1,z\r\n" + "0.5,1.0\r\n" * 30, id="crlf"),
-        pytest.param("x_1,z\n" + "0.5,1.0\n" * 10 + "0.5,1.0\r" + "0.5,1.0\n" * 20, id="lone-cr-in-head"),
-        pytest.param("x_1,z\n" + "0.5,1.0\n" * 20 + "0.5,1.0\r" + "0.5,1.0\n" * 10, id="lone-cr-in-tail"),
-        pytest.param('x_1,z,"a\nb"\n' + "0.5,1.0,2.0\n" * 30, id="header-spans-two-lines"),
-        pytest.param("x_1,z\n" + "0.5,1.0\n" * 30 + "\n", id="blank-last-line"),
-    ],
-)
-def test_split_ingest_falls_back_to_serial(tmp_path, content):
-    path = tmp_path / "d.csv"
-    path.write_text(content, newline="")
-    with _serial():
-        try:
-            expected = ingest_csv(path)
-        except ValueError as exc:
-            expected = str(exc)
-    with _split_at(10), _counting_fork() as fork:
-        try:
-            got = ingest_csv(path)
-        except ValueError as exc:
-            got = str(exc)
-        assert fork.call_count == 1
-    assert got == expected if isinstance(expected, str) else _same_dataset(got, expected)
-
-
-def _failing_in_child(fn, fail):
-    parent = os.getpid()
-
-    def wrapper(*args):
-        if os.getpid() != parent:
-            fail()
-        return fn(*args)
-
-    return wrapper
-
-
-def _raise():
-    raise RuntimeError("child failed")
-
-
-@pytest.mark.parametrize("fail", [lambda: os._exit(3), _raise], ids=["exit", "raise"])
-def test_failed_child_gives_serial_result(tmp_path, fail):
-    sim = make_datasets(SimConfig(setting="correct", n=300, p=2, seed=14, n_test=10))
-    path = tmp_path / "d.csv"
-    with _split_at(100), _counting_fork() as fork:
-        write_dataset_csv(sim.train, path)
-        assert path.read_bytes() == _csv_writer_bytes(sim.train)
-        with mock.patch.object(dataio, "_newlines", _failing_in_child(dataio._newlines, fail)):
-            ds = ingest_csv(path, schema="simulated")
-        assert fork.call_count == 1
-    assert _same_dataset(ds, sim.train)
-
-
-def test_parent_half_error_reaps_child_and_removes_temp(tmp_path):
-    sim = make_datasets(SimConfig(setting="correct", n=300, p=2, seed=15, n_test=10))
-    path = tmp_path / "d.csv"
-    write_dataset_csv(sim.train, path)
-    parent, load_rows = os.getpid(), dataio._load_rows
-
-    def parent_fails(*args):
-        if os.getpid() == parent:
-            raise OSError("read failed")
-        return load_rows(*args)
-
-    with _split_at(100), _counting_fork() as fork, mock.patch.object(dataio, "_load_rows", parent_fails):
-        with pytest.raises(OSError, match="read failed"):
-            ingest_csv(path)
-        assert fork.call_count == 1  # the fork_hygiene fixture checks that the child was reaped
-    assert os.listdir(tmp_path) == ["d.csv"]
-
-
-def test_no_fork_while_another_thread_runs(tmp_path):
-    sim = make_datasets(SimConfig(setting="correct", n=300, p=2, seed=16, n_test=10))
-    path = tmp_path / "d.csv"
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        with _split_at(100), _counting_fork() as fork:
-            write_dataset_csv(sim.train, path)
-            ds = ingest_csv(path, schema="simulated")
-        assert fork.call_count == 0
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert path.read_bytes() == _csv_writer_bytes(sim.train)
-    assert _same_dataset(ds, sim.train)
-
-
-def test_serial_path_without_fork_or_second_cpu(tmp_path, monkeypatch):
-    sim = make_datasets(SimConfig(setting="correct", n=300, p=2, seed=17, n_test=10))
-    path = tmp_path / "d.csv"
-    with _split_at(100):
-        with _counting_fork() as fork, mock.patch.object(os, "sched_getaffinity", return_value={0}):
-            write_dataset_csv(sim.train, path)
-            assert _same_dataset(ingest_csv(path, schema="simulated"), sim.train)
-        assert fork.call_count == 0
-        with mock.patch.object(os, "fork", side_effect=BlockingIOError("no process")):
-            write_dataset_csv(sim.train, path)
-            assert _same_dataset(ingest_csv(path, schema="simulated"), sim.train)
-        assert path.read_bytes() == _csv_writer_bytes(sim.train)
-        monkeypatch.delattr(os, "fork")
-        write_dataset_csv(sim.train, path)
-        assert _same_dataset(ingest_csv(path, schema="simulated"), sim.train)
-    assert path.read_bytes() == _csv_writer_bytes(sim.train)
 
 
 def test_sim_meta_roundtrip(tmp_path):
@@ -587,7 +430,7 @@ def _simulated_csv(tmp_path, setting="correct", seed=21, n=300):
 def _no_parse():
     """Fail every parse of CSV text, so a read that succeeds came from the sidecar."""
     with contextlib.ExitStack() as stack:
-        for name in ("_load_rows", "_load_split", "_parse_rows"):
+        for name in ("_load_rows", "_parse_rows"):
             stack.enter_context(mock.patch.object(dataio, name, side_effect=AssertionError(f"{name} ran")))
         yield
 

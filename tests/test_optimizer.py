@@ -132,6 +132,10 @@ def test_fit_config_validation():
         FitConfig(radius=1.0, tol=0.0)
     with pytest.raises(ValueError):
         FitConfig(radius=1.0, max_iter=0)
+    with pytest.raises(ValueError, match="^radius must be positive, got nan$"):
+        FitConfig(radius=float("nan"))
+    with pytest.raises(ValueError, match="^tol must be positive, got nan$"):
+        FitConfig(radius=1.0, tol=float("nan"))
 
 
 def test_fit_rejects_a_pgd_trial_step_whose_loss_overflows():

@@ -250,11 +250,19 @@ def test_sim_config_validation():
         ("rho", float("nan"), r"rho must lie in \(-1, 1\), got nan"),
         ("param_scale", -1.0, "param_scale must be positive, got -1.0"),
         ("param_scale", 0.0, "param_scale must be positive, got 0.0"),
+        ("lambda_eps_true", -1.0, "lambda_eps_true must be a finite positive real, got -1.0"),
+        ("lambda_eps_true", float("nan"), "lambda_eps_true must be a finite positive real, got nan"),
+        ("lambda_eps_true", float("inf"), "lambda_eps_true must be a finite positive real, got inf"),
+        ("tau", 0.0, "tau must be a finite positive real, got 0.0"),
+        ("tau", float("nan"), "tau must be a finite positive real, got nan"),
+        ("tau", float("inf"), "tau must be a finite positive real, got inf"),
+        ("tau", float("-inf"), "tau must be a finite positive real, got -inf"),
     ],
 )
 def test_sim_config_names_the_bad_field(field, value, message):
+    setting = "threshold" if field == "tau" else "correct"  # each setting checks only its own rate
     with pytest.raises(ValueError, match=f"^{message}$"):
-        SimConfig(**{"setting": "correct", "n": 10, field: value})
+        SimConfig(**{"setting": setting, "n": 10, field: value})
 
 
 def test_sim_config_stores_integer_fields_as_int():

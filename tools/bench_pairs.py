@@ -91,15 +91,24 @@ def copied_checkout():
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in tree; the run's summary line and its result file."""
+    """One perfbench run in tree; the run's summary line and its result file.
+
+    A failed run raises RuntimeError naming the tree, workload and seed and
+    ending with the last lines the run wrote to stderr.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree,
         capture_output=True,
         text=True,
-        check=True,
     )
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise RuntimeError(
+            f"perfbench/run.py in {tree} failed on workload {workload}, seed {seed} "
+            f"(exit status {proc.returncode}); the end of its stderr:\n{tail}"
+        )
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result_file = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     return {"summary": summary, "result_file": result_file}
