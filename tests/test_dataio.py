@@ -278,6 +278,24 @@ def test_ingest_accepts_files_read_as_before(tmp_path, content):
     assert np.array_equal(ds.z, [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param("x_1,z\r\n" + "0.5,1.0\r\n" * 30, id="crlf"),
+        pytest.param("x_1,z\n" + "0.5,1.0\n" * 10 + "0.5,1.0\r" + "0.5,1.0\n" * 20, id="lone-cr-in-head"),
+        pytest.param("x_1,z\n" + "0.5,1.0\n" * 20 + "0.5,1.0\r" + "0.5,1.0\n" * 10, id="lone-cr-in-tail"),
+    ],
+)
+def test_split_ingest_falls_back_to_serial(tmp_path, content):
+    # line endings that once made the reader give up its two-core split: the one parse reads every row
+    path = tmp_path / "d.csv"
+    path.write_text(content, newline="")
+    ds = ingest_csv(path)
+    rows = len(content.splitlines()) - 1
+    assert np.array_equal(ds.x, np.full((rows, 1), 0.5))
+    assert np.array_equal(ds.z, np.ones(rows))
+
+
 @settings(max_examples=100, deadline=None)
 @given(tables_with_bad_cells())
 def test_ingest_names_the_first_bad_line(table):
