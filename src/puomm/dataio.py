@@ -19,15 +19,25 @@ NaN or infinite cells in a column the schema reads; negative z; and,
 under the simulated schema, rows breaking u = 1{y > 0} or z = y*r.
 
 ``puomm simulate`` also writes a table sidecar beside each dataset CSV
-(``train.csv`` -> ``train.csv.table``): the SHA-256 of the CSV's bytes,
-then an ``np.save`` payload of the float64 table the CSV was written
-from, every header column in header order.  ingest_csv hashes the CSV in
-the pass that counts its lines, and reads the sidecar instead of parsing
-only when the digest matches and the payload is a float64 array of one
+(``train.csv`` -> ``train.csv.table``), with the CSV's permission bits:
+the SHA-256 of the CSV's bytes, then the bytes ``np.save`` writes for
+the float64 table the CSV was written from, every header column in
+header order.  ingest_csv hashes the CSV in the pass that counts its
+lines, and reads the sidecar instead of parsing only when the digest
+matches and the payload is a C-order little-endian float64 array of one
 row per data line and one column per header cell.  Any other sidecar,
 or none, means the CSV is parsed, so an edited CSV is parsed again and
 deleting a sidecar is always safe.  The same value checks run either
 way, and ingest_csv never writes a file.
+
+Tables move ``_BLOCK_ROWS`` rows at a time in both directions, so no
+whole-table copy is held beside the dataset being written or read.  The
+sidecar writer writes the array header and then each block's bytes.
+The reader reads the payload a block at a time into one buffer; the
+parse paths' one table is cut into blocks of the same size.  Each block's
+read columns are copied into a C-contiguous x and one vector per other
+column, and its values are checked with the block's row offset, so an
+error names the line it would name for the whole table.
 """
 
 from __future__ import annotations
@@ -58,6 +68,8 @@ LATENT_COLUMNS = ("y", "u", "r")
 # 4,096 rows 58.8 and 62.6 MB.
 _BLOCK_ROWS = 1024
 _CHUNK_BYTES = 1 << 20
+# The dtype of a sidecar's table, as np.save writes a float64 array on a little-endian host.
+_TABLE_DTYPE = np.dtype("<f8")
 
 
 def _format_rows(block: np.ndarray) -> bytes:
@@ -90,16 +102,18 @@ def _dataset_columns(ds: Dataset) -> tuple[list[str], list[np.ndarray]]:
     return header, cols
 
 
+def _row_blocks(cols: list[np.ndarray], rows: int):
+    """The table whose columns are cols, _BLOCK_ROWS rows at a time."""
+    for start in range(0, rows, _BLOCK_ROWS):
+        yield np.hstack([c[start : start + _BLOCK_ROWS] for c in cols])
+
+
 def write_dataset_csv(ds: Dataset, path: str | Path) -> bytes:
     """Columns x_1..x_p, z and, when latent fields exist, y, u, r; returns the SHA-256 of the bytes written."""
     header, cols = _dataset_columns(ds)
     digest = _sha256()
     with open(path, "wb") as fh:
-        chunks = itertools.chain(
-            [(",".join(header) + "\n").encode()],
-            (_format_rows(np.hstack([c[start : start + _BLOCK_ROWS] for c in cols]))
-             for start in range(0, ds.n, _BLOCK_ROWS)),
-        )
+        chunks = itertools.chain([(",".join(header) + "\n").encode()], map(_format_rows, _row_blocks(cols, ds.n)))
         for chunk in chunks:
             digest.update(chunk)
             fh.write(chunk)
@@ -122,42 +136,69 @@ def write_dataset_with_table(ds: Dataset, path: str | Path) -> None:
     """write_dataset_csv(ds, path), then the CSV's table sidecar.
 
     The sidecar holds the SHA-256 of the CSV's bytes as written, then the
-    np.save payload of ds's table.  np.save stamps nothing that varies
-    between runs, so the same dataset gives the same bytes.  The sidecar
-    is written to a temporary file and renamed into place, so a reader
-    never sees a partial one.
+    bytes np.save writes for ds's table: a version 1.0 header (C order,
+    little-endian float64) and the rows, written a block at a time so that
+    no whole-table copy is made.  Nothing in them varies between runs, so
+    the same dataset gives the same bytes.  The sidecar is written to a
+    temporary file, given the CSV's permission bits and renamed into place,
+    so a reader never sees a partial one, and whoever can read the CSV can
+    read its sidecar.
     """
     digest = write_dataset_csv(ds, path)
+    header, cols = _dataset_columns(ds)
     target = sidecar_path(path)
+    fmt = np.lib.format
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(digest)
-            np.save(fh, np.hstack(_dataset_columns(ds)[1]), allow_pickle=False)
+            fmt.write_array_header_1_0(
+                fh, {"descr": fmt.dtype_to_descr(_TABLE_DTYPE), "fortran_order": False, "shape": (ds.n, len(header))}
+            )
+            for block in _row_blocks(cols, ds.n):
+                fh.write(block.astype(_TABLE_DTYPE, copy=False))
+        os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _read_sidecar(path: Path, digest: bytes, shape: tuple[int, int]) -> np.ndarray | None:
-    """The table in path's sidecar, or None unless it holds digest and a float64 array of this shape.
+def _read_sidecar(path: Path, digest: bytes, shape: tuple[int, int], idx: list[int], p: int):
+    """_split_columns of the table in path's sidecar; None unless it holds digest and a C-order float64 table of shape.
 
-    The shape and dtype are checked in the array header before any data is
-    read; a missing, unreadable or truncated sidecar gives None too.
+    The digest and the array header are checked before any data is read;
+    a missing, unreadable or truncated sidecar gives None too.  The payload
+    is read a block of rows at a time into one reused buffer.
     """
     fmt = np.lib.format
+    rows, cells = shape
     try:
-        with open(sidecar_path(path), "rb") as fh:
+        fh = open(sidecar_path(path), "rb")
+    except OSError:
+        return None
+    with fh:
+        try:
             if fh.read(len(digest)) != digest or fmt.read_magic(fh) != (1, 0):
                 return None
-            stored_shape, _, dtype = fmt.read_array_header_1_0(fh)
-            if stored_shape != shape or dtype != np.float64:
-                return None
-            fh.seek(len(digest))
-            return np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
+            stored_shape, fortran_order, dtype = fmt.read_array_header_1_0(fh)
+        except (OSError, ValueError, EOFError):
+            return None
+        if stored_shape != shape or fortran_order or dtype != _TABLE_DTYPE:
+            return None
+        buf = np.empty((min(rows, _BLOCK_ROWS), cells), dtype)
+
+        def blocks():
+            for start in range(0, rows, _BLOCK_ROWS):
+                block = buf[: rows - start]
+                if fh.readinto(block) != block.nbytes:
+                    raise EOFError("truncated sidecar")
+                yield block
+
+        try:
+            return _split_columns(path, blocks(), rows, idx, p)
+        except (OSError, EOFError):
+            return None
 
 
 def _count_lines(path: Path, digest=None) -> int:
@@ -168,15 +209,16 @@ def _count_lines(path: Path, digest=None) -> int:
     bytes in the same pass.
     """
     lines, last = 0, b"\n"
+    buf = bytearray(_CHUNK_BYTES)  # one buffer for every chunk, so two chunks are never held at once
     with open(path, "rb") as fh:
-        while chunk := fh.read(_CHUNK_BYTES):
+        while size := fh.readinto(buf):
             if digest is not None:
-                digest.update(chunk)
-            lines += chunk.count(b"\n")
-            if b"\r" in chunk:
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across two chunks
-            last = chunk[-1:]
+                digest.update(memoryview(buf)[:size])
+            lines += buf.count(b"\n", 0, size)
+            if buf.find(b"\r", 0, size) >= 0:
+                lines += buf.count(b"\r", 0, size) - buf.count(b"\r\n", 0, size)
+            lines -= last == b"\r" and buf[:1] == b"\n"  # a CRLF split across two chunks
+            last = bytes(buf[size - 1 : size])
     return lines + (last not in (b"\n", b"\r"))
 
 
@@ -223,25 +265,49 @@ def _schema_columns(path: Path, header: list[str], schema: str) -> tuple[int, bo
     return p, schema == "simulated"
 
 
-def _check_values(path: Path, table: np.ndarray, z_col: int) -> None:
-    """Raise at the first row holding NaN, +-inf, or a negative z.
+def _check_values(path: Path, x: np.ndarray, cols, start: int = 0) -> None:
+    """Raise at the first row holding NaN or +-inf in x or cols, or a negative z.
 
-    One scan of the whole table decides; rows are located only when it fails.
+    x holds a block of feature rows and cols the block's other read
+    columns, z first; start is the table row of the block's first row.
+    One scan of the block decides; rows are located only when it fails.
     """
-    finite, negative = np.isfinite(table), table[:, z_col] < 0
-    if finite.all() and not negative.any():
+    z = cols[0]
+    if np.isfinite(x).all() and all(np.isfinite(col).all() for col in cols) and not (z < 0).any():
         return
-    finite = finite.all(axis=1)
-    bad = np.flatnonzero(~finite | negative)
-    if bad.size:
-        i = int(bad[0])
-        line = i + 2  # header occupies line 1
-        if not finite[i]:
-            raise ValueError(f"{path}: line {line}: non-finite cell")
-        raise ValueError(f"{path}: line {line}: z must be nonnegative, got {table[i, z_col]}")
+    finite = np.isfinite(x).all(axis=1)
+    for col in cols:
+        finite &= np.isfinite(col)
+    bad = np.flatnonzero(~finite | (z < 0))
+    i = int(bad[0])
+    line = start + i + 2  # header occupies line 1
+    if not finite[i]:
+        raise ValueError(f"{path}: line {line}: non-finite cell")
+    raise ValueError(f"{path}: line {line}: z must be nonnegative, got {z[i]}")
 
 
-def _parse_rows(path: Path, n_cells: int, idx: list[int], z_col: int) -> np.ndarray:
+def _split_columns(path: Path, blocks, rows: int, idx: list[int], p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """C-contiguous x from columns idx[:p] and one vector per column of idx[p:], z first.
+
+    blocks yields the table's rows in order, rows in all, a block at a
+    time.  Each block is copied into the result and its values checked, so
+    a bad value raises naming the line it would for the whole table, and
+    no whole-table copy is made.
+    """
+    x = np.empty((rows, p))
+    cols = [np.empty(rows) for _ in idx[p:]]
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        np.take(block, idx[:p], axis=1, out=x[start:stop], mode="clip")  # not "raise", which buffers out
+        for col, j in zip(cols, idx[p:]):
+            col[start:stop] = block[:, j]
+        _check_values(path, x[start:stop], [col[start:stop] for col in cols], start)
+        start = stop
+    return x, cols
+
+
+def _parse_rows(path: Path, n_cells: int, idx: list[int], p: int) -> np.ndarray:
     """Row-by-row parse of columns idx; raises at the first bad line.
 
     Used when the single-call parse fails or miscounts rows.  It accepts
@@ -262,7 +328,7 @@ def _parse_rows(path: Path, n_cells: int, idx: list[int], z_col: int) -> np.ndar
                 continue
             except ValueError:
                 err = "non-numeric cell"
-        _check_values(path, table[:i], z_col)
+        _check_values(path, table[:i, :p], table[:i, p:].T)
         raise ValueError(f"{path}: line {i + 2}: {err}")
     return table
 
@@ -288,22 +354,20 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         p, simulated = _schema_columns(path, header, schema)
+        needed = [f"x_{j + 1}" for j in range(p)] + ["z"] + (list(LATENT_COLUMNS) if simulated else [])
+        idx = [header.index(name) for name in needed]
         digest = _sha256() if sidecar_path(path).exists() else None
         records = _count_lines(path, digest) - 1
-        table = None if digest is None else _read_sidecar(path, digest.digest(), (records, len(header)))
-        if table is None:
-            table = _load_rows(fh, records, len(header))
-    needed = [f"x_{j + 1}" for j in range(p)] + ["z"] + (list(LATENT_COLUMNS) if simulated else [])
-    idx = [header.index(name) for name in needed]
-    if table is not None:
-        table = table[:, idx]
-    else:  # blank lines, ragged rows, cells loadtxt cannot read: locate or accept row by row
-        table = _parse_rows(path, len(header), idx, z_col=p)
-    _check_values(path, table, z_col=p)
-
-    x = np.ascontiguousarray(table[:, :p])
-    cols = {name: table[:, p + k].copy() for k, name in enumerate(needed[p:])}
-    ds = Dataset(x=x, **cols)
+        columns = None if digest is None else _read_sidecar(path, digest.digest(), (records, len(header)), idx, p)
+        table = None if columns is not None else _load_rows(fh, records, len(header))
+    if columns is None:
+        if table is None:  # blank lines, ragged rows, cells loadtxt cannot read: locate or accept row by row
+            table, idx = _parse_rows(path, len(header), idx, p), list(range(len(idx)))
+        blocks = (table[start : start + _BLOCK_ROWS] for start in range(0, len(table), _BLOCK_ROWS))
+        columns = _split_columns(path, blocks, len(table), idx, p)
+        del table  # not needed beside the dataset built from columns
+    x, cols = columns
+    ds = Dataset(x=x, **dict(zip(needed[p:], cols)))
     if simulated:
         bad = ds.latent_mismatch()
         if bad is not None:

@@ -31,7 +31,8 @@ from .selection import (
     make_lambda_grid,
 )
 from .metrics import evaluate_trial
-from .simulate import SimConfig, make_datasets, store_integer_fields
+from .model import store_integer_fields
+from .simulate import SimConfig, make_datasets
 
 SIM_METRICS = ("rmse_beta", "rmse_theta", "brier", "misclassification", "mad", "rmse_pred", "smape")
 REAL_METRICS = ("brier", "misclassification", "mad", "rmse_pred", "smape")
@@ -114,9 +115,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("simulation", "real_data"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        store_integer_fields(self, ("trials", "base_seed", "grid_size"))
+        store_integer_fields(self, ("trials", "base_seed", "grid_size", "max_iter"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.grid_size < 2:
+            raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
+        lo, hi = self.grid_lo, self.grid_hi
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0 < lo < hi < math.inf):
+            raise ValueError(f"grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got {lo!r} and {hi!r}")
+        _fit_config(self, p=1)  # FitConfig names a bad tol, max_iter or radius
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")

@@ -24,6 +24,7 @@ still names the first bad sample in the original row order.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -42,6 +43,16 @@ class NumericalError(ValueError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+def store_integer_fields(obj, names) -> None:
+    """Set each named field of obj to an int; ValueError naming the first field that is not an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            setattr(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass

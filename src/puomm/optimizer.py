@@ -22,12 +22,21 @@ trace is monotone non-increasing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .model import Dataset, DetectionParam, NumericalError, ParamPair, make_hessian, make_objective
+from .model import (
+    Dataset,
+    DetectionParam,
+    NumericalError,
+    ParamPair,
+    make_hessian,
+    make_objective,
+    store_integer_fields,
+)
 
 # A PGD step starts at INIT_STEP each iteration and shrinks by BACKTRACK_FACTOR
 # until the projected sufficient-decrease test passes, or gives up below STEP_FLOOR.
@@ -67,11 +76,13 @@ class FitConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
+        store_integer_fields(self, ("max_iter",))
         for name in ("radius", "tol"):
-            if not getattr(self, name) > 0:  # NaN fails this too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):  # NaN fails this too
+                raise ValueError(f"{name} must be a finite positive real, got {value!r}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass

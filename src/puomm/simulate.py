@@ -13,13 +13,12 @@ and true-response evaluation remain possible.
 from __future__ import annotations
 
 import enum
-import operator
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, store_integer_fields
 from .special import expit
 
 
@@ -32,16 +31,6 @@ class Setting(str, enum.Enum):
 # Stream indices for seed spawning; fixed so that outputs are stable
 # across releases and independent draws stay independent.
 _S_PARAMS, _S_DESIGN, _S_LATENT, _S_MISSING, _S_TEST = range(5)
-
-
-def store_integer_fields(obj, names) -> None:
-    """Set each named field of obj to an int; ValueError naming the first field that is not an integer."""
-    for name in names:
-        value = getattr(obj, name)
-        try:
-            setattr(obj, name, operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass

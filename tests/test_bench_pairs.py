@@ -30,7 +30,7 @@ def test_paired_summary_counts_wins_and_leaves_ties_to_neither_side():
         {"before": _summary(b, 10), "after": _summary(a, 12, failed=f)}
         for b, a, f in [(0.20, 0.18, 0), (0.21, 0.22, 1), (0.19, 0.17, 0), (0.20, 0.20, 0), (0.22, 0.19, 0)]
     ]
-    out = bench_pairs.paired_summary(pairs)
+    out = bench_pairs.paired_summary(pairs, {"op_s.mean_norm": "lower"})
     op = out["op_s.mean_norm"]
     assert op["unit"] == "s" and op["pairs"] == 5
     assert op["pairs_after_lower"] == 3
@@ -38,10 +38,31 @@ def test_paired_summary_counts_wins_and_leaves_ties_to_neither_side():
     assert op["before"]["q1"] <= op["before"]["median"] <= op["before"]["q3"]
     assert op["before"]["median"] == 0.2
     assert out["beta_err"]["pairs_after_lower"] == 0  # identical estimates tie
+    assert op["better"] == "lower" and op["gain"] is False  # 3 of 5 pairs
+    assert out["beta_err"]["better"] is None and out["beta_err"]["gain"] is None  # no direction given
     assert out["ops"] == {
         "before": {"attempted": [10] * 5, "failed": 0},
         "after": {"attempted": [12] * 5, "failed": 1},
     }
+
+
+_PARENT = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0, 1.0]  # quartiles 0.975 and 1.0125
+
+
+@pytest.mark.parametrize(
+    "after, holds",
+    [
+        ([v - 0.2 for v in _PARENT], True),
+        ([v - 0.2 for v in _PARENT[:9]] + [1.2], True),  # 9 of 10 pairs
+        ([v - 0.2 for v in _PARENT[:8]] + [1.2, 1.2], False),  # 8 of 10 pairs
+        ([v - 0.03 for v in _PARENT], False),  # every pair, but the median gap is inside the parent's spread
+        ([v - 0.2 for v in _PARENT[:8]] + _PARENT[8:], False),  # two ties, which are not wins: 8 of 10
+    ],
+)
+def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_spread(after, holds):
+    assert bench_pairs.gain_holds(_PARENT, after, "lower") is holds
+    # the same runs of a metric where higher is better, mirrored
+    assert bench_pairs.gain_holds([-v for v in _PARENT], [-v for v in after], "higher") is holds
 
 
 def test_exported_tree_is_removed_when_the_body_or_the_export_fails(tmp_path, monkeypatch):
@@ -64,7 +85,7 @@ def test_exported_tree_is_removed_when_the_body_or_the_export_fails(tmp_path, mo
     assert not made.exists()
 
 
-def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypatch):
+def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypatch, capsys):
     runs = []
 
     def fake_run_once(tree, workload, seed, seconds):
@@ -81,7 +102,8 @@ def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypat
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "checkout")
     (tmp_path / "checkout").mkdir()
     (tmp_path / "checkout" / "BENCHMARK.json").write_text(
-        '{"run_seconds": 50, "workloads": [{"name": "cli_io"}, {"name": "experiment_sweep"}]}'
+        '{"run_seconds": 50, "workloads": [{"name": "cli_io"}, {"name": "experiment_sweep"}],'
+        ' "end_to_end": [{"name": "op_s.mean_norm", "better": "lower"}, {"name": "beta_err", "better": "lower"}]}'
     )
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: type("Done", (), {"stdout": "abc1234\n"})())
     out = tmp_path / "BENCH_x.json"
@@ -91,9 +113,15 @@ def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypat
     summary = bench_pairs.json.loads(out.read_text())
     assert summary["before"] == "abc1234" and summary["seeds"] == [1, 2]
     assert summary["environment"] == {"nproc": 2}
+    printed = capsys.readouterr().out
     for wl in ("cli_io", "experiment_sweep"):
-        assert summary["end_to_end"][wl]["op_s.mean_norm"]["pairs_after_lower"] == 2
+        op = summary["end_to_end"][wl]["op_s.mean_norm"]
+        assert op["pairs_after_lower"] == 2 and op["better"] == "lower" and op["gain"] is True
+        assert summary["end_to_end"][wl]["beta_err"]["gain"] is False  # identical in every pair
         assert [c["seed"] for c in summary["compare"][wl]] == [1, 2]
+        assert f"{wl} op_s.mean_norm: median 0.2 -> 0.1 s" in printed
+        assert f"{wl} beta_err: median 0.5 -> 0.5 l2" in printed
+    assert printed.count("gain rule holds") == 2 and printed.count("gain rule fails") == 2
 
 
 def test_a_failed_run_names_its_tree_workload_and_seed_and_ends_with_its_stderr(tmp_path):

@@ -585,6 +585,38 @@ def test_experiment_config_names_a_non_integer_field(tmp_path, capsys, field, va
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"grid": {"size": 1}}, "grid_size must be >= 2, got 1"),
+        ({"grid": {"lo": 0.5, "hi": 0.1}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.5 and 0.1"),
+        ({"grid": {"lo": 0.0}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.0 and 50.0"),
+        ({"grid": {"hi": math.inf}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.02 and inf"),
+        ({"grid": {"lo": "0.1"}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got '0.1' and 50.0"),
+        ({"fit": {"tol": math.nan}}, "tol must be a finite positive real, got nan"),
+        ({"fit": {"tol": math.inf}}, "tol must be a finite positive real, got inf"),
+        ({"fit": {"tol": "1e-3"}}, "tol must be a finite positive real, got '1e-3'"),
+        ({"fit": {"radius": -1}}, "radius must be a finite positive real, got -1"),
+        ({"fit": {"max_iter": 2.5}}, "max_iter must be an integer, got 2.5"),
+        ({"fit": {"max_iter": 0}}, "max_iter must be >= 1, got 0"),
+    ],
+    ids=[
+        "grid_size", "grid_reversed", "grid_lo_zero", "grid_hi_inf", "grid_lo_text",
+        "tol_nan", "tol_inf", "tol_text", "radius_negative", "max_iter_float", "max_iter_zero",
+    ],
+)
+def test_experiment_config_names_a_bad_grid_or_fit_field(tmp_path, capsys, change, message):
+    # checked with the config, so no pu_omm cell is written as failed
+    raw = {**_SIM_CONFIG, "methods": ["pu_omm"], "output_dir": str(tmp_path / "out"), **change}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("n_values", [[50.0], [50, 0], ["50"]])
 def test_experiment_config_rejects_bad_n_values(n_values):
     # checked with the config, before run_experiment makes its output directory

@@ -5,7 +5,9 @@ import hashlib
 import io
 import os
 import re
+import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -436,12 +438,13 @@ def test_ingest_rejects_a_repeated_column_name(tmp_path, header):
 _SCHEMAS = ("observed_only", "simulated", "auto")
 
 
-def _simulated_csv(tmp_path, setting="correct", seed=21, n=300):
-    """A simulated training CSV with its table sidecar, and the dataset it was written from."""
-    sim = make_datasets(SimConfig(setting=setting, n=n, p=3, seed=seed, n_test=10))
+def _simulated_csv(tmp_path, setting="correct", seed=21, n=300, p=3):
+    """A simulated training CSV of n rows with its table sidecar, and the dataset it was written from."""
+    sim = make_datasets(SimConfig(setting=setting, n=max(n, 1), p=p, seed=seed, n_test=10))
+    train = sim.train.subset(np.arange(n))
     path = tmp_path / "train.csv"
-    dataio.write_dataset_with_table(sim.train, path)
-    return path, sim.train
+    dataio.write_dataset_with_table(train, path)
+    return path, train
 
 
 @contextlib.contextmanager
@@ -455,14 +458,18 @@ def _no_parse():
 
 @pytest.mark.parametrize("setting", ["correct", "lognormal", "threshold"])
 def test_sidecar_read_is_bit_identical_to_the_parse(tmp_path, setting):
-    path, train = _simulated_csv(tmp_path, setting)
-    with _no_parse():
-        via_sidecar = {schema: ingest_csv(path, schema) for schema in _SCHEMAS}
-    dataio.sidecar_path(path).unlink()
-    for schema, ds in via_sidecar.items():
-        assert _same_dataset(ds, ingest_csv(path, schema))
-    assert _same_dataset(via_sidecar["simulated"], train)
-    assert via_sidecar["observed_only"].y is None and via_sidecar["auto"].has_latent
+    # one block, two full blocks and a partial one, and no rows at all
+    for n in (300, 2 * dataio._BLOCK_ROWS + 5, 0):
+        (tmp_path / str(n)).mkdir()
+        path, train = _simulated_csv(tmp_path / str(n), setting, n=n)
+        with _no_parse():
+            via_sidecar = {schema: ingest_csv(path, schema) for schema in _SCHEMAS}
+        dataio.sidecar_path(path).unlink()
+        for schema, ds in via_sidecar.items():
+            assert ds.n == n and ds.x.flags.c_contiguous
+            assert _same_dataset(ds, ingest_csv(path, schema))
+        assert _same_dataset(via_sidecar["simulated"], train)
+        assert via_sidecar["observed_only"].y is None and via_sidecar["auto"].has_latent
 
 
 def _npy(table):
@@ -473,6 +480,9 @@ def _npy(table):
 
 _BAD_SIDECARS = {
     "truncated": lambda data, table: data[:-9],
+    # the payload ends where the last, partial block of rows begins
+    "truncated_last_block": lambda data, table: data[: len(data) - len(table) % dataio._BLOCK_ROWS * table.shape[1] * 8],
+    "fortran_order": lambda data, table: data[:32] + _npy(np.asfortranarray(table)),
     "truncated_header": lambda data, table: data[:40],
     "garbage": lambda data, table: bytes(range(256)) * 8,
     "wrong_digest": lambda data, table: bytes([data[0] ^ 1]) + data[1:],
@@ -483,7 +493,7 @@ _BAD_SIDECARS = {
 
 @pytest.mark.parametrize("bad", sorted(_BAD_SIDECARS))
 def test_a_bad_sidecar_falls_back_to_the_parse(tmp_path, bad):
-    path, train = _simulated_csv(tmp_path)
+    path, train = _simulated_csv(tmp_path, n=2 * dataio._BLOCK_ROWS + 5)
     sidecar = dataio.sidecar_path(path)
     table = np.load(io.BytesIO(sidecar.read_bytes()[32:]))
     sidecar.write_bytes(_BAD_SIDECARS[bad](sidecar.read_bytes(), table))
@@ -533,6 +543,50 @@ def test_sidecar_holds_the_csv_digest_and_the_written_table(tmp_path):
     assert table.dtype == np.float64 and table.shape == (20, 7)
     assert np.array_equal(_bits(table), _bits(np.loadtxt(path, delimiter=",", skiprows=1)))
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []  # no temporary file left
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_the_sidecar_has_its_csv_permission_bits(tmp_path, umask):
+    # a sidecar its CSV's readers cannot open would send them to the parse
+    old = os.umask(umask)
+    try:
+        path, _ = _simulated_csv(tmp_path)
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(f.stat().st_mode) for f in (path, dataio.sidecar_path(path))]
+    assert modes == [0o666 & ~umask] * 2
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the most bytes tracemalloc saw allocated during the call beyond those live before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        return fn(*args), tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+_STREAM_ROWS = 20_000  # p=10 with latent columns: a 2.24 MB table, 20 blocks of rows
+
+
+def test_the_sidecar_writer_holds_no_whole_table(tmp_path):
+    sim = make_datasets(SimConfig(setting="correct", n=_STREAM_ROWS, p=10, seed=5, n_test=10))
+    table_bytes = _STREAM_ROWS * 14 * 8
+    _, peak = _traced_peak(dataio.write_dataset_with_table, sim.train, tmp_path / "train.csv")
+    assert peak < table_bytes
+
+
+def test_ingest_holds_its_result_and_one_block_of_rows(tmp_path):
+    path, _ = _simulated_csv(tmp_path, n=_STREAM_ROWS, p=10)
+    block_bytes = dataio._BLOCK_ROWS * 14 * 8
+    for schema in _SCHEMAS:
+        ds, peak = _traced_peak(ingest_csv, path, schema)
+        result_bytes = sum(a.nbytes for a in (ds.x, ds.z, ds.y, ds.u, ds.r) if a is not None)
+        # beyond one block of rows: Dataset's finiteness scan of x, one byte per cell, and
+        # 64 KiB for the open files, the header and per-block temporaries
+        assert peak < result_bytes + block_bytes + ds.x.size + 64 * 1024, schema
 
 
 def test_pu_omm_model_json_roundtrip(tmp_path):

@@ -132,10 +132,14 @@ def test_fit_config_validation():
         FitConfig(radius=1.0, tol=0.0)
     with pytest.raises(ValueError):
         FitConfig(radius=1.0, max_iter=0)
-    with pytest.raises(ValueError, match="^radius must be positive, got nan$"):
+    with pytest.raises(ValueError, match="^radius must be a finite positive real, got nan$"):
         FitConfig(radius=float("nan"))
-    with pytest.raises(ValueError, match="^tol must be positive, got nan$"):
+    with pytest.raises(ValueError, match="^tol must be a finite positive real, got nan$"):
         FitConfig(radius=1.0, tol=float("nan"))
+    with pytest.raises(ValueError, match="^max_iter must be an integer, got 2.5$"):
+        FitConfig(radius=1.0, max_iter=2.5)
+    cfg = FitConfig(radius=1.0, max_iter=np.int64(5))
+    assert cfg.max_iter == 5 and type(cfg.max_iter) is int
 
 
 def test_fit_rejects_a_pgd_trial_step_whose_loss_overflows():

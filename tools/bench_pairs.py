@@ -17,7 +17,12 @@ first on odd seeds and second on even ones.  perfbench/compare.py
 then checks the two runs' per-op counts and estimates.  The summary goes to
 --out in the schema of BENCH_solver.json: per metric, each side's median and
 quartiles (statistics.quantiles, as compare.py reports them), every run's
-value, and the number of pairs in which the change's value is lower.
+value, and the number of pairs in which the change's value is lower.  Each
+metric that BENCHMARK.json gives a direction ("better": "lower" or "higher")
+also records whether the gain rule holds for it: the change is better in at
+least 9 of every 10 pairs, and its median is better than the parent's by more
+than the distance between the parent's quartiles.  The medians of every
+metric are printed at the end.
 Each run's result file is kept as .bench_out/pairs/<side>-<workload>-seed<seed>.json.
 """
 
@@ -133,11 +138,26 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def paired_summary(pairs: list[dict]) -> dict:
-    """Per metric: each side's quartiles and values, and the pairs the change won.
+def gain_holds(before: list[float], after: list[float], better: str) -> bool:
+    """Whether the paired runs show a gain for a metric whose better direction is "lower" or "higher".
+
+    The change must be better in at least 9 of every 10 pairs (a tie is not
+    better), and its median better than the parent's by more than the
+    parent's quartile spread.
+    """
+    sign = {"lower": 1, "higher": -1}[better]
+    wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+    parent, change = quartiles(before), quartiles(after)
+    return 10 * wins >= 9 * len(before) and sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"]
+
+
+def paired_summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's quartiles and values, the pairs the change won, and the gain rule's verdict.
 
     pairs holds one {"before": summary, "after": summary} per seed, where a
-    summary is run.py's last output line.  A tie counts for neither side.
+    summary is run.py's last output line.  better maps a metric's name to its
+    better direction; a metric it lacks gets no verdict (gain is None).  A tie
+    counts for neither side.
     """
     out = {}
     for name, info in pairs[0]["before"]["metrics"].items():
@@ -147,6 +167,8 @@ def paired_summary(pairs: list[dict]) -> dict:
             **{side: {**quartiles(values[side]), "values": values[side]} for side in SIDES},
             "pairs_after_lower": sum(a < b for b, a in zip(values["before"], values["after"])),
             "pairs": len(pairs),
+            "better": better.get(name),
+            "gain": gain_holds(values["before"], values["after"], better[name]) if name in better else None,
         }
     out["ops"] = {
         side: {
@@ -156,6 +178,16 @@ def paired_summary(pairs: list[dict]) -> dict:
         for side in SIDES
     }
     return out
+
+
+def medians_line(workload: str, name: str, m: dict) -> str:
+    """One metric's medians and pair count from paired_summary, and the gain rule's verdict if it has one."""
+    verdict = {True: "; gain rule holds", False: "; gain rule fails", None: ""}[m["gain"]]
+    return (
+        f"{workload} {name}: median {m['before']['median']:.6g} -> {m['after']['median']:.6g} {m['unit']}"
+        f" (parent quartiles {m['before']['q1']:.6g}-{m['before']['q3']:.6g});"
+        f" after lower in {m['pairs_after_lower']}/{m['pairs']} pairs{verdict}"
+    )
 
 
 def _raise_exit(signum, frame):
@@ -172,6 +204,7 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads, seconds = [w["name"] for w in benchmark["workloads"]], benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark.get("end_to_end", [])}
     signal.signal(signal.SIGTERM, _raise_exit)  # so the parent's tree is removed on kill too
 
     keep = ROOT / ".bench_out" / "pairs"
@@ -210,10 +243,14 @@ def main(argv=None) -> int:
         "one process at a time; before ran first on odd seeds, after on even seeds; "
         "each side ran in a fresh temporary copy of its files",
         "environment": environment,
-        "end_to_end": {wl: paired_summary(pairs[wl]) for wl in workloads},
+        "end_to_end": {wl: paired_summary(pairs[wl], better) for wl in workloads},
         "compare": checks,
     }
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
+    for wl, metrics in summary["end_to_end"].items():
+        for name, m in metrics.items():
+            if name != "ops":
+                print(medians_line(wl, name, m))
     print(f"wrote {args.out}")
     return 0
 
