@@ -11,8 +11,12 @@ likelihood, its analytic gradient and its analytic Hessian.
 Every evaluation reads one private per-point state, _RowTerms: the rows
 are split once into recorded and zero blocks, stored feature-major
 (p x rows), and one pass per point computes both linear predictors, the
-expit pairs and the log-likelihood total.  The terms of the last point
-are kept, so loss, gradient and Hessian at one point share that pass.
+expit pairs and the log-likelihood total.  Both blocks take their sigmoid
+pairs from special.expit_pair, one clipped exp per block with no sign
+test; the recorded rows take log expit(x.theta) from special.log_expit,
+which stays exact where the clipped pair saturates.  The terms of the
+last point are kept, so loss, gradient and Hessian at one point share
+that pass.
 The optimizer's closures (make_objective, make_hessian) read one shared
 state per Dataset object, rate and thread, so a fit splits the rows once
 and a Hessian at the point the gradient just saw reuses its terms.  The
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import expit, expit_pair
+from .special import expit, expit_pair, log_expit
 
 # Keeps log(1 - q) finite at extreme parameter values.
 _Q_MAX = 1.0 - 1e-15
@@ -223,7 +227,13 @@ class _RowTerms:
     One product w.reshape(2, p) @ X^T gives both linear predictors of a
     block.  The terms kept are expit(+-a) and q = expit(a) expit(b) on
     zero rows, expit(+-b) and exp(-x.beta) on recorded rows, each row's
-    log-likelihood term and their total.  They are recomputed only when
+    log-likelihood term and their total.  Every expit pair comes from
+    expit_pair: within 4 ulp of the exact sigmoids for |predictor| <= 700,
+    and held at its value at +-700 beyond.  On zero rows the pairs feed q,
+    1 - q and the derivative weights, where that ~1e-304 tail is
+    negligible.  A recorded row's loss needs log expit(b) itself, which is
+    about b far below zero, so it comes from log_expit, exact in both
+    tails, and not from the clipped pair.  The terms are recomputed only when
     at() gets a point that differs from a private copy of the last one,
     so evaluating the loss, the gradient and the Hessian at one point pays
     for them once, and mutating the caller's array in place never serves
@@ -256,13 +266,12 @@ class _RowTerms:
             ab = coef @ self.XnT
             ab[0] += self.loglam
             xbp, bp = coef @ self.XpT
-            (self.sig_an, self.sig_bn), (self.comp_an, self.comp_bn), _ = expit_pair(ab)
+            (self.sig_an, self.sig_bn), (self.comp_an, self.comp_bn) = expit_pair(ab)
             self.qn = np.minimum(self.sig_an * self.sig_bn, _Q_MAX)
-            self.sig_bp, self.comp_bp, exp_bp = expit_pair(bp)
+            self.sig_bp, self.comp_bp = expit_pair(bp)
             self.ratep = np.exp(-xbp)
             self.ell_n = np.log1p(-self.qn)
-            # log_expit(bp) from the exp(-|bp|) already at hand
-            self.ell_p = -xbp - self.ratep * self.zp + (np.minimum(bp, 0.0) - np.log1p(exp_bp))
+            self.ell_p = -xbp - self.ratep * self.zp + log_expit(bp)
             self.total = np.sum(self.ell_n) + np.sum(self.ell_p)
         self.w = w.copy()
         return self

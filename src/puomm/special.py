@@ -1,11 +1,19 @@
 """The few special functions the package needs, in plain numpy.
 
 expit and log_expit use the same branch-per-sign arithmetic as the usual
-C implementations, so they never overflow.  digamma and trigamma shift
-the argument up by SHIFT with the recurrences psi(x) = psi(x + 1) - 1/x
-and psi'(x) = psi'(x + 1) + 1/x^2, then sum the asymptotic (Bernoulli)
-series, whose truncation error at x >= SHIFT is below 1e-16 relative.
-Both are meant for x > 0, where the package uses them (Gamma shapes).
+C implementations, so they never overflow and keep their relative accuracy
+in both tails.  expit_pair, the likelihood's sigmoid pair, takes no sign
+branch: with e = exp(-clip(x, -EXPIT_CLIP, EXPIT_CLIP)) it returns
+1/(1 + e) and e/(1 + e) as e * (1/(1 + e)).  The clip keeps e finite, so
+nothing overflows; each output is within 4 ulp of the exact sigmoid for
+|x| <= EXPIT_CLIP, and past it both stay at their values at +-EXPIT_CLIP
+(a tail of ~1e-304 instead of a subnormal or zero).
+
+digamma and trigamma shift the argument up by SHIFT with the recurrences
+psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2, then sum the
+asymptotic (Bernoulli) series, whose truncation error at x >= SHIFT is
+below 1e-16 relative.  Both are meant for x > 0, where the package uses
+them (Gamma shapes).
 
 Each function takes a scalar or an array and returns a numpy scalar for
 a scalar argument, like a ufunc.
@@ -16,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 SHIFT = 10
+# |x| past which expit_pair's exp argument is clipped; exp(700) ~ 1e304 is finite.
+EXPIT_CLIP = 700.0
 
 # B_2k / (2k) for k = 1..7, the digamma series coefficients of x^-2k.
 _DIGAMMA_COEF = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
@@ -24,24 +34,35 @@ _TRIGAMMA_COEF = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 def expit(x):
-    """Logistic function 1 / (1 + exp(-x)), overflow-free for any float."""
+    """Logistic function 1 / (1 + exp(-x)), overflow-free for any float.
+
+    It is where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|), computed in
+    place in e's buffer beside one for the denominator, so a long x costs
+    two temporaries.
+    """
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return (np.where(x >= 0, 1.0, e) / (1.0 + e))[()]
+    out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    den = out + 1.0
+    np.copyto(out, 1.0, where=x >= 0)
+    np.divide(out, den, out=out)
+    return out[()]
 
 
 def expit_pair(x):
-    """(expit(x), expit(-x), exp(-|x|)) from one exp, bit-identical to two expit calls.
+    """(expit(x), expit(-x)) from one clipped exp and no sign test.
 
-    Both sigmoids are 1/(1 + e) or e/(1 + e) with e = exp(-|x|); at x = 0
-    the two quotients coincide, so the sign test alone picks each one.
+    With e = exp(-clip(x, -EXPIT_CLIP, EXPIT_CLIP)), expit(x) = 1/(1 + e)
+    and expit(-x) = e expit(x).  Both are within 4 ulp of the exact values
+    for |x| <= EXPIT_CLIP, they never exceed 1, and past the clip they
+    equal their values at +-EXPIT_CLIP; no warning is raised for any input.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    den = 1.0 + e
-    big, small = 1.0 / den, e / den
-    up = x >= 0
-    return np.where(up, big, small)[()], np.where(up, small, big)[()], e[()]
+    e = np.exp(-np.clip(x, -EXPIT_CLIP, EXPIT_CLIP))
+    sig = 1.0 / (1.0 + e)
+    return sig[()], (e * sig)[()]
 
 
 def log_expit(x):

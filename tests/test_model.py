@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from puomm import special
 from puomm.metrics import predict_magnitude, predict_occurrence
 from puomm.model import (
     Dataset,
+    _Q_MAX,
     _RowTerms,
     _STATES,
     _state_for,
@@ -362,6 +363,59 @@ def test_objective_is_finite_or_raises_at_extreme_predictors(case):
         return
     assert value_g == value
     assert np.isfinite(g).all()
+
+
+def _close(got, ref, k, scale=None):
+    """|got - ref| <= k eps scale (scale |ref| by default), or within the smallest subnormal."""
+    scale = np.abs(ref) if scale is None else scale
+    return np.abs(got - ref) <= k * np.finfo(float).eps * scale + np.spacing(0.0)
+
+
+def _reference_row_terms(s: _RowTerms, w: np.ndarray) -> dict:
+    """The kept row terms from scipy.special at the state's own linear predictors."""
+    coef = w.reshape(2, s.p)
+    an, bn = coef @ s.XnT
+    an = an + s.loglam
+    xbp, bp = coef @ s.XpT
+    qn = np.minimum(expit(an) * expit(bn), _Q_MAX)
+    ref = {
+        "sig_an": expit(an), "comp_an": expit(-an), "sig_bn": expit(bn), "comp_bn": expit(-bn),
+        "qn": qn, "ell_n": np.log1p(-qn), "sig_bp": expit(bp), "comp_bp": expit(-bp),
+        "ell_p": -xbp - np.exp(-xbp) * s.zp + log_expit(bp),
+    }
+    return ref, np.maximum(np.abs(an), np.abs(bn)) <= 700.0, np.abs(bp) <= 700.0, xbp, bp
+
+
+@settings(max_examples=200, deadline=None)
+@given(_objective_cases())
+def test_row_terms_match_scipy_where_predictors_are_within_the_clip(case):
+    # each sigmoid is one rounding of scipy's, q a product of two of them,
+    # and log(1 - q) inherits q's error scaled by q / (1 - q)
+    ds, w, d = case
+    s = _RowTerms(ds, d).at(w)
+    ref, ok_n, ok_p, xbp, bp = _reference_row_terms(s, w)
+    for name in ("sig_an", "comp_an", "sig_bn", "comp_bn", "sig_bp", "comp_bp"):
+        got = getattr(s, name)
+        assert ((got >= 0) & (got <= 1)).all()
+        ok = ok_p if name.endswith("p") else ok_n
+        assert _close(got[ok], ref[name][ok], 4).all(), name
+    qn = ref["qn"][ok_n]
+    assert _close(s.qn[ok_n], qn, 9).all()
+    assert _close(s.ell_n[ok_n], ref["ell_n"][ok_n], 2, np.abs(ref["ell_n"][ok_n]) + 5 * qn / (1 - qn)).all()
+    terms = np.abs(xbp) + np.exp(-xbp) * s.zp + np.abs(log_expit(bp))
+    assert _close(s.ell_p[ok_p], ref["ell_p"][ok_p], 4, terms[ok_p]).all()
+
+
+def test_recorded_rows_keep_the_exact_log_sigmoid_past_the_clip():
+    # expit_pair(b) stops at its value at b = -700, so log(sig_bp) would read
+    # -700 there; ell_p takes log expit(b) from log_expit, exact in both tails
+    ds, d = Dataset(x=[[1.0], [2.0], [-1.5]], z=[1.0, 0.5, 0.0]), DetectionParam(0.24)
+    w = np.array([0.1, -800.0])
+    s = _RowTerms(ds, d).at(w)
+    ref, _, ok_p, _, bp = _reference_row_terms(s, w)
+    assert (bp < -700.0).all() and not ok_p.any()
+    assert np.allclose(s.ell_p, ref["ell_p"], rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert np.isfinite(s.loss())
 
 
 @settings(max_examples=60, deadline=None)
