@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
-from .special import digamma, expit, log_expit, trigamma
+from .special import digamma, trigamma
 
 GRAD_TOL = 1e-8
 MAX_NEWTON = 100
@@ -100,6 +100,61 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
     return w, clamped
 
 
+class _GlmTerms:
+    """A GLM objective's row terms at the last iterate seen.
+
+    The objective is the mean over rows of f(s, y) in the linear predictor
+    s = X w.  rows(s, y) returns each row's f, its score df/ds and its
+    curvature d2f/ds2, so one pass per iterate serves the objective, the
+    gradient X^T df/ds / n and the Hessian (X^T * d2f/ds2) X / n: the
+    linear predictor and working weights of IRLS (McCullagh & Nelder 1989).
+    obj, grad and hess are the objective and its derivatives that
+    _damped_newton takes.  The terms are recomputed only when at() gets a
+    point that differs from a private copy of the last one, so the gradient
+    and Hessian at the iterate that the line search just accepted reuse them.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, rows):
+        self.X, self.y, self.rows, self.n = X, y, rows, X.shape[0]
+        self.w = None
+
+    def at(self, w: np.ndarray) -> "_GlmTerms":
+        if self.w is None or not np.array_equal(w, self.w):
+            self.w = None
+            self.f, self.score, self.curv = self.rows(self.X @ w, self.y)
+            self.w = w.copy()
+        return self
+
+    def obj(self, w: np.ndarray) -> float:
+        return float(np.sum(self.at(w).f) / self.n)
+
+    def grad(self, w: np.ndarray) -> np.ndarray:
+        return self.X.T @ self.at(w).score / self.n
+
+    def hess(self, w: np.ndarray) -> np.ndarray:
+        # Row-major on purpose: the feature-major product is faster but rounds
+        # differently, and near GRAD_TOL whether the last line search accepts
+        # its step can turn on that rounding, moving estimates by ~5e-9.
+        return (self.X * self.at(w).curv[:, None]).T @ self.X / self.n
+
+
+def _logistic_rows(s, y):
+    """Logistic loss -(y log expit(s) + (1 - y) log expit(-s)) = max(s, 0) - y s + log1p(exp(-|s|)).
+
+    For binary y, max(s, 0) - y s is exact, and one exp(-|s|) serves both
+    the loss and expit(s), formed as special.expit forms it.
+    """
+    e = np.exp(-np.abs(s))
+    mu = np.where(s >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(s, 0.0) - y * s + np.log1p(e), mu - y, mu * (1.0 - mu)
+
+
+def _exponential_rows(s, y):
+    """Exponential-GLM loss exp(-s) y + s."""
+    r = np.exp(-s) * y
+    return r + s, 1.0 - r, r
+
+
 def fit_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Logistic regression MLE by damped Newton.
 
@@ -111,25 +166,13 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("features must be (n, p) with a matching label vector")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be binary")
-    n, p = X.shape
+    p = X.shape[1]
     clamp = 5.0 * np.sqrt(p)
-
-    def obj(w):
-        s = X @ w
-        return float(-np.mean(y * log_expit(s) + (1 - y) * log_expit(-s)))
-
-    def grad(w):
-        return X.T @ (expit(X @ w) - y) / n
-
-    def hess(w):
-        mu = expit(X @ w)
-        wts = mu * (1 - mu)
-        return (X * wts[:, None]).T @ X / n
-
-    w, clamped = _damped_newton(np.zeros(p), grad, hess, obj, clamp_radius=clamp)
-    if clamped or np.linalg.norm(grad(w)) > 1e-4:
+    terms = _GlmTerms(X, y, _logistic_rows)
+    w, clamped = _damped_newton(np.zeros(p), terms.grad, terms.hess, terms.obj, clamp_radius=clamp)
+    if clamped or np.linalg.norm(terms.grad(w)) > 1e-4:
         warnings.warn("labels are separable or nearly so; coefficients clamped", SeparationWarning)
     return w
 
@@ -146,20 +189,8 @@ def fit_exponential_glm(features: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         raise ValueError("features must be (n, p) with a matching size vector")
     if np.any(y <= 0):
         raise ValueError("sizes must be strictly positive")
-    n = X.shape[0]
-
-    def obj(w):
-        s = X @ w
-        return float(np.mean(np.exp(-s) * y + s))
-
-    def grad(w):
-        return X.T @ (1.0 - np.exp(-(X @ w)) * y) / n
-
-    def hess(w):
-        wts = np.exp(-(X @ w)) * y
-        return (X * wts[:, None]).T @ X / n
-
-    w, _ = _damped_newton(np.zeros(X.shape[1]), grad, hess, obj)
+    terms = _GlmTerms(X, y, _exponential_rows)
+    w, _ = _damped_newton(np.zeros(X.shape[1]), terms.grad, terms.hess, terms.obj)
     return w
 
 

@@ -102,6 +102,12 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _model_label(path: str) -> str:
+    """The method a model JSON records; the file's stem for a hand-written JSON without one."""
+    with open(path) as fh:
+        return str(json.load(fh).get("method", Path(path).stem))
+
+
 def cmd_evaluate(args) -> int:
     model = dataio.read_model_json(args.model)
     schema = {"auto": "auto", "simulation": "simulated", "observed": "observed_only"}[args.mode]
@@ -112,8 +118,8 @@ def cmd_evaluate(args) -> int:
     if args.truth:
         meta = dataio.read_sim_meta(args.truth)
         truth = (meta["beta0"], meta["theta0"])
-    method = Path(args.model).stem
-    reports = evaluate_trial({method: model}, data, truth=truth, trial_id=args.trial, mode=args.mode)
+    label = _model_label(args.model)
+    reports = evaluate_trial({label: model}, data, truth=truth, trial_id=args.trial, mode=args.mode)
     dataio.write_metrics_csv(reports, args.out)
     print(f"wrote metrics to {args.out}")
     return 0

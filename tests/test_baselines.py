@@ -1,7 +1,13 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit, log_expit
 
+from puomm import baselines
 from puomm.baselines import (
     DegenerateFitWarning,
     SeparationWarning,
@@ -239,3 +245,112 @@ def test_gamma_shape_fixed_at_one_matches_exponential():
     coef_gamma, _ = fit_gamma_glm(x, y)
     coef_exp = fit_exponential_glm(x, y)
     assert np.allclose(coef_gamma, coef_exp, atol=1e-6)
+
+
+
+def _newton_functions(fitter, x, y, solve=True):
+    """The (grad, hess, obj) functions that fitter hands to baselines._damped_newton on (x, y).
+
+    With solve=False the solver is not run and the fitter gets back its
+    starting point, so extreme inputs never reach the Newton iteration.
+    """
+    seen = []
+    newton = baselines._damped_newton
+
+    def capture(w0, grad_fn, hess_fn, obj_fn, **kwargs):
+        seen.append((grad_fn, hess_fn, obj_fn))
+        return newton(w0, grad_fn, hess_fn, obj_fn, **kwargs) if solve else (np.asarray(w0, dtype=float), False)
+
+    with mock.patch.object(baselines, "_damped_newton", capture), warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        fitter(x, y)
+    (functions,) = seen
+    return functions
+
+
+def _assert_derivatives_match_central_differences(grad, hess, obj, w, h=1e-5):
+    """Gradient against central differences of the objective, Hessian against those of the gradient.
+
+    The gradient is read first and the Hessian last, each after the
+    functions have been evaluated at other points, so terms kept from an
+    earlier point would show.
+    """
+    g = grad(w)
+    steps = np.eye(w.size) * h
+    fd_g = np.array([(obj(w + e) - obj(w - e)) / (2 * h) for e in steps])
+    fd_h = np.array([(grad(w + e) - grad(w - e)) / (2 * h) for e in steps])
+    H = hess(w)
+    np.testing.assert_allclose(g, fd_g, rtol=1e-5, atol=1e-6 * (1.0 + abs(obj(w))))
+    np.testing.assert_allclose(H, fd_h, rtol=1e-5, atol=1e-6 * (1.0 + np.abs(g).max() + np.abs(H).max()))
+
+
+def _logistic_loss(y, s):
+    return -np.mean(y * log_expit(s) + (1 - y) * log_expit(-s))
+
+
+def _exponential_loss(y, s):
+    return np.mean(np.exp(-s) * y + s)
+
+
+def _events(seed):
+    sim = make_datasets(SimConfig(setting="lognormal", n=2000, p=4, seed=seed, n_test=10))
+    rows = np.flatnonzero(sim.train.z > 0)
+    return sim.train.x, (sim.train.z > 0).astype(float), sim.train.x[rows], sim.train.z[rows]
+
+
+def test_logistic_newton_functions_match_central_differences_away_from_the_optimum():
+    x, labels, _, _ = _events(17)
+    grad, hess, obj = _newton_functions(fit_logistic, x, labels)
+    w = fit_logistic(x, labels) + np.array([0.3, -0.2, 0.1, 0.4])
+    assert obj(w) == pytest.approx(_logistic_loss(labels, x @ w), rel=1e-13)
+    assert np.linalg.norm(grad(w)) > 1e-2
+    _assert_derivatives_match_central_differences(grad, hess, obj, w)
+
+
+def test_exponential_glm_newton_functions_match_central_differences_away_from_the_optimum():
+    _, _, xp, zp = _events(17)
+    grad, hess, obj = _newton_functions(fit_exponential_glm, xp, zp)
+    w = fit_exponential_glm(xp, zp) + np.array([0.3, -0.2, 0.1, 0.4])
+    assert obj(w) == pytest.approx(_exponential_loss(zp, xp @ w), rel=1e-13)
+    assert np.linalg.norm(grad(w)) > 1e-2
+    _assert_derivatives_match_central_differences(grad, hess, obj, w)
+    # the terms are keyed on a copy of the point, so a point changed in place is recomputed
+    before = obj(w)
+    w[0] += 0.5
+    assert obj(w) != before
+    assert obj(w) == pytest.approx(_exponential_loss(zp, xp @ w), rel=1e-13)
+
+
+def _design_and_point(seed, n, p, log_scale):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    w = rng.standard_normal(p)
+    return rng, x, w * 10.0**log_scale / np.linalg.norm(w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.floats(-2.0, 3.0),
+    st.sampled_from(["all 0", "all 1", "mixed"]),
+)
+def test_logistic_newton_functions_at_extreme_predictors(seed, n, p, log_scale, labels):
+    # linear predictors up to ~1e3 * |x|, where the sigmoid saturates in double precision
+    rng, x, w = _design_and_point(seed, n, p, log_scale)
+    y = {"all 0": np.zeros(n), "all 1": np.ones(n), "mixed": (rng.random(n) < 0.5).astype(float)}[labels]
+    grad, hess, obj = _newton_functions(fit_logistic, x, y, solve=False)
+    assert obj(w) == pytest.approx(_logistic_loss(y, x @ w), rel=1e-12)
+    _assert_derivatives_match_central_differences(grad, hess, obj, w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4), st.floats(-2.0, 1.2))
+def test_exponential_glm_newton_functions_at_extreme_predictors(seed, n, p, log_scale):
+    # linear predictors up to ~16 * |x|, so exp(-x.w) spans ~1e-30 to ~1e30
+    rng, x, w = _design_and_point(seed, n, p, log_scale)
+    sizes = rng.exponential(1.0, n) + 1e-3
+    grad, hess, obj = _newton_functions(fit_exponential_glm, x, sizes, solve=False)
+    assert obj(w) == pytest.approx(_exponential_loss(sizes, x @ w), rel=1e-12)
+    _assert_derivatives_match_central_differences(grad, hess, obj, w)

@@ -137,8 +137,23 @@ def test_evaluate_produces_metrics_csv(tmp_path):
     assert lines[0].startswith("method,trial,rmse_beta")
     assert len(lines) == 2
     cells = lines[1].split(",")
-    assert cells[0] == "model"
+    assert cells[0] == "oracle"  # the method the model JSON records, not the file name
     assert float(cells[2]) >= 0.0  # rmse_beta present in simulation mode
+
+
+def test_evaluate_labels_a_json_without_a_method_by_its_file_name(tmp_path):
+    main(["simulate", "--setting", "correct", "--n", "300", "--p", "3",
+          "--n-test", "200", "--seed", "2", "--out", str(tmp_path)])
+    fitted = tmp_path / "fitted.json"
+    assert main(["fit", "--data", str(tmp_path / "train.csv"), "--method", "logistic_gamma",
+                 "--out", str(fitted)]) == 0
+    entry = json.loads(fitted.read_text())
+    del entry["method"]
+    model = tmp_path / "handwritten.json"
+    model.write_text(json.dumps(entry))
+    out = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--model", str(model), "--data", str(tmp_path / "test.csv"), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[0] == "handwritten"
 
 
 def test_evaluate_rejects_an_empty_test_set(tmp_path, capsys):

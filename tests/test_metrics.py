@@ -251,3 +251,25 @@ def test_evaluate_trial_matches_the_boolean_mask_reference(data, mode):
     expected = reference_evaluate_trial(models, test, truth, mode)
     # repr round-trips every float, so equal rows are bit-equal reports
     assert [r.to_csv_row() for r in got] == [r.to_csv_row() for r in expected]
+
+
+@pytest.mark.parametrize("mode", ["simulation", "observed"])
+def test_evaluate_trial_matches_the_reference_across_size_blocks(mode):
+    # thousands of size rows, so evaluate_trial predicts them in several blocks
+    # (the last one partial) while the reference predicts them in one product
+    rng = np.random.default_rng(21)
+    n, p = 3 * metrics._SIZE_BLOCK + 517, 10
+    x = rng.standard_normal((n, p))
+    y = np.where(rng.random(n) < 0.7, rng.exponential(2.0, n), 0.0)
+    r = (rng.random(n) < 0.8).astype(float)
+    test = Dataset(x=x, z=y * r, y=y, u=(y > 0).astype(float), r=r)
+    models = {
+        "pu": pu_model(rng.standard_normal(p) * 0.3, rng.standard_normal(p) * 0.3, lam=0.4),
+        "gamma": TwoPartModel(rng.standard_normal(p) * 0.3, rng.standard_normal(p) * 0.3, "gamma", aux=1.5),
+        "lognormal": TwoPartModel(rng.standard_normal(p) * 0.3, rng.standard_normal(p) * 0.3, "lognormal", aux=0.7),
+    }
+    truth = (np.zeros(p), np.zeros(p)) if mode == "simulation" else None
+    got = evaluate_trial(models, test, truth=truth, mode=mode)
+    assert got[0].n_eval_size > metrics._SIZE_BLOCK
+    expected = reference_evaluate_trial(models, test, truth, mode)
+    assert [r.to_csv_row() for r in got] == [r.to_csv_row() for r in expected]
