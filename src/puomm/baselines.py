@@ -8,7 +8,9 @@ with explicit tolerances.
 
 from __future__ import annotations
 
+import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,11 @@ class TwoPartModel:
             raise ValueError(f"aux must be nonnegative and finite (or a +inf Gamma shape), got {self.aux}")
 
 
+def _norm(v: np.ndarray) -> float:
+    """The l2 norm of a 1-D float vector: np.linalg.norm's arithmetic, without its call overhead."""
+    return math.sqrt(v.dot(v))
+
+
 def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX_NEWTON):
     """Minimize a smooth convex objective; returns (w, clamped) flag.
 
@@ -70,7 +77,7 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
     f = obj_fn(w)
     for _ in range(max_iter):
         g = grad_fn(w)
-        if np.linalg.norm(g) <= GRAD_TOL:
+        if _norm(g) <= GRAD_TOL:
             break
         try:
             step = np.linalg.solve(hess_fn(w), g)
@@ -82,7 +89,7 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
         while t >= 1e-12:
             w_new = w - t * step
             if clamp_radius is not None:
-                norm = np.linalg.norm(w_new)
+                norm = _norm(w_new)
                 if norm > clamp_radius:
                     w_new = w_new * (clamp_radius / norm)
             f_new = obj_fn(w_new)
@@ -91,9 +98,9 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
             t *= 0.5
         else:
             break
-        if clamp_radius is not None and np.linalg.norm(w - t * step) > clamp_radius + 1e-12:
+        if clamp_radius is not None and _norm(w - t * step) > clamp_radius + 1e-12:
             clamped = True
-        delta = np.linalg.norm(w_new - w)
+        delta = _norm(w_new - w)
         w, f = w_new, f_new
         if delta <= 1e-14:
             break
@@ -110,19 +117,21 @@ class _GlmTerms:
     linear predictor and working weights of IRLS (McCullagh & Nelder 1989).
     obj, grad and hess are the objective and its derivatives that
     _damped_newton takes.  The terms are recomputed only when at() gets a
-    point that differs from a private copy of the last one, so the gradient
-    and Hessian at the iterate that the line search just accepted reuse them.
+    point whose bytes differ from the last one's, so the gradient and
+    Hessian at the iterate that the line search just accepted reuse them,
+    and an iterate mutated in place is never served stale terms.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, rows):
         self.X, self.y, self.rows, self.n = X, y, rows, X.shape[0]
-        self.w = None
+        self.key = None  # the bytes of the last iterate, once its terms are complete
 
     def at(self, w: np.ndarray) -> "_GlmTerms":
-        if self.w is None or not np.array_equal(w, self.w):
-            self.w = None
+        key = w.tobytes()
+        if key != self.key:
+            self.key = None
             self.f, self.score, self.curv = self.rows(self.X @ w, self.y)
-            self.w = w.copy()
+            self.key = key
         return self
 
     def obj(self, w: np.ndarray) -> float:
@@ -172,7 +181,7 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     clamp = 5.0 * np.sqrt(p)
     terms = _GlmTerms(X, y, _logistic_rows)
     w, clamped = _damped_newton(np.zeros(p), terms.grad, terms.hess, terms.obj, clamp_radius=clamp)
-    if clamped or np.linalg.norm(terms.grad(w)) > 1e-4:
+    if clamped or _norm(terms.grad(w)) > 1e-4:
         warnings.warn("labels are separable or nearly so; coefficients clamped", SeparationWarning)
     return w
 
@@ -261,8 +270,31 @@ def fit_oracle(train: Dataset) -> TwoPartModel:
     )
 
 
+# Each Dataset's logistic stage on 1{z > 0}, shared by its Gamma and log-normal
+# mixtures; an entry goes with its Dataset.
+_OCCURRENCE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _occurrence_stage(train: Dataset, recorded: np.ndarray) -> tuple[np.ndarray, bool]:
+    """fit_logistic on 1{z > 0} and whether it warned of separation, fitted once per Dataset object.
+
+    Each call returns its own copy of the coefficients.
+    """
+    stage = _OCCURRENCE.get(train)
+    if stage is None:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            occ = fit_logistic(train.x, recorded.astype(float))
+        stage = _OCCURRENCE[train] = (occ, any(issubclass(w.category, SeparationWarning) for w in caught))
+    return stage[0].copy(), stage[1]
+
+
 def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
-    """Logistic stage on 1{z>0} plus the requested size family on recorded positives."""
+    """Logistic stage on 1{z>0} plus the requested size family on recorded positives.
+
+    The logistic stage is fitted once per Dataset object (_occurrence_stage),
+    so the Gamma and log-normal mixtures of one training set share it.
+    """
     if family not in ("gamma", "lognormal"):
         raise ValueError(f"unknown magnitude family {family!r}")
     if train.n < 1:
@@ -270,10 +302,10 @@ def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
     recorded = train.z > 0
     if not recorded.any():
         raise ValueError("no positive observations; cannot fit the magnitude stage")
-    flags = []
+    occ, separated = _occurrence_stage(train, recorded)
+    flags = ["separation"] if separated else []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        occ = fit_logistic(train.x, recorded.astype(float))
         rows = np.flatnonzero(recorded)
         Xp, zp = train.x.take(rows, axis=0), train.z[rows]
         if rows.size <= Xp.shape[1]:
@@ -282,15 +314,12 @@ def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
             mag, aux = fit_gamma_glm(Xp, zp)
         else:
             mag, aux = fit_lognormal(Xp, zp)
-    for w in caught:
-        if issubclass(w.category, SeparationWarning):
-            flags.append("separation")
-        elif issubclass(w.category, DegenerateFitWarning):
-            flags.append("degenerate_magnitude")
+    if any(issubclass(w.category, DegenerateFitWarning) for w in caught):
+        flags.append("degenerate_magnitude")
     return TwoPartModel(
         occurrence_coef=occ,
         magnitude_coef=mag,
         magnitude_family=family,
         aux=aux,
-        flags=tuple(dict.fromkeys(flags)),
+        flags=tuple(flags),
     )

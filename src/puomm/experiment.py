@@ -53,18 +53,21 @@ def _fit_config(opts, p: int) -> FitConfig:
 
 def _pu_omm(train, opts, true_lambda):
     grid = make_lambda_grid(opts.grid_size, opts.grid_lo, opts.grid_hi)
-    return fit_pu_omm(train.observed_only(), grid, _fit_config(opts, train.p))
+    return fit_pu_omm(train, grid, _fit_config(opts, train.p))
 
 
 def _pu_omm_true_lambda(train, opts, true_lambda):
     if true_lambda is None:
         raise ValueError("no true detection rate available for this cell")
-    return fit_at_lambda(train.observed_only(), true_lambda, _fit_config(opts, train.p))
+    return fit_at_lambda(train, true_lambda, _fit_config(opts, train.p))
 
 
 # Every method the CLI and the experiment harness fit, as
-# method(train, opts, true_lambda) -> model.  train may carry latent columns;
-# only the LATENT_METHODS read them.  opts is anything with grid_size, grid_lo,
+# method(train, opts, true_lambda) -> model.  Only the LATENT_METHODS get the
+# latent columns; every other method gets observed data (the CLI reads it under
+# the observed-only schema, and each experiment cell passes one observed_only()
+# view of its training set to all of them, so their fits share the work that
+# depends only on that Dataset object).  opts is anything with grid_size, grid_lo,
 # grid_hi, tol, max_iter and radius attributes (an ExperimentConfig or the
 # CLI's arguments).  The fitters are looked up as module globals at call
 # time, so replacing experiment.fit_pu_omm replaces what the registry calls.
@@ -72,8 +75,8 @@ METHODS = {
     "oracle": lambda train, opts, true_lambda: fit_oracle(train),
     "pu_omm": _pu_omm,
     "pu_omm_true_lambda": _pu_omm_true_lambda,
-    "logistic_gamma": lambda train, opts, true_lambda: fit_observed_mixture(train.observed_only(), "gamma"),
-    "logistic_lognormal": lambda train, opts, true_lambda: fit_observed_mixture(train.observed_only(), "lognormal"),
+    "logistic_gamma": lambda train, opts, true_lambda: fit_observed_mixture(train, "gamma"),
+    "logistic_lognormal": lambda train, opts, true_lambda: fit_observed_mixture(train, "lognormal"),
 }
 # The methods that read the latent columns y, u, r, so fit only simulated data.
 LATENT_METHODS = frozenset({"oracle"})
@@ -124,6 +127,8 @@ class ExperimentConfig:
         if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0 < lo < hi < math.inf):
             raise ValueError(f"grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got {lo!r} and {hi!r}")
         _fit_config(self, p=1)  # FitConfig names a bad tol, max_iter or radius
+        if not self.methods:
+            raise ValueError(f"methods must name at least one of {tuple(METHODS)}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
@@ -168,12 +173,32 @@ class ExperimentConfig:
         return cls(**d)
 
 
+def _fit_methods(cfg, train, true_lambda) -> dict:
+    """Each configured method's model on train, or the status of its failed fit.
+
+    Every method outside LATENT_METHODS gets one observed_only() view of
+    train, one Dataset object, so their fits share the work that depends
+    only on it (the row split, the logistic stage).  That work goes with
+    the view when this returns, before the test set is scored.
+    """
+    observed = train.observed_only()
+    fitted = {}
+    for method in cfg.methods:
+        try:
+            fitted[method] = METHODS[method](train if method in LATENT_METHODS else observed, cfg, true_lambda)
+        except Exception as exc:  # record and continue: one bad fit must not kill the sweep
+            fitted[method] = f"failed: {exc}"
+    return fitted
+
+
 def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mode):
     rows = []
     metric_names = SIM_METRICS if mode == "simulation" else REAL_METRICS
-    for method in cfg.methods:
+    for method, model in _fit_methods(cfg, train, true_lambda).items():
+        if isinstance(model, str):
+            rows.append((setting_label, n, trial, method, "all", "", model))
+            continue
         try:
-            model = METHODS[method](train, cfg, true_lambda)
             report = evaluate_trial({method: model}, test, truth=truth, trial_id=trial, mode=mode)[0]
             # a fit stopped by max_iter is reported but kept out of the summary means
             status = "not_converged" if isinstance(model, PuOmmModel) and not model.fit.converged else "ok"
@@ -182,7 +207,7 @@ def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mo
                 if value is None:
                     continue
                 rows.append((setting_label, n, trial, method, metric, repr(float(value)), status))
-        except Exception as exc:  # record and continue: one bad fit must not kill the sweep
+        except Exception as exc:  # record and continue: one bad evaluation must not kill the sweep
             rows.append((setting_label, n, trial, method, "all", "", f"failed: {exc}"))
     return rows
 

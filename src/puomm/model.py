@@ -8,19 +8,20 @@ Marginalizing the detection indicator gives a closed-form likelihood in
 the stacked parameter omega = (beta, theta); this module evaluates that
 likelihood, its analytic gradient and its analytic Hessian.
 
-Every evaluation reads one private per-point state, _RowTerms: the rows
-are split once into recorded and zero blocks, stored feature-major
-(p x rows), and one pass per point computes both linear predictors, the
-expit pairs and the log-likelihood total.  Both blocks take their sigmoid
-pairs from special.expit_pair, one clipped exp per block with no sign
-test; the recorded rows take log expit(x.theta) from special.log_expit,
-which stays exact where the clipped pair saturates.  The terms of the
-last point are kept, so loss, gradient and Hessian at one point share
-that pass.
+Every evaluation reads one private per-point state, _RowTerms.  Each
+Dataset object's rows are split once into recorded and zero blocks,
+stored feature-major (p x rows), and that split serves the states of
+all its detection rates.  One pass per point computes both linear
+predictors, the expit pairs and the log-likelihood total.  Both blocks
+take their sigmoid pairs from special.expit_pair, one clipped exp per
+block with no sign test; the recorded rows take log expit(x.theta) from
+special.log_expit, which stays exact where the clipped pair saturates.
+The terms of the last point are kept, keyed by the point's bytes, so
+loss, gradient and Hessian at one point share that pass.
 The optimizer's closures (make_objective, make_hessian) read one shared
-state per Dataset object, rate and thread, so a fit splits the rows once
-and a Hessian at the point the gradient just saw reuses its terms.  The
-state is held weakly: it lives only while some closure uses it.
+state per Dataset object, rate and thread, so a Hessian at the point the
+gradient just saw reuses its terms.  The state is held weakly: it lives
+only while some closure uses it.
 neg_log_likelihood and gradient build a private state per call.  A
 non-finite total is traced back to its rows only then, so NumericalError
 still names the first bad sample in the original row order.
@@ -116,13 +117,20 @@ class DetectionParam:
             raise ValueError(f"lambda_eps must be a finite positive real, got {self.lambda_eps}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Feature matrix x (one row per sample) with the observed magnitude column.
 
     x may be shared with other datasets: while a simulated design is
     alive, make_datasets returns that same read-only array for every
-    setting and n value of its trial, so nothing writes into x.  Latent columns (y, u, r) are present only for simulated data and are
+    setting and n value of its trial, so nothing writes into x.  A
+    Dataset equals only itself and hashes by identity, so fits can keep
+    their lambda-free work per Dataset object: the likelihood's row split
+    (model._split) and the observed-data mixtures' logistic stage
+    (baselines._occurrence_stage) are made on the first fit that needs
+    them and kept while the Dataset lives.  So x and z must not be
+    written after a fit has read them; build a new Dataset instead.
+    Latent columns (y, u, r) are present only for simulated data and are
     consumed exclusively by oracle fitting and evaluation code.  x and z
     must be finite and z nonnegative, and every column must have n
     entries; a violation raises ValueError naming the first bad row or
@@ -233,13 +241,15 @@ class _RowTerms:
     1 - q and the derivative weights, where that ~1e-304 tail is
     negligible.  A recorded row's loss needs log expit(b) itself, which is
     about b far below zero, so it comes from log_expit, exact in both
-    tails, and not from the clipped pair.  The terms are recomputed only when
-    at() gets a point that differs from a private copy of the last one,
-    so evaluating the loss, the gradient and the Hessian at one point pays
-    for them once, and mutating the caller's array in place never serves
-    stale terms.  Overflow is left to produce inf, which loss() and
-    loss_and_grad() report as NumericalError and hessian() as non-finite
-    entries, not as a warning.
+    tails, and not from the clipped pair.  The row blocks come from
+    _split, made once per Dataset object for all its rates.  The terms
+    are recomputed only when at() gets a point whose bytes differ from
+    the last one's, so evaluating the loss, the gradient and the Hessian
+    at one point pays for them once, mutating the caller's array in place
+    never serves stale terms, and 0.0 and -0.0 count as different points.
+    Overflow is left to produce inf, which loss() and loss_and_grad()
+    report as NumericalError and hessian() as non-finite entries, not as
+    a warning.
     """
 
     def __init__(self, data: Dataset, d: DetectionParam):
@@ -247,20 +257,16 @@ class _RowTerms:
             raise ValueError("dataset must contain at least one sample")
         # held so that id(data), _state_for's key, is not reused while this state lives
         self.data = data
-        pos = data.z > 0
-        # each block's rows in the original order, also used to name the first bad row
-        self.rows_p, self.rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
-        self.XpT = np.ascontiguousarray(data.x.take(self.rows_p, axis=0).T)
-        self.XnT = np.ascontiguousarray(data.x.take(self.rows_n, axis=0).T)
-        self.zp = data.z[self.rows_p]
+        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = _split(data)
         self.n, self.p = data.n, data.p
         self.loglam = np.log(d.lambda_eps)
-        self.w = None
+        self.key = None  # the bytes of the last point, once its terms are complete
 
     def at(self, w: np.ndarray) -> "_RowTerms":
-        if self.w is not None and np.array_equal(w, self.w):
+        key = w.tobytes()
+        if key == self.key:
             return self
-        self.w = None
+        self.key = None
         coef = w.reshape(2, self.p)
         with np.errstate(over="ignore", invalid="ignore"):
             ab = coef @ self.XnT
@@ -273,7 +279,7 @@ class _RowTerms:
             self.ell_n = np.log1p(-self.qn)
             self.ell_p = -xbp - self.ratep * self.zp + log_expit(bp)
             self.total = np.sum(self.ell_n) + np.sum(self.ell_p)
-        self.w = w.copy()
+        self.key = key
         return self
 
     def loss(self) -> float:
@@ -301,9 +307,16 @@ class _RowTerms:
         with np.errstate(over="ignore", invalid="ignore"):
             # zero rows: residual is -q, shared by both blocks of the gradient
             scaled = self.qn / (1.0 - self.qn)
-            g_zero = np.stack([scaled * self.comp_an, scaled * self.comp_bn]) @ self.XnT.T
+            wn = np.empty((2, scaled.size))
+            np.multiply(scaled, self.comp_an, out=wn[0])
+            np.multiply(scaled, self.comp_bn, out=wn[1])
+            g_zero = wn @ self.XnT.T
             # recorded rows: exponential-GLM score in beta, logistic part in theta
-            g_pos = np.stack([self.ratep * self.zp - 1.0, self.comp_bp]) @ self.XpT.T
+            wp = np.empty((2, self.zp.size))
+            np.multiply(self.ratep, self.zp, out=wp[0])
+            np.subtract(wp[0], 1.0, out=wp[0])
+            wp[1] = self.comp_bp
+            g_pos = wp @ self.XpT.T
             g = ((g_zero - g_pos) / self.n).ravel()
         if not np.isfinite(g).all():
             raise NumericalError("non-finite gradient sum")
@@ -336,6 +349,33 @@ class _RowTerms:
             h[p:, :p] = h[:p, p:].T
             h /= self.n
         return h
+
+
+# Each Dataset's row split, the lambda-free part of every _RowTerms on it; an
+# entry goes with its Dataset.  No lock: threads that miss one Dataset at once
+# each make the same arrays, and the last one's stay in the map.
+_SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _split(data: Dataset) -> tuple[np.ndarray, ...]:
+    """rows_p, rows_n, XpT, XnT and zp of data, made on its first fit and kept while data lives.
+
+    rows_p and rows_n hold each block's rows in the original order, also
+    used to name the first bad row; XpT and XnT are those rows' features,
+    feature-major, and zp the recorded sizes.
+    """
+    split = _SPLITS.get(data)
+    if split is None:
+        pos = data.z > 0
+        rows_p, rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
+        split = _SPLITS[data] = (
+            rows_p,
+            rows_n,
+            np.ascontiguousarray(data.x.take(rows_p, axis=0).T),
+            np.ascontiguousarray(data.x.take(rows_n, axis=0).T),
+            data.z[rows_p],
+        )
+    return split
 
 
 # The live shared state of each (id(data), lambda_eps, thread); an entry goes

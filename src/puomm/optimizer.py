@@ -177,10 +177,10 @@ def _ball_newton_point(
     evals, evecs = eig
     c = evals * (evecs.T @ w) - evecs.T @ grad
     y = c / evals
-    if np.linalg.norm(y) > r:
+    if math.sqrt(y.dot(y)) > r:
         mu = 0.0
         for _ in range(SECULAR_MAX_ITER):
-            norm = float(np.linalg.norm(y))
+            norm = math.sqrt(y.dot(y))
             if abs(norm - r) <= SECULAR_RTOL * r:
                 break
             mu += (norm / r - 1.0) * norm**2 / float(np.sum(y**2 / (evals + mu)))
@@ -256,7 +256,8 @@ def fit(
             if step[1] == 0.0:
                 break
         candidate, eta, loss_c = step
-        change = float(np.linalg.norm(candidate - w))
+        move = candidate - w
+        change = math.sqrt(move.dot(move))
         newton = newton or change <= NEWTON_SWITCH
         if change > HESSIAN_REUSE:
             eig = None

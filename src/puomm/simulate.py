@@ -31,6 +31,8 @@ class Setting(str, enum.Enum):
 # Stream indices for seed spawning; fixed so that outputs are stable
 # across releases and independent draws stay independent.
 _S_PARAMS, _S_DESIGN, _S_LATENT, _S_MISSING, _S_TEST = range(5)
+# Rows of standard normals gen_design draws at a time.
+_DESIGN_BLOCK = 1024
 
 
 @dataclass
@@ -83,7 +85,9 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
     """n i.i.d. mean-zero Gaussian rows with autoregressive covariance rho^|i-j|.
 
     Sampling goes through the Cholesky factor, so for a fixed stream the
-    first rows do not depend on n.
+    first rows do not depend on n.  The normals are drawn and transformed
+    _DESIGN_BLOCK rows at a time straight into the output, so no second
+    n x p array is made; the values are those of one whole-array draw.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
@@ -91,7 +95,20 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
         chol = np.linalg.cholesky(ar_covariance(p, rho))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"design covariance is not positive definite for rho={rho}") from exc
-    return rng.standard_normal((n, p)) @ chol.T
+    if n <= _DESIGN_BLOCK:
+        return rng.standard_normal((n, p)) @ chol.T
+    out = np.empty((n, p))
+    normals = np.empty((_DESIGN_BLOCK, p))
+    for start in range(0, n, _DESIGN_BLOCK):
+        fresh = min(_DESIGN_BLOCK, n - start)
+        # a short last block keeps the previous block's last normals ahead of
+        # its own and rewrites their rows with the same values: every product
+        # has _DESIGN_BLOCK rows, as OpenBLAS rounds a small product differently
+        normals[: _DESIGN_BLOCK - fresh] = normals[fresh:]
+        rng.standard_normal(out=normals[_DESIGN_BLOCK - fresh :])
+        stop = start + fresh
+        np.matmul(normals, chol.T, out=out[stop - _DESIGN_BLOCK : stop])
+    return out
 
 
 def gen_params(p: int, scale: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -60,7 +60,8 @@ def expit_pair(x):
     equal their values at +-EXPIT_CLIP; no warning is raised for any input.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.clip(x, -EXPIT_CLIP, EXPIT_CLIP))
+    # minimum and maximum are np.clip's arithmetic without its Python-level wrapper
+    e = np.exp(-np.minimum(np.maximum(x, -EXPIT_CLIP), EXPIT_CLIP))
     sig = 1.0 / (1.0 + e)
     return sig[()], (e * sig)[()]
 

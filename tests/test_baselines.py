@@ -215,6 +215,60 @@ def test_observed_mixture_shared_logistic_stage():
     assert not np.array_equal(gamma.magnitude_coef, logn.magnitude_coef)
 
 
+def _separable_dataset():
+    # recorded exactly where the second feature is positive: the logistic MLE is at infinity
+    x = np.hstack([np.ones((200, 1)), np.random.default_rng(18).standard_normal((200, 2))])
+    return Dataset(x=x, z=np.where(x[:, 1] > 0, 1.0 + np.abs(x[:, 2]), 0.0))
+
+
+@pytest.mark.parametrize("kind", ["simulated", "separable"])
+def test_observed_mixtures_on_one_dataset_fit_the_logistic_stage_once(kind, monkeypatch):
+    if kind == "simulated":
+        train = make_datasets(SimConfig(setting="lognormal", n=2000, p=3, seed=14, n_test=10)).train.observed_only()
+    else:
+        train = _separable_dataset()
+    # each mixture on a copy of its own fits its own logistic stage
+    alone = {family: fit_observed_mixture(Dataset(x=train.x.copy(), z=train.z.copy()), family)
+             for family in ("gamma", "lognormal")}
+    calls = []
+    logistic = baselines.fit_logistic
+    monkeypatch.setattr(baselines, "fit_logistic", lambda *a: calls.append(1) or logistic(*a))
+    shared = {family: fit_observed_mixture(train, family) for family in ("gamma", "lognormal")}
+    assert len(calls) == 1
+    for family, model in shared.items():
+        assert model.occurrence_coef.tobytes() == alone[family].occurrence_coef.tobytes()
+        assert model.magnitude_coef.tobytes() == alone[family].magnitude_coef.tobytes()
+        assert model.aux == alone[family].aux and model.flags == alone[family].flags
+        assert ("separation" in model.flags) == (kind == "separable")
+    # each model holds its own copy of the shared coefficients
+    assert shared["gamma"].occurrence_coef is not shared["lognormal"].occurrence_coef
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 4), st.data())
+def test_glm_terms_recompute_after_an_in_place_change_and_between_signed_zeros(seed, n, p, data):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((n, p)), (rng.random(n) < 0.5).astype(float)
+    terms = baselines._GlmTerms(x, y, baselines._logistic_rows)
+    w = rng.standard_normal(p)
+    k = data.draw(st.integers(0, p - 1))
+    w[k] = 0.0
+    for change in ("first point", "0.0 to -0.0", "add 0.25"):
+        if change == "0.0 to -0.0":
+            w[k] = -0.0  # == 0.0, but a point with other bytes
+        elif change == "add 0.25":
+            w[k] += 0.25
+        before = getattr(terms, "f", None)
+        terms.at(w)
+        assert terms.f is not before, change
+        kept = terms.f
+        terms.at(w.copy())  # the same bytes: the terms are kept
+        assert terms.f is kept, change
+        fresh = baselines._GlmTerms(x, y, baselines._logistic_rows)
+        for fn in ("obj", "grad", "hess"):
+            assert np.asarray(getattr(terms, fn)(w)).tobytes() == np.asarray(getattr(fresh, fn)(w.copy())).tobytes()
+
+
 def test_observed_mixture_single_positive_flagged():
     rng = np.random.default_rng(15)
     n = 100

@@ -65,6 +65,38 @@ def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_spread(af
     assert bench_pairs.gain_holds([-v for v in _PARENT], [-v for v in after], "higher") is holds
 
 
+@pytest.mark.parametrize(
+    "after, worse",
+    [
+        ([v + 0.2 for v in _PARENT], True),
+        ([v + 0.2 for v in _PARENT[:9]] + [0.8], True),  # 9 of 10 pairs
+        ([v + 0.2 for v in _PARENT[:8]] + [0.8, 0.8], False),  # 8 of 10 pairs
+        ([v + 0.03 for v in _PARENT], False),  # every pair, but the median gap is inside the parent's spread
+        ([v + 0.2 for v in _PARENT[:8]] + _PARENT[8:], False),  # two ties, which are not losses: 8 of 10
+        ([v - 0.2 for v in _PARENT], False),  # a gain
+    ],
+)
+def test_regression_rule_mirrors_the_gain_rule(after, worse):
+    assert bench_pairs.regressed(_PARENT, after, "lower") is worse
+    assert bench_pairs.regressed([-v for v in _PARENT], [-v for v in after], "higher") is worse
+    # a regression where lower is better is a gain where higher is
+    assert bench_pairs.gain_holds(_PARENT, after, "higher") is worse
+
+
+def test_paired_summary_and_the_printout_name_the_metrics_that_regressed():
+    pairs = [{"before": _summary(b, 10), "after": _summary(b + 0.2, 10)} for b in _PARENT]
+    out = bench_pairs.paired_summary(pairs, {"op_s.mean_norm": "lower", "beta_err": "lower"})
+    assert out["op_s.mean_norm"]["regressed"] is True and out["op_s.mean_norm"]["gain"] is False
+    assert out["beta_err"]["regressed"] is False  # identical in every pair
+    assert bench_pairs.paired_summary(pairs, {})["op_s.mean_norm"]["regressed"] is None
+    same = bench_pairs.paired_summary([{"before": _summary(b, 10), "after": _summary(b, 10)} for b in _PARENT],
+                                      {"op_s.mean_norm": "lower"})
+    assert bench_pairs.regressions_line({"cli_io": same, "experiment_sweep": out}) == (
+        "regressed: experiment_sweep op_s.mean_norm"
+    )
+    assert bench_pairs.regressions_line({"cli_io": same}) == "regressed: none"
+
+
 def test_exported_tree_is_removed_when_the_body_or_the_export_fails(tmp_path, monkeypatch):
     made = tmp_path / "tree"
     monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", lambda prefix: str(made.mkdir() or made))
@@ -122,6 +154,7 @@ def test_main_alternates_sides_over_every_benchmark_workload(tmp_path, monkeypat
         assert f"{wl} op_s.mean_norm: median 0.2 -> 0.1 s" in printed
         assert f"{wl} beta_err: median 0.5 -> 0.5 l2" in printed
     assert printed.count("gain rule holds") == 2 and printed.count("gain rule fails") == 2
+    assert "regressed: none\n" in printed
 
 
 def test_a_failed_run_names_its_tree_workload_and_seed_and_ends_with_its_stderr(tmp_path):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +226,68 @@ def test_cli_fit_and_experiment_fit_the_same_models(tmp_path, monkeypatch):
                      "--tol", "1e-6", "--lambda-eps", "0.24", "--out", str(tmp_path / f"{method}.json")]) == 0
         assert (tmp_path / f"{method}.json").read_bytes() == (tmp_path / f"{method}.experiment.json").read_bytes()
     assert fitted["pu_omm_true_lambda"].lambda_hat == 0.24
+
+
+def test_experiment_rows_equal_fits_of_each_method_on_its_own_observed_copy(tmp_path, monkeypatch):
+    # a cell hands one observed view to every non-latent method, so they share
+    # its lambda-free work; the reference fits each on a Dataset of its own
+    settings = [SimConfig(setting=s, n=300, p=3, tau=1.0, n_test=200) for s in ("correct", "lognormal", "threshold")]
+    cfg = dict(mode="simulation", methods=list(METHODS), trials=2, base_seed=4, settings=settings,
+               n_values=[300, 500], grid_size=3, max_iter=12)
+    shared = run_experiment(ExperimentConfig(output_dir=str(tmp_path / "shared"), **cfg))
+    seen = []
+    for method, fitter in METHODS.items():
+
+        def alone(train, opts, true_lambda, fitter=fitter, latent=method in LATENT_METHODS):
+            seen.append(train)
+            return fitter(train if latent else train.observed_only(), opts, true_lambda)
+
+        monkeypatch.setitem(METHODS, method, alone)
+    reference = run_experiment(ExperimentConfig(output_dir=str(tmp_path / "alone"), **cfg))
+    for got, expected in zip(shared, reference):
+        assert got.read_bytes() == expected.read_bytes()
+    # each cell passed one observed Dataset object to its four non-latent methods
+    observed = [ds for ds in seen if not ds.has_latent]
+    assert len(observed) == 4 * 12 and len({id(ds) for ds in observed[:4]}) == 1
+    statuses = {line.rsplit(",", 1)[1] for line in shared[0].read_text().splitlines()[1:]}
+    assert {"ok", "not_converged", "failed: no true detection rate available for this cell"} <= statuses
+
+
+def test_a_cell_drops_its_observed_view_before_scoring_the_test_set(tmp_path, monkeypatch):
+    # the view's row split and logistic stage would otherwise sit beside the scoring's temporaries
+    views, alive_at_scoring = [], []
+    for method in ("pu_omm", "logistic_gamma"):
+
+        def recording(train, opts, true_lambda, fitter=METHODS[method]):
+            views.append(weakref.ref(train))
+            return fitter(train, opts, true_lambda)
+
+        monkeypatch.setitem(METHODS, method, recording)
+    evaluate_trial = experiment.evaluate_trial
+
+    def scoring(models, *args, **kwargs):
+        alive_at_scoring.append(sum(view() is not None for view in views))
+        return evaluate_trial(models, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "evaluate_trial", scoring)
+    cfg = ExperimentConfig(mode="simulation", methods=["pu_omm", "logistic_gamma"], trials=2, base_seed=3,
+                           output_dir=str(tmp_path), settings=[SimConfig(setting="correct", n=200, p=2, n_test=50)],
+                           n_values=[200], grid_size=2, tol=1e-6)
+    run_experiment(cfg)
+    assert len(views) == 4 and alive_at_scoring == [0] * 4
+
+
+def test_experiment_config_rejects_no_methods(tmp_path, capsys):
+    # an empty list would simulate every cell and write header-only results
+    raw = {**_SIM_CONFIG, "methods": [], "output_dir": str(tmp_path / "out")}
+    message = f"methods must name at least one of {tuple(METHODS)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_experiment_gets_fit_pu_omm_from_the_module_attribute(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from puomm.model import (
     Dataset,
     _Q_MAX,
     _RowTerms,
+    _SPLITS,
     _STATES,
     _state_for,
     DetectionParam,
@@ -531,6 +532,66 @@ def test_no_state_remains_once_the_closures_are_dropped(rng):
     assert state() is not None  # hess still reads it
     del hess
     assert state() is None and key not in _STATES
+
+
+def _state_values(state: _RowTerms) -> tuple:
+    """A state's loss, gradient and Hessian at its point, as bytes."""
+    value, g = state.loss_and_grad()
+    return value, g.tobytes(), state.hessian().tobytes()
+
+
+def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
+    ds = random_dataset(rng, 120, 3)
+    w = rng.standard_normal(6) * 0.4
+    states = [_RowTerms(ds, DetectionParam(lam)) for lam in (0.24, 2.0)]
+    for name in ("rows_p", "rows_n", "XpT", "XnT", "zp"):
+        assert getattr(states[0], name) is getattr(states[1], name), name
+    assert len(_SPLITS[ds]) == 5
+    for state in states:
+        copy = Dataset(x=ds.x.copy(), z=ds.z.copy())
+        fresh = _RowTerms(copy, DetectionParam(np.exp(state.loglam)))
+        assert fresh.XnT is not state.XnT
+        assert _state_values(state.at(w)) == _state_values(fresh.at(w.copy()))
+
+
+def test_a_split_goes_with_its_dataset(rng):
+    ds = random_dataset(rng, 30, 2)
+    make_objective(ds, DetectionParam(0.24))[0](np.zeros(4))
+    dataset, features = weakref.ref(ds), weakref.ref(_SPLITS[ds][3])
+    del ds
+    assert dataset() is None and features() is None
+
+
+def test_datasets_compare_by_identity(rng):
+    ds = random_dataset(rng, 10, 2)
+    same_arrays = Dataset(x=ds.x, z=ds.z)
+    assert ds == ds and ds != same_arrays
+    assert len({ds, same_arrays, ds}) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_objective_cases(reach=(0.5, 30.0)), st.data())
+def test_row_terms_recompute_after_an_in_place_change_and_between_signed_zeros(case, data):
+    # each step changes the caller's array in place; a recomputation makes new term arrays
+    ds, w, d = case
+    k = data.draw(st.integers(0, w.size - 1))
+    w = w.copy()
+    w[k] = 0.0
+    state = _RowTerms(ds, d)
+    for change in ("first point", "0.0 to -0.0", "add 0.25"):
+        if change == "0.0 to -0.0":
+            w[k] = -0.0  # == 0.0, but a point with other bytes
+        elif change == "add 0.25":
+            w[k] += 0.25
+        before = getattr(state, "qn", None)
+        state.at(w)
+        assert state.qn is not before, change
+        kept = state.qn
+        state.at(w.copy())  # the same bytes: the terms are kept
+        assert state.qn is kept, change
+        fresh = _RowTerms(Dataset(x=ds.x.copy(), z=ds.z.copy()), d).at(w.copy())
+        for name in ("sig_an", "comp_an", "sig_bn", "comp_bn", "qn", "sig_bp", "comp_bp", "ratep", "ell_n", "ell_p"):
+            assert getattr(state, name).tobytes() == getattr(fresh, name).tobytes(), (change, name)
 
 
 def test_gradient_theta_block_all_positive(rng):

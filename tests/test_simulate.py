@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,32 @@ def test_gen_design_deterministic_for_fixed_seed():
     a = gen_design(50, 4, 0.2, np.random.default_rng(5))
     b = gen_design(50, 4, 0.2, np.random.default_rng(5))
     assert np.array_equal(a, b)
+
+
+def whole_array_design(n, p, rho, rng):
+    """The design as one n x p draw times the Cholesky factor's transpose."""
+    return rng.standard_normal((n, p)) @ np.linalg.cholesky(ar_covariance(p, rho)).T
+
+
+@pytest.mark.parametrize("p", [1, 5, 10, 43])
+@pytest.mark.parametrize("n", [1, 777, 1024, 1025, 1030, 2049, 5000, 10000, 20000, 50000])
+def test_gen_design_blocks_equal_the_whole_array_draw(n, p):
+    got = gen_design(n, p, 0.2, np.random.default_rng(n + p))
+    expected = whole_array_design(n, p, 0.2, np.random.default_rng(n + p))
+    assert got.shape == expected.shape and got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_gen_design_holds_one_block_beside_its_output():
+    n, p = 50_000, 10
+    gen_design(n, p, 0.2, np.random.default_rng(0))  # numpy's lazy set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        gen_design(n, p, 0.2, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * p + 8 * simulate._DESIGN_BLOCK * p + 64 * 1024
 
 
 def test_gen_params_variance():

@@ -21,8 +21,11 @@ value, and the number of pairs in which the change's value is lower.  Each
 metric that BENCHMARK.json gives a direction ("better": "lower" or "higher")
 also records whether the gain rule holds for it: the change is better in at
 least 9 of every 10 pairs, and its median is better than the parent's by more
-than the distance between the parent's quartiles.  The medians of every
-metric are printed at the end.
+than the distance between the parent's quartiles.  It records the mirror too:
+a metric has regressed when the change is worse in at least 9 of every 10
+pairs and its median is worse than the parent's by more than that distance.
+The medians of every metric are printed at the end, then the metrics that
+regressed.
 Each run's result file is kept as .bench_out/pairs/<side>-<workload>-seed<seed>.json.
 """
 
@@ -151,13 +154,22 @@ def gain_holds(before: list[float], after: list[float], better: str) -> bool:
     return 10 * wins >= 9 * len(before) and sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"]
 
 
+def regressed(before: list[float], after: list[float], better: str) -> bool:
+    """The gain rule mirrored: the change is worse in at least 9 of every 10 pairs, and by more than the parent's spread.
+
+    A tie is not worse.  The median gap is measured against the parent's
+    quartile spread, as for a gain.
+    """
+    return gain_holds(before, after, {"lower": "higher", "higher": "lower"}[better])
+
+
 def paired_summary(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles and values, the pairs the change won, and the gain rule's verdict.
+    """Per metric: each side's quartiles and values, the pairs the change won, and the verdicts of both rules.
 
     pairs holds one {"before": summary, "after": summary} per seed, where a
     summary is run.py's last output line.  better maps a metric's name to its
-    better direction; a metric it lacks gets no verdict (gain is None).  A tie
-    counts for neither side.
+    better direction; a metric it lacks gets no verdict (gain and regressed
+    are None).  A tie counts for neither side.
     """
     out = {}
     for name, info in pairs[0]["before"]["metrics"].items():
@@ -169,6 +181,7 @@ def paired_summary(pairs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(pairs),
             "better": better.get(name),
             "gain": gain_holds(values["before"], values["after"], better[name]) if name in better else None,
+            "regressed": regressed(values["before"], values["after"], better[name]) if name in better else None,
         }
     out["ops"] = {
         side: {
@@ -188,6 +201,13 @@ def medians_line(workload: str, name: str, m: dict) -> str:
         f" (parent quartiles {m['before']['q1']:.6g}-{m['before']['q3']:.6g});"
         f" after lower in {m['pairs_after_lower']}/{m['pairs']} pairs{verdict}"
     )
+
+
+def regressions_line(end_to_end: dict) -> str:
+    """'regressed: ' and every "<workload> <metric>" that regressed; end_to_end maps each workload to its paired_summary."""
+    worse = [f"{wl} {name}" for wl, metrics in end_to_end.items() for name, m in metrics.items()
+             if name != "ops" and m["regressed"]]
+    return "regressed: " + (", ".join(worse) if worse else "none")
 
 
 def _raise_exit(signum, frame):
@@ -251,6 +271,7 @@ def main(argv=None) -> int:
         for name, m in metrics.items():
             if name != "ops":
                 print(medians_line(wl, name, m))
+    print(regressions_line(summary["end_to_end"]))
     print(f"wrote {args.out}")
     return 0
 
