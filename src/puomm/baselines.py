@@ -59,11 +59,6 @@ class TwoPartModel:
             raise ValueError(f"aux must be nonnegative and finite (or a +inf Gamma shape), got {self.aux}")
 
 
-def _norm(v: np.ndarray) -> float:
-    """The l2 norm of a 1-D float vector: np.linalg.norm's arithmetic, without its call overhead."""
-    return math.sqrt(v.dot(v))
-
-
 def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX_NEWTON):
     """Minimize a smooth convex objective; returns (w, clamped) flag.
 
@@ -77,7 +72,7 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
     f = obj_fn(w)
     for _ in range(max_iter):
         g = grad_fn(w)
-        if _norm(g) <= GRAD_TOL:
+        if math.sqrt(g.dot(g)) <= GRAD_TOL:  # np.linalg.norm's arithmetic, without its call overhead
             break
         try:
             step = np.linalg.solve(hess_fn(w), g)
@@ -89,7 +84,7 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
         while t >= 1e-12:
             w_new = w - t * step
             if clamp_radius is not None:
-                norm = _norm(w_new)
+                norm = math.sqrt(w_new.dot(w_new))
                 if norm > clamp_radius:
                     w_new = w_new * (clamp_radius / norm)
             f_new = obj_fn(w_new)
@@ -98,9 +93,10 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
             t *= 0.5
         else:
             break
-        if clamp_radius is not None and _norm(w - t * step) > clamp_radius + 1e-12:
+        if clamp_radius is not None and norm > clamp_radius + 1e-12:  # the accepted step left the ball
             clamped = True
-        delta = _norm(w_new - w)
+        move = w_new - w
+        delta = math.sqrt(move.dot(move))
         w, f = w_new, f_new
         if delta <= 1e-14:
             break
@@ -181,7 +177,8 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     clamp = 5.0 * np.sqrt(p)
     terms = _GlmTerms(X, y, _logistic_rows)
     w, clamped = _damped_newton(np.zeros(p), terms.grad, terms.hess, terms.obj, clamp_radius=clamp)
-    if clamped or _norm(terms.grad(w)) > 1e-4:
+    g = terms.grad(w)
+    if clamped or math.sqrt(g.dot(g)) > 1e-4:
         warnings.warn("labels are separable or nearly so; coefficients clamped", SeparationWarning)
     return w
 
@@ -270,30 +267,35 @@ def fit_oracle(train: Dataset) -> TwoPartModel:
     )
 
 
-# Each Dataset's logistic stage on 1{z > 0}, shared by its Gamma and log-normal
-# mixtures; an entry goes with its Dataset.
+# Each read-only Dataset's logistic stage on 1{z > 0}, shared by its Gamma and
+# log-normal mixtures; an entry goes with its Dataset.
 _OCCURRENCE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _occurrence_stage(train: Dataset, recorded: np.ndarray) -> tuple[np.ndarray, bool]:
-    """fit_logistic on 1{z > 0} and whether it warned of separation, fitted once per Dataset object.
+    """fit_logistic on 1{z > 0} and whether it warned of separation, fitted once per read-only Dataset.
 
-    Each call returns its own copy of the coefficients.
+    A writable train is fitted on every call.  Each call returns its own
+    copy of the coefficients.
     """
-    stage = _OCCURRENCE.get(train)
+    kept = train.read_only
+    stage = _OCCURRENCE.get(train) if kept else None
     if stage is None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             occ = fit_logistic(train.x, recorded.astype(float))
-        stage = _OCCURRENCE[train] = (occ, any(issubclass(w.category, SeparationWarning) for w in caught))
+        stage = (occ, any(issubclass(w.category, SeparationWarning) for w in caught))
+        if kept:
+            _OCCURRENCE[train] = stage
     return stage[0].copy(), stage[1]
 
 
 def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
     """Logistic stage on 1{z>0} plus the requested size family on recorded positives.
 
-    The logistic stage is fitted once per Dataset object (_occurrence_stage),
-    so the Gamma and log-normal mixtures of one training set share it.
+    The logistic stage is fitted once per read-only Dataset object
+    (_occurrence_stage), so the Gamma and log-normal mixtures of one such
+    training set share it.
     """
     if family not in ("gamma", "lognormal"):
         raise ValueError(f"unknown magnitude family {family!r}")

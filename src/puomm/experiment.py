@@ -31,7 +31,7 @@ from .selection import (
     make_lambda_grid,
 )
 from .metrics import evaluate_trial
-from .model import store_integer_fields
+from .model import Dataset, store_integer_fields
 from .simulate import SimConfig, make_datasets
 
 SIM_METRICS = ("rmse_beta", "rmse_theta", "brier", "misclassification", "mad", "rmse_pred", "smape")
@@ -65,11 +65,11 @@ def _pu_omm_true_lambda(train, opts, true_lambda):
 # Every method the CLI and the experiment harness fit, as
 # method(train, opts, true_lambda) -> model.  Only the LATENT_METHODS get the
 # latent columns; every other method gets observed data (the CLI reads it under
-# the observed-only schema, and each experiment cell passes one observed_only()
-# view of its training set to all of them, so their fits share the work that
-# depends only on that Dataset object).  opts is anything with grid_size, grid_lo,
-# grid_hi, tol, max_iter and radius attributes (an ExperimentConfig or the
-# CLI's arguments).  The fitters are looked up as module globals at call
+# the observed-only schema, and each experiment cell passes one read-only
+# observed view of its training set to all of them, so their fits share the
+# work that depends only on that Dataset object).  opts is anything with
+# grid_size, grid_lo, grid_hi, tol, max_iter and radius attributes (an
+# ExperimentConfig or the CLI's arguments).  The fitters are looked up as module globals at call
 # time, so replacing experiment.fit_pu_omm replaces what the registry calls.
 METHODS = {
     "oracle": lambda train, opts, true_lambda: fit_oracle(train),
@@ -176,12 +176,15 @@ class ExperimentConfig:
 def _fit_methods(cfg, train, true_lambda) -> dict:
     """Each configured method's model on train, or the status of its failed fit.
 
-    Every method outside LATENT_METHODS gets one observed_only() view of
-    train, one Dataset object, so their fits share the work that depends
-    only on it (the row split, the logistic stage).  That work goes with
-    the view when this returns, before the test set is scored.
+    Every method outside LATENT_METHODS gets one view of train's x and z,
+    one read-only Dataset object (Dataset.read_only), so their fits share
+    the work that depends only on it (the row split, the logistic stage).
+    Nothing writes into train while they run.  That work goes with the
+    view when this returns, before the test set is scored.
     """
-    observed = train.observed_only()
+    x, z = train.x.view(), train.z.view()
+    x.flags.writeable = z.flags.writeable = False
+    observed = Dataset(x=x, z=z)
     fitted = {}
     for method in cfg.methods:
         try:

@@ -8,9 +8,10 @@ Marginalizing the detection indicator gives a closed-form likelihood in
 the stacked parameter omega = (beta, theta); this module evaluates that
 likelihood, its analytic gradient and its analytic Hessian.
 
-Every evaluation reads one private per-point state, _RowTerms.  Each
-Dataset object's rows are split once into recorded and zero blocks,
-stored feature-major (p x rows), and that split serves the states of
+Every evaluation reads one private per-point state, _RowTerms, over
+the rows split into recorded and zero blocks, stored feature-major
+(p x rows).  The fit path keeps the split of a read-only Dataset (see
+Dataset.read_only) while that Dataset lives, so it serves the states of
 all its detection rates.  One pass per point computes both linear
 predictors, the expit pairs and the log-likelihood total.  Both blocks
 take their sigmoid pairs from special.expit_pair, one clipped exp per
@@ -22,9 +23,10 @@ The optimizer's closures (make_objective, make_hessian) read one shared
 state per Dataset object, rate and thread, so a Hessian at the point the
 gradient just saw reuses its terms.  The state is held weakly: it lives
 only while some closure uses it.
-neg_log_likelihood and gradient build a private state per call.  A
-non-finite total is traced back to its rows only then, so NumericalError
-still names the first bad sample in the original row order.
+neg_log_likelihood and gradient build a private state per call and
+keep no split.  A non-finite total is traced back to its rows only
+then, so NumericalError still names the first bad sample in the
+original row order.
 """
 
 from __future__ import annotations
@@ -124,12 +126,14 @@ class Dataset:
     x may be shared with other datasets: while a simulated design is
     alive, make_datasets returns that same read-only array for every
     setting and n value of its trial, so nothing writes into x.  A
-    Dataset equals only itself and hashes by identity, so fits can keep
-    their lambda-free work per Dataset object: the likelihood's row split
+    Dataset equals only itself and hashes by identity.  When x and z are
+    both read-only arrays (read_only), fits keep their lambda-free work
+    per Dataset object while it lives: the likelihood's row split
     (model._split) and the observed-data mixtures' logistic stage
-    (baselines._occurrence_stage) are made on the first fit that needs
-    them and kept while the Dataset lives.  So x and z must not be
-    written after a fit has read them; build a new Dataset instead.
+    (baselines._occurrence_stage).  Read-only arrays are taken not to
+    change, so do not write into their base arrays while such a Dataset
+    is fitted.  With a writable x or z every fit recomputes that work, so
+    a write between two fits is seen by the second.
     Latent columns (y, u, r) are present only for simulated data and are
     consumed exclusively by oracle fitting and evaluation code.  x and z
     must be finite and z nonnegative, and every column must have n
@@ -174,6 +178,11 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    @property
+    def read_only(self) -> bool:
+        """Whether x and z are both read-only, so fits may keep work that depends only on them."""
+        return not (self.x.flags.writeable or self.z.flags.writeable)
 
     @property
     def has_latent(self) -> bool:
@@ -242,7 +251,8 @@ class _RowTerms:
     negligible.  A recorded row's loss needs log expit(b) itself, which is
     about b far below zero, so it comes from log_expit, exact in both
     tails, and not from the clipped pair.  The row blocks come from
-    _split, made once per Dataset object for all its rates.  The terms
+    _split; with keep_split, as on the fit path, a read-only Dataset's
+    split is kept and shared by the states of all its rates.  The terms
     are recomputed only when at() gets a point whose bytes differ from
     the last one's, so evaluating the loss, the gradient and the Hessian
     at one point pays for them once, mutating the caller's array in place
@@ -252,12 +262,12 @@ class _RowTerms:
     a warning.
     """
 
-    def __init__(self, data: Dataset, d: DetectionParam):
+    def __init__(self, data: Dataset, d: DetectionParam, keep_split: bool = False):
         if data.n < 1:
             raise ValueError("dataset must contain at least one sample")
         # held so that id(data), _state_for's key, is not reused while this state lives
         self.data = data
-        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = _split(data)
+        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = _split(data, keep_split)
         self.n, self.p = data.n, data.p
         self.loglam = np.log(d.lambda_eps)
         self.key = None  # the bytes of the last point, once its terms are complete
@@ -351,30 +361,35 @@ class _RowTerms:
         return h
 
 
-# Each Dataset's row split, the lambda-free part of every _RowTerms on it; an
-# entry goes with its Dataset.  No lock: threads that miss one Dataset at once
-# each make the same arrays, and the last one's stay in the map.
+# Each read-only Dataset's row split kept by the fit path, the lambda-free part
+# of every _RowTerms on it; an entry goes with its Dataset.  No lock: threads
+# that miss one Dataset at once each make the same arrays, and the last one's
+# stay in the map.
 _SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _split(data: Dataset) -> tuple[np.ndarray, ...]:
-    """rows_p, rows_n, XpT, XnT and zp of data, made on its first fit and kept while data lives.
+def _split(data: Dataset, keep: bool) -> tuple[np.ndarray, ...]:
+    """rows_p, rows_n, XpT, XnT and zp of data; with keep, a read-only data's are kept while it lives.
 
     rows_p and rows_n hold each block's rows in the original order, also
     used to name the first bad row; XpT and XnT are those rows' features,
-    feature-major, and zp the recorded sizes.
+    feature-major, and zp the recorded sizes.  A kept split is served only
+    while data is still read-only.
     """
-    split = _SPLITS.get(data)
+    kept = data.read_only
+    split = _SPLITS.get(data) if kept else None
     if split is None:
         pos = data.z > 0
         rows_p, rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
-        split = _SPLITS[data] = (
+        split = (
             rows_p,
             rows_n,
             np.ascontiguousarray(data.x.take(rows_p, axis=0).T),
             np.ascontiguousarray(data.x.take(rows_n, axis=0).T),
             data.z[rows_p],
         )
+        if keep and kept:
+            _SPLITS[data] = split
     return split
 
 
@@ -388,7 +403,7 @@ def _state_for(data: Dataset, d: DetectionParam) -> _RowTerms:
     key = (id(data), d.lambda_eps, threading.get_ident())
     state = _STATES.get(key)
     if state is None:
-        state = _STATES[key] = _RowTerms(data, d)
+        state = _STATES[key] = _RowTerms(data, d, True)  # keep_split: this is the fit path
     return state
 
 

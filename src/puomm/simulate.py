@@ -87,7 +87,10 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
     Sampling goes through the Cholesky factor, so for a fixed stream the
     first rows do not depend on n.  The normals are drawn and transformed
     _DESIGN_BLOCK rows at a time straight into the output, so no second
-    n x p array is made; the values are those of one whole-array draw.
+    n x p array is made.  The values equal those of one whole-array draw
+    to rounding.  They were bit-equal with OpenBLAS 0.3.31 on an x86-64
+    Xeon at 1 and 2 threads, for n up to 60,000 and p up to 59; another
+    BLAS kernel or thread split may round a row differently.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
@@ -95,19 +98,18 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
         chol = np.linalg.cholesky(ar_covariance(p, rho))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"design covariance is not positive definite for rho={rho}") from exc
-    if n <= _DESIGN_BLOCK:
-        return rng.standard_normal((n, p)) @ chol.T
+    block = min(n, _DESIGN_BLOCK)
     out = np.empty((n, p))
-    normals = np.empty((_DESIGN_BLOCK, p))
-    for start in range(0, n, _DESIGN_BLOCK):
-        fresh = min(_DESIGN_BLOCK, n - start)
+    normals = np.empty((block, p))
+    for start in range(0, n, block):
+        fresh = min(block, n - start)
         # a short last block keeps the previous block's last normals ahead of
         # its own and rewrites their rows with the same values: every product
-        # has _DESIGN_BLOCK rows, as OpenBLAS rounds a small product differently
-        normals[: _DESIGN_BLOCK - fresh] = normals[fresh:]
-        rng.standard_normal(out=normals[_DESIGN_BLOCK - fresh :])
+        # has block rows, as OpenBLAS rounds a small product differently
+        normals[: block - fresh] = normals[fresh:]
+        rng.standard_normal(out=normals[block - fresh :])
         stop = start + fresh
-        np.matmul(normals, chol.T, out=out[stop - _DESIGN_BLOCK : stop])
+        np.matmul(normals, chol.T, out=out[stop - block : stop])
     return out
 
 

@@ -73,6 +73,13 @@ def random_dataset(rng: np.random.Generator, n: int, p: int, detect_rate: float 
     return Dataset(x=x, z=y * r)
 
 
+def read_only(ds: Dataset) -> Dataset:
+    """A Dataset over read-only views of ds's x and z, like the one an experiment cell fits."""
+    x, z = ds.x.view(), ds.z.view()
+    x.flags.writeable = z.flags.writeable = False
+    return Dataset(x=x, z=z)
+
+
 @st.composite
 def z_pattern_datasets(draw, latent=False):
     """Small datasets whose size rows are all rows, one row, no row or a random share.

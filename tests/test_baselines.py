@@ -22,6 +22,8 @@ from puomm.baselines import (
 from puomm.model import Dataset
 from puomm.simulate import SimConfig, make_datasets
 
+from conftest import read_only
+
 
 def _logistic_se(x, coef):
     mu = expit(x @ coef)
@@ -224,9 +226,9 @@ def _separable_dataset():
 @pytest.mark.parametrize("kind", ["simulated", "separable"])
 def test_observed_mixtures_on_one_dataset_fit_the_logistic_stage_once(kind, monkeypatch):
     if kind == "simulated":
-        train = make_datasets(SimConfig(setting="lognormal", n=2000, p=3, seed=14, n_test=10)).train.observed_only()
+        train = read_only(make_datasets(SimConfig(setting="lognormal", n=2000, p=3, seed=14, n_test=10)).train)
     else:
-        train = _separable_dataset()
+        train = read_only(_separable_dataset())
     # each mixture on a copy of its own fits its own logistic stage
     alone = {family: fit_observed_mixture(Dataset(x=train.x.copy(), z=train.z.copy()), family)
              for family in ("gamma", "lognormal")}
@@ -242,6 +244,22 @@ def test_observed_mixtures_on_one_dataset_fit_the_logistic_stage_once(kind, monk
         assert ("separation" in model.flags) == (kind == "separable")
     # each model holds its own copy of the shared coefficients
     assert shared["gamma"].occurrence_coef is not shared["lognormal"].occurrence_coef
+
+
+def test_a_mixture_sees_a_write_into_a_writable_dataset_after_an_earlier_fit(monkeypatch):
+    train = make_datasets(SimConfig(setting="lognormal", n=2000, p=3, seed=14, n_test=10)).train.observed_only()
+    assert not train.read_only
+    calls = []
+    logistic = baselines.fit_logistic
+    monkeypatch.setattr(baselines, "fit_logistic", lambda *a: calls.append(1) or logistic(*a))
+    before = fit_observed_mixture(train, "gamma")
+    train.z[np.flatnonzero(train.z > 0)[::2]] = 0.0
+    after = fit_observed_mixture(train, "lognormal")
+    expected = fit_observed_mixture(Dataset(x=train.x.copy(), z=train.z.copy()), "lognormal")
+    assert len(calls) == 3  # a writable Dataset keeps no logistic stage
+    assert after.occurrence_coef.tobytes() == expected.occurrence_coef.tobytes()
+    assert after.magnitude_coef.tobytes() == expected.magnitude_coef.tobytes()
+    assert not np.array_equal(before.occurrence_coef, after.occurrence_coef)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -249,6 +249,7 @@ def test_experiment_rows_equal_fits_of_each_method_on_its_own_observed_copy(tmp_
     # each cell passed one observed Dataset object to its four non-latent methods
     observed = [ds for ds in seen if not ds.has_latent]
     assert len(observed) == 4 * 12 and len({id(ds) for ds in observed[:4]}) == 1
+    assert all(ds.read_only for ds in observed)
     statuses = {line.rsplit(",", 1)[1] for line in shared[0].read_text().splitlines()[1:]}
     assert {"ok", "not_converged", "failed: no true detection rate available for this cell"} <= statuses
 

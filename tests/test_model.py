@@ -27,13 +27,15 @@ from puomm.model import (
     neg_log_likelihood,
     phi,
 )
-from puomm.selection import default_radius, observed_occurrence_prob
+from puomm.optimizer import FitConfig
+from puomm.selection import default_radius, fit_at_lambda, observed_occurrence_prob
 from puomm.simulate import Setting, apply_missingness
 
 from conftest import (
     central_diff_gradient,
     pu_model,
     random_dataset,
+    read_only,
     reference_loss_and_gradient,
     tables_with_bad_cells,
     z_pattern_datasets,
@@ -541,9 +543,9 @@ def _state_values(state: _RowTerms) -> tuple:
 
 
 def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
-    ds = random_dataset(rng, 120, 3)
+    ds = read_only(random_dataset(rng, 120, 3))
     w = rng.standard_normal(6) * 0.4
-    states = [_RowTerms(ds, DetectionParam(lam)) for lam in (0.24, 2.0)]
+    states = [_state_for(ds, DetectionParam(lam)) for lam in (0.24, 2.0)]
     for name in ("rows_p", "rows_n", "XpT", "XnT", "zp"):
         assert getattr(states[0], name) is getattr(states[1], name), name
     assert len(_SPLITS[ds]) == 5
@@ -555,11 +557,37 @@ def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
 
 
 def test_a_split_goes_with_its_dataset(rng):
-    ds = random_dataset(rng, 30, 2)
+    ds = read_only(random_dataset(rng, 30, 2))
     make_objective(ds, DetectionParam(0.24))[0](np.zeros(4))
     dataset, features = weakref.ref(ds), weakref.ref(_SPLITS[ds][3])
     del ds
     assert dataset() is None and features() is None
+
+
+def test_only_the_fit_path_keeps_a_split_and_only_of_a_read_only_dataset(rng):
+    d, w = DetectionParam(0.24), np.zeros(4)
+    writable, frozen = random_dataset(rng, 30, 2), read_only(random_dataset(rng, 30, 2))
+    assert not writable.read_only and frozen.read_only
+    omega = ParamPair.from_vector(w)
+    neg_log_likelihood(omega, frozen, d), gradient(omega, frozen, d)
+    assert frozen not in _SPLITS  # a one-off evaluation frees its split when it returns
+    objective = make_objective(writable, d)
+    objective[0](w)
+    assert writable not in _SPLITS
+    del objective
+    make_objective(frozen, d)[0](w)
+    assert frozen in _SPLITS
+
+
+def test_a_fit_sees_a_write_into_a_writable_dataset_after_an_earlier_fit(rng):
+    ds, cfg = random_dataset(rng, 200, 2), FitConfig(tol=1e-6, max_iter=50, radius=default_radius(2))
+    before = fit_at_lambda(ds, 0.24, cfg)
+    ds.z[ds.z > 0] *= 3.0
+    after = fit_at_lambda(ds, 0.24, cfg)
+    expected = fit_at_lambda(Dataset(x=ds.x.copy(), z=ds.z.copy()), 0.24, cfg)
+    assert after.omega_hat.as_vector().tobytes() == expected.omega_hat.as_vector().tobytes()
+    assert after.fit.final_loss == expected.fit.final_loss
+    assert not np.array_equal(before.omega_hat.beta, after.omega_hat.beta)
 
 
 def test_datasets_compare_by_identity(rng):
