@@ -267,35 +267,30 @@ def fit_oracle(train: Dataset) -> TwoPartModel:
     )
 
 
-# Each read-only Dataset's logistic stage on 1{z > 0}, shared by its Gamma and
-# log-normal mixtures; an entry goes with its Dataset.
+# Each Dataset's logistic stage on 1{z > 0}, shared by its Gamma and log-normal
+# mixtures; an entry goes with its Dataset.
 _OCCURRENCE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _occurrence_stage(train: Dataset, recorded: np.ndarray) -> tuple[np.ndarray, bool]:
-    """fit_logistic on 1{z > 0} and whether it warned of separation, fitted once per read-only Dataset.
+    """fit_logistic on 1{z > 0} and whether it warned of separation, fitted once per Dataset.
 
-    A writable train is fitted on every call.  Each call returns its own
-    copy of the coefficients.
+    Each call returns its own copy of the coefficients.
     """
-    kept = train.read_only
-    stage = _OCCURRENCE.get(train) if kept else None
+    stage = _OCCURRENCE.get(train)
     if stage is None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             occ = fit_logistic(train.x, recorded.astype(float))
-        stage = (occ, any(issubclass(w.category, SeparationWarning) for w in caught))
-        if kept:
-            _OCCURRENCE[train] = stage
+        stage = _OCCURRENCE[train] = (occ, any(issubclass(w.category, SeparationWarning) for w in caught))
     return stage[0].copy(), stage[1]
 
 
 def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
     """Logistic stage on 1{z>0} plus the requested size family on recorded positives.
 
-    The logistic stage is fitted once per read-only Dataset object
-    (_occurrence_stage), so the Gamma and log-normal mixtures of one such
-    training set share it.
+    The logistic stage is fitted once per Dataset (_occurrence_stage), so
+    the Gamma and log-normal mixtures of one training set share it.
     """
     if family not in ("gamma", "lognormal"):
         raise ValueError(f"unknown magnitude family {family!r}")

@@ -31,11 +31,12 @@ from .selection import (
     make_lambda_grid,
 )
 from .metrics import evaluate_trial
-from .model import Dataset, store_integer_fields
+from .model import store_integer_fields
 from .simulate import SimConfig, make_datasets
 
-SIM_METRICS = ("rmse_beta", "rmse_theta", "brier", "misclassification", "mad", "rmse_pred", "smape")
-REAL_METRICS = ("brier", "misclassification", "mad", "rmse_pred", "smape")
+# Every metric a cell reports; one that evaluate_trial leaves as None (the
+# coefficient errors, without a truth to compare against) is not written.
+METRICS = ("rmse_beta", "rmse_theta", "brier", "misclassification", "mad", "rmse_pred", "smape")
 
 LONG_COLUMNS = ("setting", "n", "trial", "method", "metric", "value", "status")
 SUMMARY_COLUMNS = ("setting", "n", "method", "metric", "mean", "se", "n_trials")
@@ -65,12 +66,12 @@ def _pu_omm_true_lambda(train, opts, true_lambda):
 # Every method the CLI and the experiment harness fit, as
 # method(train, opts, true_lambda) -> model.  Only the LATENT_METHODS get the
 # latent columns; every other method gets observed data (the CLI reads it under
-# the observed-only schema, and each experiment cell passes one read-only
-# observed view of its training set to all of them, so their fits share the
-# work that depends only on that Dataset object).  opts is anything with
-# grid_size, grid_lo, grid_hi, tol, max_iter and radius attributes (an
-# ExperimentConfig or the CLI's arguments).  The fitters are looked up as module globals at call
-# time, so replacing experiment.fit_pu_omm replaces what the registry calls.
+# the observed-only schema, and each experiment cell passes one observed_only()
+# Dataset of its training set to all of them, so their fits share the work that
+# depends only on that Dataset).  opts is anything with grid_size, grid_lo,
+# grid_hi, tol, max_iter and radius attributes (an ExperimentConfig or the CLI's
+# arguments).  The fitters are looked up as module globals at call time, so
+# replacing experiment.fit_pu_omm replaces what the registry calls.
 METHODS = {
     "oracle": lambda train, opts, true_lambda: fit_oracle(train),
     "pu_omm": _pu_omm,
@@ -127,6 +128,9 @@ class ExperimentConfig:
         if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0 < lo < hi < math.inf):
             raise ValueError(f"grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got {lo!r} and {hi!r}")
         _fit_config(self, p=1)  # FitConfig names a bad tol, max_iter or radius
+        value = self.true_lambda
+        if value is not None and not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            raise ValueError(f"true_lambda must be a finite positive real, got {value!r}")
         if not self.methods:
             raise ValueError(f"methods must name at least one of {tuple(METHODS)}")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -176,15 +180,12 @@ class ExperimentConfig:
 def _fit_methods(cfg, train, true_lambda) -> dict:
     """Each configured method's model on train, or the status of its failed fit.
 
-    Every method outside LATENT_METHODS gets one view of train's x and z,
-    one read-only Dataset object (Dataset.read_only), so their fits share
-    the work that depends only on it (the row split, the logistic stage).
-    Nothing writes into train while they run.  That work goes with the
-    view when this returns, before the test set is scored.
+    Every method outside LATENT_METHODS gets one train.observed_only()
+    Dataset, so their fits share the work that depends only on it (the
+    row split, the logistic stage).  That work goes with it when this
+    returns, before the test set is scored.
     """
-    x, z = train.x.view(), train.z.view()
-    x.flags.writeable = z.flags.writeable = False
-    observed = Dataset(x=x, z=z)
+    observed = train.observed_only()
     fitted = {}
     for method in cfg.methods:
         try:
@@ -196,7 +197,6 @@ def _fit_methods(cfg, train, true_lambda) -> dict:
 
 def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mode):
     rows = []
-    metric_names = SIM_METRICS if mode == "simulation" else REAL_METRICS
     for method, model in _fit_methods(cfg, train, true_lambda).items():
         if isinstance(model, str):
             rows.append((setting_label, n, trial, method, "all", "", model))
@@ -205,7 +205,7 @@ def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mo
             report = evaluate_trial({method: model}, test, truth=truth, trial_id=trial, mode=mode)[0]
             # a fit stopped by max_iter is reported but kept out of the summary means
             status = "not_converged" if isinstance(model, PuOmmModel) and not model.fit.converged else "ok"
-            for metric in metric_names:
+            for metric in METRICS:
                 value = getattr(report, metric)
                 if value is None:
                     continue

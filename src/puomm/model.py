@@ -10,9 +10,9 @@ likelihood, its analytic gradient and its analytic Hessian.
 
 Every evaluation reads one private per-point state, _RowTerms, over
 the rows split into recorded and zero blocks, stored feature-major
-(p x rows).  The fit path keeps the split of a read-only Dataset (see
-Dataset.read_only) while that Dataset lives, so it serves the states of
-all its detection rates.  One pass per point computes both linear
+(p x rows).  A Dataset's arrays cannot change, so its split is made once
+and kept while that Dataset lives, and the states of all its detection
+rates share it.  One pass per point computes both linear
 predictors, the expit pairs and the log-likelihood total.  Both blocks
 take their sigmoid pairs from special.expit_pair, one clipped exp per
 block with no sign test; the recorded rows take log expit(x.theta) from
@@ -20,12 +20,12 @@ special.log_expit, which stays exact where the clipped pair saturates.
 The terms of the last point are kept, keyed by the point's bytes, so
 loss, gradient and Hessian at one point share that pass.
 The optimizer's closures (make_objective, make_hessian) read one shared
-state per Dataset object, rate and thread, so a Hessian at the point the
+state per Dataset, rate and thread, so a Hessian at the point the
 gradient just saw reuses its terms.  The state is held weakly: it lives
 only while some closure uses it.
-neg_log_likelihood and gradient build a private state per call and
-keep no split.  A non-finite total is traced back to its rows only
-then, so NumericalError still names the first bad sample in the
+neg_log_likelihood and gradient build a private state per call, over
+the same kept split.  A non-finite total is traced back to its rows
+only then, so NumericalError still names the first bad sample in the
 original row order.
 """
 
@@ -123,17 +123,17 @@ class DetectionParam:
 class Dataset:
     """Feature matrix x (one row per sample) with the observed magnitude column.
 
-    x may be shared with other datasets: while a simulated design is
-    alive, make_datasets returns that same read-only array for every
-    setting and n value of its trial, so nothing writes into x.  A
-    Dataset equals only itself and hashes by identity.  When x and z are
-    both read-only arrays (read_only), fits keep their lambda-free work
-    per Dataset object while it lives: the likelihood's row split
-    (model._split) and the observed-data mixtures' logistic stage
-    (baselines._occurrence_stage).  Read-only arrays are taken not to
-    change, so do not write into their base arrays while such a Dataset
-    is fitted.  With a writable x or z every fit recomputes that work, so
-    a write between two fits is seen by the second.
+    A Dataset is immutable: construction marks every array it holds (x,
+    z, and y, u, r when present) read-only, without copying, so a float64
+    array passed in becomes read-only for its caller too and a later
+    write into it raises ValueError.  (A write through another, writable
+    view of the same base array is not caught.)  Fits therefore keep
+    their lambda-free work per Dataset while it lives: the likelihood's
+    row split (model._split) and the observed-data mixtures' logistic
+    stage (baselines._occurrence_stage).  A Dataset equals only itself
+    and hashes by identity.  x may be shared with other datasets: while a
+    simulated design is alive, make_datasets returns that same array for
+    every setting and n value of its trial.
     Latent columns (y, u, r) are present only for simulated data and are
     consumed exclusively by oracle fitting and evaluation code.  x and z
     must be finite and z nonnegative, and every column must have n
@@ -170,6 +170,9 @@ class Dataset:
                 if col.shape != (self.n,):
                     raise ValueError(f"{name} must be a length-n vector (n={self.n}), got shape {col.shape}")
                 setattr(self, name, col)
+        for col in (self.x, self.z, self.y, self.u, self.r):
+            if col is not None:
+                col.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -180,16 +183,11 @@ class Dataset:
         return self.x.shape[1]
 
     @property
-    def read_only(self) -> bool:
-        """Whether x and z are both read-only, so fits may keep work that depends only on them."""
-        return not (self.x.flags.writeable or self.z.flags.writeable)
-
-    @property
     def has_latent(self) -> bool:
         return self.y is not None and self.u is not None
 
     def observed_only(self) -> "Dataset":
-        """Copy with latent columns stripped (what a real estimator sees)."""
+        """A Dataset over the same x and z, with the latent columns stripped (what a real estimator sees)."""
         return Dataset(x=self.x, z=self.z)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
@@ -251,8 +249,7 @@ class _RowTerms:
     negligible.  A recorded row's loss needs log expit(b) itself, which is
     about b far below zero, so it comes from log_expit, exact in both
     tails, and not from the clipped pair.  The row blocks come from
-    _split; with keep_split, as on the fit path, a read-only Dataset's
-    split is kept and shared by the states of all its rates.  The terms
+    _split, shared by the states of all the Dataset's rates.  The terms
     are recomputed only when at() gets a point whose bytes differ from
     the last one's, so evaluating the loss, the gradient and the Hessian
     at one point pays for them once, mutating the caller's array in place
@@ -262,12 +259,10 @@ class _RowTerms:
     a warning.
     """
 
-    def __init__(self, data: Dataset, d: DetectionParam, keep_split: bool = False):
+    def __init__(self, data: Dataset, d: DetectionParam):
         if data.n < 1:
             raise ValueError("dataset must contain at least one sample")
-        # held so that id(data), _state_for's key, is not reused while this state lives
-        self.data = data
-        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = _split(data, keep_split)
+        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = _split(data)
         self.n, self.p = data.n, data.p
         self.loglam = np.log(d.lambda_eps)
         self.key = None  # the bytes of the last point, once its terms are complete
@@ -361,49 +356,44 @@ class _RowTerms:
         return h
 
 
-# Each read-only Dataset's row split kept by the fit path, the lambda-free part
-# of every _RowTerms on it; an entry goes with its Dataset.  No lock: threads
-# that miss one Dataset at once each make the same arrays, and the last one's
-# stay in the map.
+# Each Dataset's row split, the lambda-free part of every _RowTerms on it; an
+# entry goes with its Dataset.  No lock: threads that miss one Dataset at once
+# each make the same arrays, and the last one's stay in the map.
 _SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _split(data: Dataset, keep: bool) -> tuple[np.ndarray, ...]:
-    """rows_p, rows_n, XpT, XnT and zp of data; with keep, a read-only data's are kept while it lives.
+def _split(data: Dataset) -> tuple[np.ndarray, ...]:
+    """rows_p, rows_n, XpT, XnT and zp of data, made once while data lives.
 
     rows_p and rows_n hold each block's rows in the original order, also
     used to name the first bad row; XpT and XnT are those rows' features,
-    feature-major, and zp the recorded sizes.  A kept split is served only
-    while data is still read-only.
+    feature-major, and zp the recorded sizes.
     """
-    kept = data.read_only
-    split = _SPLITS.get(data) if kept else None
+    split = _SPLITS.get(data)
     if split is None:
         pos = data.z > 0
         rows_p, rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
-        split = (
+        split = _SPLITS[data] = (
             rows_p,
             rows_n,
             np.ascontiguousarray(data.x.take(rows_p, axis=0).T),
             np.ascontiguousarray(data.x.take(rows_n, axis=0).T),
             data.z[rows_p],
         )
-        if keep and kept:
-            _SPLITS[data] = split
     return split
 
 
-# The live shared state of each (id(data), lambda_eps, thread); an entry goes
-# when the last closure reading its state is dropped.
+# The live shared state of each (data, lambda_eps, thread); an entry goes when
+# the last closure reading its state is dropped.
 _STATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _state_for(data: Dataset, d: DetectionParam) -> _RowTerms:
-    """The live _RowTerms of this Dataset object, rate and thread, or a new one."""
-    key = (id(data), d.lambda_eps, threading.get_ident())
+    """The live _RowTerms of this Dataset, rate and thread, or a new one."""
+    key = (data, d.lambda_eps, threading.get_ident())
     state = _STATES.get(key)
     if state is None:
-        state = _STATES[key] = _RowTerms(data, d, True)  # keep_split: this is the fit path
+        state = _STATES[key] = _RowTerms(data, d)
     return state
 
 
@@ -436,7 +426,7 @@ def make_objective(data: Dataset, d: DetectionParam):
     """Loss and loss+gradient closures over the stacked parameter vector.
 
     Both read the _RowTerms state that _state_for shares with every live
-    closure of this Dataset object, rate and thread, so loss_and_grad(w)
+    closure of this Dataset, rate and thread, so loss_and_grad(w)
     right after loss(w) costs only the two gradient products.
     """
     state = _state_for(data, d)
@@ -454,7 +444,7 @@ def make_hessian(data: Dataset, d: DetectionParam):
     """Closure for the 2p x 2p Hessian of make_objective's loss (see _RowTerms.hessian).
 
     It reads the same shared state as make_objective's closures for this
-    Dataset object, rate and thread, so a Hessian at the point that
+    Dataset, rate and thread, so a Hessian at the point that
     loss_and_grad has just evaluated recomputes no row terms.  The state
     is held weakly by the lookup and strongly by the closures: it lives
     while any of them does.  Overflow shows as non-finite entries, which

@@ -73,7 +73,6 @@ class FitConfig:
     radius: float
     max_iter: int = 10000
     tol: float = 1e-8
-    record_iterates: bool = False
 
     def __post_init__(self):
         store_integer_fields(self, ("max_iter",))
@@ -93,8 +92,6 @@ class FitResult:
     are non-increasing.  On a PGD iteration step_size is the gradient
     step eta; on a Newton iteration it is the accepted fraction of the
     segment to the ball-constrained Newton point (1, 1/2, ..., 2^-8).
-    iterates (one row per iterate, including the start) is populated
-    only when FitConfig.record_iterates is set.
     """
 
     omega_hat: ParamPair
@@ -102,7 +99,6 @@ class FitResult:
     iterations: int
     final_loss: float
     trace: list[tuple[int, float, float, float]] = field(default_factory=list)
-    iterates: np.ndarray | None = None
 
 
 def project_l2_ball(v: np.ndarray, r: float) -> np.ndarray:
@@ -237,7 +233,6 @@ def fit(
     hessian = make_hessian(data, d)
     loss_w, grad = loss_and_grad(w)
     trace = [(0, loss_w, 0.0, 0.0)]
-    iterates = [w.copy()] if cfg.record_iterates else None
 
     converged = False
     newton = False
@@ -264,8 +259,6 @@ def fit(
         w, loss_w = candidate, loss_c
         iterations = t
         trace.append((t, loss_w, eta, change))
-        if iterates is not None:
-            iterates.append(w.copy())
         if change <= cfg.tol:
             converged = True
             break
@@ -277,5 +270,4 @@ def fit(
         iterations=iterations,
         final_loss=loss_w,
         trace=trace,
-        iterates=None if iterates is None else np.asarray(iterates),
     )

@@ -8,6 +8,9 @@ against the training indicator 1{z > 0}.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +37,9 @@ class LambdaGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("grid must be a nonempty 1-D sequence")
-        if np.any(self.values <= 0):
-            raise ValueError("grid values must be positive")
+        bad = self.values[~(np.isfinite(self.values) & (self.values > 0))]
+        if bad.size:
+            raise ValueError(f"grid values must be finite and positive, got {float(bad[0])}")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("grid values must be sorted increasing")
 
@@ -74,10 +78,14 @@ def make_lambda_grid(
     hi: float = DEFAULT_GRID_HI,
 ) -> LambdaGrid:
     """n_points values from lo to hi, equally spaced on a log scale."""
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if n_points < 2:
-        raise ValueError("grid needs at least 2 points")
-    if not (0 < lo < hi):
-        raise ValueError(f"grid bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+        raise ValueError(f"grid needs at least 2 points, got {n_points}")
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0 < lo < hi < math.inf):
+        raise ValueError(f"grid bounds must satisfy 0 < lo < hi < inf, got ({lo!r}, {hi!r})")
     return LambdaGrid(np.exp(np.linspace(np.log(lo), np.log(hi), n_points)))
 
 

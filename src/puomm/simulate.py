@@ -181,20 +181,19 @@ def apply_missingness(
 
 # The live designs by (split, seed, rows, p, rho).  Each is drawn from a
 # substream that depends on nothing else, so every setting and n value of a
-# trial reads one read-only array; an entry goes with the last Dataset holding it.
+# trial reads one array, which its first Dataset marks read-only; an entry goes
+# with the last Dataset holding it.
 # No lock: threads that miss one key at once each draw the same values, and
 # the last one's array stays in the map.
 _DESIGNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _design(split: str, n: int, cfg: SimConfig, stream: np.random.SeedSequence) -> np.ndarray:
-    """The live design of this split, seed, size, p and rho, or a new read-only draw from stream."""
+    """The live design of this split, seed, size, p and rho, or a new draw from stream."""
     key = (split, cfg.seed, n, cfg.p, cfg.rho)
     x = _DESIGNS.get(key)
     if x is None:
-        x = gen_design(n, cfg.p, cfg.rho, np.random.default_rng(stream))
-        x.flags.writeable = False
-        _DESIGNS[key] = x
+        x = _DESIGNS[key] = gen_design(n, cfg.p, cfg.rho, np.random.default_rng(stream))
     return x
 
 
@@ -220,8 +219,8 @@ def make_datasets(cfg: SimConfig) -> SimOutput:
     (seed, n, p, rho) and the test design only on (seed, n_test, p, rho),
     so the settings and n values of one experiment trial see the same
     designs (common random numbers).  While some Dataset holds a design,
-    every call with the same key returns that very array, which is why
-    the simulated x arrays are read-only; copy one before writing.  The
+    every call with the same key returns that very array; like every
+    Dataset array it is read-only, so copy one before writing.  The
     experiment harness keeps each cell's datasets alive while it makes the
     next cell's, so back-to-back cells share their designs, and it rejects
     a repeated setting label, n value or method.

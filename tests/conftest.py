@@ -1,3 +1,4 @@
+import contextlib
 import os
 import tempfile
 
@@ -73,11 +74,42 @@ def random_dataset(rng: np.random.Generator, n: int, p: int, detect_rate: float 
     return Dataset(x=x, z=y * r)
 
 
-def read_only(ds: Dataset) -> Dataset:
-    """A Dataset over read-only views of ds's x and z, like the one an experiment cell fits."""
-    x, z = ds.x.view(), ds.z.view()
-    x.flags.writeable = z.flags.writeable = False
-    return Dataset(x=x, z=z)
+def assert_read_only(ds: Dataset) -> None:
+    """Every array ds holds refuses a write with ValueError."""
+    for name in ("x", "z", "y", "u", "r"):
+        col = getattr(ds, name)
+        if col is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                col[...] = 1.0
+
+
+@contextlib.contextmanager
+def objective_points():
+    """Copies of the points that optimizer.fit's objective closures see while the block runs.
+
+    Yields {"loss": [...], "loss_and_grad": [...]}, filled in call order
+    by wrapping optimizer.make_objective, as the benchmark's tracer does.
+    loss sees the line searches' trial points; loss_and_grad sees the
+    start and every accepted iterate after which the fit went on.
+    """
+    from puomm import optimizer
+
+    points = {"loss": [], "loss_and_grad": []}
+    make_objective = optimizer.make_objective
+
+    def recording(data, d):
+        def recorded(seen, f):
+            def call(w):
+                seen.append(w.copy())
+                return f(w)
+
+            return call
+
+        return tuple(recorded(seen, f) for seen, f in zip(points.values(), make_objective(data, d)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "make_objective", recording)
+        yield points
 
 
 @st.composite

@@ -21,7 +21,7 @@ from puomm.optimizer import FitConfig
 from puomm.selection import default_radius, fit_at_lambda, fit_pu_omm, make_lambda_grid
 from puomm.simulate import SimConfig, apply_missingness, gen_latent, make_datasets
 
-from conftest import random_dataset
+from conftest import objective_points, random_dataset
 
 
 def _passed(num: int, text: str) -> None:
@@ -138,18 +138,21 @@ def scaling_fits():
             sim = make_datasets(
                 SimConfig(setting="correct", n=n, p=10, lambda_eps_true=0.24, seed=400 + trial, n_test=10)
             )
-            cfg = FitConfig(radius=default_radius(10), tol=1e-8, record_iterates=True)
-            model = fit_at_lambda(sim.train.observed_only(), 0.24, cfg)
+            cfg = FitConfig(radius=default_radius(10), tol=1e-8)
+            with objective_points() as points:
+                model = fit_at_lambda(sim.train.observed_only(), 0.24, cfg)
             omega0 = np.concatenate([sim.beta0, sim.theta0])
             err = float(np.linalg.norm(model.fit.omega_hat.as_vector() - omega0))
-            out[n].append((err, model.fit, cfg.radius))
+            # the fit takes a gradient at the start and at every iterate but a converged last one
+            iterates = points["loss_and_grad"] + ([model.fit.omega_hat.as_vector()] if model.fit.converged else [])
+            out[n].append((err, model.fit, np.array(iterates), points["loss"], cfg.radius))
     return out, time.time() - start
 
 
 def test_criterion_4_error_scaling(scaling_fits):
     fits, elapsed = scaling_fits
-    mean_small = np.mean([e for e, _, _ in fits[2500]])
-    mean_large = np.mean([e for e, _, _ in fits[10000]])
+    mean_small = np.mean([e for e, *_ in fits[2500]])
+    mean_large = np.mean([e for e, *_ in fits[10000]])
     assert elapsed < 600.0
     assert mean_large < 0.7 * mean_small, f"{mean_large} vs 0.7 * {mean_small}"
     _passed(4, f"mean error {mean_small:.4f} at n=2500 vs {mean_large:.4f} at n=10000 "
@@ -160,12 +163,13 @@ def test_criterion_5_optimizer_trajectories(scaling_fits):
     fits, _ = scaling_fits
     checked = 0
     for n in (2500, 10000):
-        for _err, res, radius in fits[n]:
+        for _err, res, iterates, trial_points, radius in fits[n]:
             losses = [t[1] for t in res.trace]
             assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
-            norms = np.linalg.norm(res.iterates, axis=1)
+            assert len(iterates) == res.iterations + 1
+            norms = np.linalg.norm(np.vstack([iterates, trial_points]), axis=1)
             assert np.all(norms <= radius + 1e-12)
-            dist = np.linalg.norm(res.iterates - res.iterates[-1], axis=1)[:-1]
+            dist = np.linalg.norm(iterates - iterates[-1], axis=1)[:-1]
             tail = dist[-20:]
             assert np.all(np.diff(tail) < 0), "tail distances must decay monotonically"
             assert np.all(tail[1:] / tail[:-1] <= 0.999)

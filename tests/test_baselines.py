@@ -19,10 +19,10 @@ from puomm.baselines import (
     fit_observed_mixture,
     fit_oracle,
 )
+from puomm.dataio import ingest_csv, write_dataset_csv
 from puomm.model import Dataset
 from puomm.simulate import SimConfig, make_datasets
 
-from conftest import read_only
 
 
 def _logistic_se(x, coef):
@@ -226,9 +226,9 @@ def _separable_dataset():
 @pytest.mark.parametrize("kind", ["simulated", "separable"])
 def test_observed_mixtures_on_one_dataset_fit_the_logistic_stage_once(kind, monkeypatch):
     if kind == "simulated":
-        train = read_only(make_datasets(SimConfig(setting="lognormal", n=2000, p=3, seed=14, n_test=10)).train)
+        train = make_datasets(SimConfig(setting="lognormal", n=2000, p=3, seed=14, n_test=10)).train.observed_only()
     else:
-        train = read_only(_separable_dataset())
+        train = _separable_dataset()
     # each mixture on a copy of its own fits its own logistic stage
     alone = {family: fit_observed_mixture(Dataset(x=train.x.copy(), z=train.z.copy()), family)
              for family in ("gamma", "lognormal")}
@@ -246,20 +246,30 @@ def test_observed_mixtures_on_one_dataset_fit_the_logistic_stage_once(kind, monk
     assert shared["gamma"].occurrence_coef is not shared["lognormal"].occurrence_coef
 
 
-def test_a_mixture_sees_a_write_into_a_writable_dataset_after_an_earlier_fit(monkeypatch):
+def test_writing_into_a_mixtures_training_set_raises(monkeypatch):
+    # the kept logistic stage stays valid because no write gets through
     train = make_datasets(SimConfig(setting="lognormal", n=2000, p=3, seed=14, n_test=10)).train.observed_only()
-    assert not train.read_only
     calls = []
     logistic = baselines.fit_logistic
     monkeypatch.setattr(baselines, "fit_logistic", lambda *a: calls.append(1) or logistic(*a))
     before = fit_observed_mixture(train, "gamma")
-    train.z[np.flatnonzero(train.z > 0)[::2]] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        train.z[np.flatnonzero(train.z > 0)[::2]] = 0.0
     after = fit_observed_mixture(train, "lognormal")
-    expected = fit_observed_mixture(Dataset(x=train.x.copy(), z=train.z.copy()), "lognormal")
-    assert len(calls) == 3  # a writable Dataset keeps no logistic stage
-    assert after.occurrence_coef.tobytes() == expected.occurrence_coef.tobytes()
-    assert after.magnitude_coef.tobytes() == expected.magnitude_coef.tobytes()
-    assert not np.array_equal(before.occurrence_coef, after.occurrence_coef)
+    assert len(calls) == 1
+    assert after.occurrence_coef.tobytes() == before.occurrence_coef.tobytes()
+
+
+def test_mixtures_on_one_ingested_dataset_fit_the_logistic_stage_once(tmp_path, monkeypatch):
+    path = tmp_path / "train.csv"
+    write_dataset_csv(make_datasets(SimConfig(setting="correct", n=500, p=3, seed=9, n_test=10)).train, path)
+    train = ingest_csv(path)
+    calls = []
+    logistic = baselines.fit_logistic
+    monkeypatch.setattr(baselines, "fit_logistic", lambda *a: calls.append(1) or logistic(*a))
+    gamma, lognormal = (fit_observed_mixture(train, family) for family in ("gamma", "lognormal"))
+    assert len(calls) == 1
+    assert gamma.occurrence_coef.tobytes() == lognormal.occurrence_coef.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -249,7 +249,6 @@ def test_experiment_rows_equal_fits_of_each_method_on_its_own_observed_copy(tmp_
     # each cell passed one observed Dataset object to its four non-latent methods
     observed = [ds for ds in seen if not ds.has_latent]
     assert len(observed) == 4 * 12 and len({id(ds) for ds in observed[:4]}) == 1
-    assert all(ds.read_only for ds in observed)
     statuses = {line.rsplit(",", 1)[1] for line in shared[0].read_text().splitlines()[1:]}
     assert {"ok", "not_converged", "failed: no true detection rate available for this cell"} <= statuses
 
@@ -687,6 +686,21 @@ def test_experiment_config_names_a_non_integer_field(tmp_path, capsys, field, va
 def test_experiment_config_names_a_bad_grid_or_fit_field(tmp_path, capsys, change, message):
     # checked with the config, so no pu_omm cell is written as failed
     raw = {**_SIM_CONFIG, "methods": ["pu_omm"], "output_dir": str(tmp_path / "out"), **change}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [-1.0, 0, math.nan, math.inf, "0.24"])
+def test_experiment_config_names_a_bad_true_lambda(tmp_path, capsys, value):
+    # accepted, such a value would only show up as a failed pu_omm_true_lambda cell in every trial
+    raw = {"mode": "real_data", "methods": ["pu_omm_true_lambda"], "trials": 1, "base_seed": 0,
+           "input_csv": str(tmp_path / "d.csv"), "output_dir": str(tmp_path / "out"), "true_lambda": value}
+    message = f"true_lambda must be a finite positive real, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentConfig.from_dict(raw)
     path = tmp_path / "config.json"

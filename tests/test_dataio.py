@@ -34,7 +34,7 @@ from puomm.optimizer import FitResult
 from puomm.selection import PuOmmModel
 from puomm.simulate import SimConfig, make_datasets
 
-from conftest import tables_with_bad_cells
+from conftest import assert_read_only, tables_with_bad_cells
 
 pytestmark = pytest.mark.usefixtures("fork_hygiene")
 
@@ -467,7 +467,10 @@ def test_sidecar_read_is_bit_identical_to_the_parse(tmp_path, setting):
         dataio.sidecar_path(path).unlink()
         for schema, ds in via_sidecar.items():
             assert ds.n == n and ds.x.flags.c_contiguous
-            assert _same_dataset(ds, ingest_csv(path, schema))
+            parsed = ingest_csv(path, schema)
+            assert _same_dataset(ds, parsed)
+            assert_read_only(ds)
+            assert_read_only(parsed)
         assert _same_dataset(via_sidecar["simulated"], train)
         assert via_sidecar["observed_only"].y is None and via_sidecar["auto"].has_latent
 

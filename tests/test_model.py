@@ -27,15 +27,14 @@ from puomm.model import (
     neg_log_likelihood,
     phi,
 )
-from puomm.optimizer import FitConfig
-from puomm.selection import default_radius, fit_at_lambda, observed_occurrence_prob
+from puomm.selection import default_radius, observed_occurrence_prob
 from puomm.simulate import Setting, apply_missingness
 
 from conftest import (
+    assert_read_only,
     central_diff_gradient,
     pu_model,
     random_dataset,
-    read_only,
     reference_loss_and_gradient,
     tables_with_bad_cells,
     z_pattern_datasets,
@@ -524,7 +523,7 @@ def test_closures_share_a_state_only_within_one_dataset_object_rate_and_thread(r
 
 def test_no_state_remains_once_the_closures_are_dropped(rng):
     ds, d = random_dataset(rng, 30, 2), DetectionParam(0.24)
-    key = (id(ds), d.lambda_eps, threading.get_ident())
+    key = (ds, d.lambda_eps, threading.get_ident())
     loss, loss_and_grad = make_objective(ds, d)
     hess = make_hessian(ds, d)
     w = np.full(4, 0.1)
@@ -534,6 +533,9 @@ def test_no_state_remains_once_the_closures_are_dropped(rng):
     assert state() is not None  # hess still reads it
     del hess
     assert state() is None and key not in _STATES
+    dataset = weakref.ref(ds)
+    del ds, key
+    assert dataset() is None  # the state's key held it only while the state lived
 
 
 def _state_values(state: _RowTerms) -> tuple:
@@ -543,7 +545,7 @@ def _state_values(state: _RowTerms) -> tuple:
 
 
 def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
-    ds = read_only(random_dataset(rng, 120, 3))
+    ds = random_dataset(rng, 120, 3)
     w = rng.standard_normal(6) * 0.4
     states = [_state_for(ds, DetectionParam(lam)) for lam in (0.24, 2.0)]
     for name in ("rows_p", "rows_n", "XpT", "XnT", "zp"):
@@ -557,37 +559,57 @@ def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
 
 
 def test_a_split_goes_with_its_dataset(rng):
-    ds = read_only(random_dataset(rng, 30, 2))
+    ds = random_dataset(rng, 30, 2)
     make_objective(ds, DetectionParam(0.24))[0](np.zeros(4))
     dataset, features = weakref.ref(ds), weakref.ref(_SPLITS[ds][3])
     del ds
     assert dataset() is None and features() is None
 
 
-def test_only_the_fit_path_keeps_a_split_and_only_of_a_read_only_dataset(rng):
-    d, w = DetectionParam(0.24), np.zeros(4)
-    writable, frozen = random_dataset(rng, 30, 2), read_only(random_dataset(rng, 30, 2))
-    assert not writable.read_only and frozen.read_only
-    omega = ParamPair.from_vector(w)
-    neg_log_likelihood(omega, frozen, d), gradient(omega, frozen, d)
-    assert frozen not in _SPLITS  # a one-off evaluation frees its split when it returns
-    objective = make_objective(writable, d)
-    objective[0](w)
-    assert writable not in _SPLITS
-    del objective
-    make_objective(frozen, d)[0](w)
-    assert frozen in _SPLITS
+def test_one_off_evaluations_keep_the_split_that_fits_read(rng):
+    ds, d, omega = random_dataset(rng, 30, 2), DetectionParam(0.24), ParamPair.zeros(2)
+    neg_log_likelihood(omega, ds, d), gradient(omega, ds, d)
+    split = _SPLITS[ds]
+    state = _state_for(ds, DetectionParam(0.5))
+    assert all(got is kept for got, kept in zip((state.rows_p, state.rows_n, state.XpT, state.XnT, state.zp), split))
 
 
-def test_a_fit_sees_a_write_into_a_writable_dataset_after_an_earlier_fit(rng):
-    ds, cfg = random_dataset(rng, 200, 2), FitConfig(tol=1e-6, max_iter=50, radius=default_radius(2))
-    before = fit_at_lambda(ds, 0.24, cfg)
-    ds.z[ds.z > 0] *= 3.0
-    after = fit_at_lambda(ds, 0.24, cfg)
-    expected = fit_at_lambda(Dataset(x=ds.x.copy(), z=ds.z.copy()), 0.24, cfg)
-    assert after.omega_hat.as_vector().tobytes() == expected.omega_hat.as_vector().tobytes()
-    assert after.fit.final_loss == expected.fit.final_loss
-    assert not np.array_equal(before.omega_hat.beta, after.omega_hat.beta)
+def test_writing_into_a_fitted_dataset_raises(rng):
+    # kept row splits, states and logistic stages stay valid because no write gets through
+    drawn = random_dataset(rng, 200, 2)
+    x, z = drawn.x.copy(), drawn.z.copy()  # writable arrays of the caller's own
+    ds, d = Dataset(x=x, z=z), DetectionParam(0.24)
+    loss, _ = make_objective(ds, d)
+    w = np.full(4, 0.1)
+    before = loss(w)
+    for target in (x, z, ds.x, ds.z, ds.observed_only().z):
+        with pytest.raises(ValueError, match="read-only"):
+            target[target > 0] *= 3.0
+    assert make_objective(ds, d)[0](w) == before
+    assert before == make_objective(Dataset(x=x.copy(), z=z.copy()), d)[0](w)
+
+
+def test_every_way_of_building_a_dataset_gives_arrays_that_refuse_writes(rng):
+    n = 12
+    ds = Dataset(x=rng.standard_normal((n, 2)), z=np.zeros(n), y=np.ones(n), u=np.ones(n), r=np.zeros(n))
+    for built in (ds, ds.observed_only(), ds.subset(np.arange(0, n, 2)), ds.with_intercept()):
+        assert_read_only(built)
+    assert ds.observed_only().x is ds.x  # shared, not copied
+
+
+def test_a_callers_float_array_becomes_read_only_and_a_converted_one_stays_writable(rng):
+    x, z, counts = rng.standard_normal((5, 2)), np.zeros(5), np.arange(5)
+    ds = Dataset(x=x, z=z, y=counts)
+    assert ds.x is x and ds.z is z  # float64 arrays are taken without a copy
+    with pytest.raises(ValueError, match="read-only"):
+        z[0] = 1.0
+    assert ds.y is not counts and not ds.y.flags.writeable
+    counts[0] = 7  # an int array was converted into a new array
+    assert ds.y[0] == 0.0
+    bad = np.array([1.0, -1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Dataset(x=np.zeros((2, 1)), z=bad)
+    bad[1] = 1.0  # a rejected array is left as it was
 
 
 def test_datasets_compare_by_identity(rng):

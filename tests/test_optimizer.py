@@ -9,7 +9,7 @@ from puomm.optimizer import FitConfig, fit, project_l2_ball
 from puomm.selection import default_radius, fit_pu_omm, make_lambda_grid
 from puomm.simulate import SimConfig, make_datasets
 
-from conftest import random_dataset
+from conftest import objective_points, random_dataset
 
 
 def test_project_interior_point_unchanged():
@@ -40,12 +40,15 @@ def test_fit_recovers_parameters_on_assumed_model():
 
 
 def test_fit_loss_monotone_and_iterates_in_ball(rng):
+    # every point the objective sees, rejected trial points included, lies in the ball
     ds = random_dataset(rng, 400, 4)
-    cfg = FitConfig(radius=default_radius(4), max_iter=300, record_iterates=True)
-    res = fit(ds, DetectionParam(0.24), cfg)
+    cfg = FitConfig(radius=default_radius(4), max_iter=300)
+    with objective_points() as points:
+        res = fit(ds, DetectionParam(0.24), cfg)
     losses = [t[1] for t in res.trace]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
-    norms = np.linalg.norm(res.iterates, axis=1)
+    assert len(points["loss"]) >= res.iterations >= 1  # one trial point or more per iteration
+    norms = np.linalg.norm(points["loss"] + points["loss_and_grad"], axis=1)
     assert np.all(norms <= cfg.radius + 1e-12)
 
 
@@ -265,11 +268,12 @@ def test_fit_without_hessian_reuse_reaches_the_same_point(sweep_like, monkeypatc
 )
 def test_fit_at_the_grid_ends_is_monotone_in_the_ball_and_reports_exhaustion(seed, n, p, lam, max_iter):
     ds = random_dataset(np.random.default_rng(seed), n, p)
-    cfg = FitConfig(radius=default_radius(p), max_iter=max_iter, record_iterates=True)
-    res = fit(ds, DetectionParam(lam), cfg)
+    cfg = FitConfig(radius=default_radius(p), max_iter=max_iter)
+    with objective_points() as points:
+        res = fit(ds, DetectionParam(lam), cfg)
     losses = [t[1] for t in res.trace]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
-    assert np.all(np.linalg.norm(res.iterates, axis=1) <= cfg.radius + 1e-12)
+    assert np.all(np.linalg.norm(points["loss"] + points["loss_and_grad"], axis=1) <= cfg.radius + 1e-12)
     assert len(res.trace) == res.iterations + 1 <= max_iter + 1
     last_change = res.trace[-1][3]
     if res.converged:

@@ -1,3 +1,7 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +45,27 @@ def test_grid_invalid_bounds():
         make_lambda_grid(1, 1.0, 2.0)
     with pytest.raises(ValueError):
         LambdaGrid(np.array([0.5, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LambdaGrid([0.1, math.nan]), "grid values must be finite and positive, got nan"),
+        (lambda: LambdaGrid([0.24, math.inf]), "grid values must be finite and positive, got inf"),
+        (lambda: LambdaGrid([0.5, -1.0]), "grid values must be finite and positive, got -1.0"),
+        (lambda: make_lambda_grid(3, 0.1, math.inf), "grid bounds must satisfy 0 < lo < hi < inf, got (0.1, inf)"),
+        (lambda: make_lambda_grid(3, math.nan, 1.0), "grid bounds must satisfy 0 < lo < hi < inf, got (nan, 1.0)"),
+        (lambda: make_lambda_grid(3, "0.1", 1.0), "grid bounds must satisfy 0 < lo < hi < inf, got ('0.1', 1.0)"),
+        (lambda: make_lambda_grid(2.5), "n_points must be an integer, got 2.5"),
+    ],
+    ids=["value_nan", "value_inf", "value_negative", "hi_inf", "lo_nan", "lo_text", "n_points_float"],
+)
+def test_grid_rejects_a_bad_input_naming_it(make, message):
+    # a NaN or inf grid value would be fitted (inf as a failed grid point) instead of refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 def test_observed_occurrence_prob_hand_value():
