@@ -5,13 +5,18 @@ All writers are byte-deterministic: floats are serialized with repr
 fixed to "\\n".  Dataset CSVs are written a block of rows at a time, so
 the text held in memory stays small.  Their cells are formatted by
 orjson's Ryu, whose digits are repr's and whose text is repr's wherever
-repr writes a float positionally; the rows holding a cell repr writes
-in exponent form are formatted with repr itself.
+repr writes a float positionally: a block is serialised as one flat
+array, and rows are cut from that text by turning the comma after each
+row's last cell into a line end.  The rows holding a cell repr writes
+in exponent form are formatted with repr itself and spliced in at their
+line ends.
 
 Dataset CSVs are parsed by one ``np.loadtxt`` call over every column.
 Its row count is checked against a count of the file's lines, because
-loadtxt skips blank lines.  When that parse fails or miscounts, a
-csv.reader row loop reads the file again: it accepts what float()
+loadtxt skips blank lines; numpy counts the "\\n" bytes of each chunk
+of the file through a small reused mask.  When that parse fails or
+miscounts, a csv.reader row loop reads the file again a row at a time,
+into a table preallocated from the line count: it accepts what float()
 accepts and loadtxt does not (quoted cells, "1_0"), and otherwise names
 the first bad line.  Rejected, each with its 1-based line number: blank
 lines and rows whose cell count differs from the header's; non-numeric,
@@ -68,6 +73,9 @@ LATENT_COLUMNS = ("y", "u", "r")
 # 4,096 rows 58.8 and 62.6 MB.
 _BLOCK_ROWS = 1024
 _CHUNK_BYTES = 1 << 20
+# Bytes of a chunk compared per np.equal call when counting line ends: the size of the
+# reused bool mask, so that counting adds no chunk-sized array.
+_MASK_BYTES = 1 << 16
 # The dtype of a sidecar's table, as np.save writes a float64 array on a little-endian host.
 _TABLE_DTYPE = np.dtype("<f8")
 
@@ -76,20 +84,29 @@ def _format_rows(block: np.ndarray) -> bytes:
     """The CSV lines of block's rows, every cell written as repr writes it.
 
     orjson's Ryu digits are repr's shortest round-trip digits, written the
-    same way for 0 and every 1e-4 <= |v| < 1e16.  Outside that range repr
-    switches to exponent form ("1e-05", "1e+16") and orjson does not, so
-    the rows holding such a cell, or a NaN or infinity, are written with
-    repr.  A repr'd float never holds a comma, quote or newline, so no
-    cell needs csv quoting.
+    same way for 0 and every 1e-4 <= |v| < 1e16.  The block's cells are
+    serialised as one flat array, "[c,c,...,c]"; in a uint8 copy of that
+    text every cols-th comma and the closing bracket become line ends, and
+    the opening bracket is dropped.  Outside that range repr switches to
+    exponent form ("1e-05", "1e+16") and orjson does not, so each row
+    holding such a cell, or a NaN or infinity, is formatted with repr and
+    spliced in between its line's start and end.  A repr'd float never
+    holds a comma, quote or newline, so no cell needs csv quoting.
     """
     import orjson  # here, not at module level: importing puomm need not pay for it
 
-    lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    cols = block.shape[1]
+    text = np.frombuffer(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY), np.uint8).copy()
+    ends = np.append(np.flatnonzero(text == ord(","))[cols - 1 :: cols], len(text) - 1)  # each row's line end
+    text[ends] = ord("\n")
     a = np.abs(block)
-    for i in np.flatnonzero(~((a == 0) | ((a >= 1e-4) & (a < 1e16))).all(axis=1)):
-        lines[i] = ",".join(map(repr, block[i].tolist())).encode()
-    lines.append(b"")
-    return b"\n".join(lines)
+    pieces, at = [], 1
+    for i in np.flatnonzero(~((a == 0) | ((a >= 1e-4) & (a < 1e16))).all(axis=1)).tolist():
+        start = ends[i - 1] + 1 if i else 1
+        pieces += [text[at:start], ",".join(map(repr, block[i].tolist())).encode()]
+        at = ends[i]
+    pieces.append(text[at:])
+    return b"".join(pieces)
 
 
 def _dataset_columns(ds: Dataset) -> tuple[list[str], list[np.ndarray]]:
@@ -205,16 +222,23 @@ def _count_lines(path: Path, digest=None) -> int:
     """Lines in the file, blank ones and a last one lacking its line end included.
 
     "\\n", "\\r\\n" and a lone "\\r" each end a line, for csv.reader and
-    np.loadtxt alike.  A hashlib object passed as digest is fed the file's
-    bytes in the same pass.
+    np.loadtxt alike.  The file is read a chunk at a time into one reused
+    buffer; its "\\n" bytes are counted by np.count_nonzero over a uint8
+    view, compared _MASK_BYTES at a time into one reused mask.  A chunk
+    holding a "\\r" adds its "\\r" count less its "\\r\\n" count.  A
+    hashlib object passed as digest is fed the file's bytes in the same pass.
     """
     lines, last = 0, b"\n"
     buf = bytearray(_CHUNK_BYTES)  # one buffer for every chunk, so two chunks are never held at once
+    view = np.frombuffer(buf, np.uint8)
+    mask = np.empty(_MASK_BYTES, bool)
     with open(path, "rb") as fh:
         while size := fh.readinto(buf):
             if digest is not None:
                 digest.update(memoryview(buf)[:size])
-            lines += buf.count(b"\n", 0, size)
+            for start in range(0, size, _MASK_BYTES):
+                part = view[start : min(start + _MASK_BYTES, size)]
+                lines += int(np.count_nonzero(np.equal(part, ord("\n"), out=mask[: len(part)])))
             if buf.find(b"\r", 0, size) >= 0:
                 lines += buf.count(b"\r", 0, size) - buf.count(b"\r\n", 0, size)
             lines -= last == b"\r" and buf[:1] == b"\n"  # a CRLF split across two chunks
@@ -307,30 +331,35 @@ def _split_columns(path: Path, blocks, rows: int, idx: list[int], p: int) -> tup
     return x, cols
 
 
-def _parse_rows(path: Path, n_cells: int, idx: list[int], p: int) -> np.ndarray:
+def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], p: int) -> np.ndarray:
     """Row-by-row parse of columns idx; raises at the first bad line.
 
     Used when the single-call parse fails or miscounts rows.  It accepts
     whatever float() does (quoted cells, "1_0") and otherwise names the
-    first malformed line, unless an earlier line holds a bad value.
+    first malformed line, unless an earlier line holds a bad value.  The
+    rows are read one at a time into a table of records rows, the count
+    of lines after the header: csv.reader gives at most one row per line,
+    and fewer when a quoted cell spans lines, so the table is trimmed to
+    the rows read.
     """
+    table = np.empty((records, len(idx)))
+    rows = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        rows = list(reader)
-    table = np.empty((len(rows), len(idx)))
-    for i, row in enumerate(rows):
-        if len(row) != n_cells:
-            err = f"expected {n_cells} cells, got {len(row)}"
-        else:
-            try:
-                table[i] = [float(row[j]) for j in idx]
-                continue
-            except ValueError:
-                err = "non-numeric cell"
-        _check_values(path, table[:i, :p], table[:i, p:].T)
-        raise ValueError(f"{path}: line {i + 2}: {err}")
-    return table
+        for row in reader:
+            if len(row) != n_cells:
+                err = f"expected {n_cells} cells, got {len(row)}"
+            else:
+                try:
+                    table[rows] = [float(row[j]) for j in idx]
+                    rows += 1
+                    continue
+                except ValueError:
+                    err = "non-numeric cell"
+            _check_values(path, table[:rows, :p], table[:rows, p:].T)
+            raise ValueError(f"{path}: line {rows + 2}: {err}")
+    return table[:rows]
 
 
 def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
@@ -362,7 +391,7 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
         table = None if columns is not None else _load_rows(fh, records, len(header))
     if columns is None:
         if table is None:  # blank lines, ragged rows, cells loadtxt cannot read: locate or accept row by row
-            table, idx = _parse_rows(path, len(header), idx, p), list(range(len(idx)))
+            table, idx = _parse_rows(path, records, len(header), idx, p), list(range(len(idx)))
         blocks = (table[start : start + _BLOCK_ROWS] for start in range(0, len(table), _BLOCK_ROWS))
         columns = _split_columns(path, blocks, len(table), idx, p)
         del table  # not needed beside the dataset built from columns

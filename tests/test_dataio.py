@@ -204,26 +204,39 @@ def test_dataset_csv_writer_matches_reference_with_latent(tmp_path):
     assert path.read_bytes() == _csv_writer_bytes(sim.train)
 
 
+_B = dataio._BLOCK_ROWS
+_N = 2 * _B + 7  # two full blocks and a partial one
+# (case, n, rows given a cell repr writes as 1.2e-05, rows given one it writes as 1.2e+17)
+_EXPONENT_CASES = [
+    ("scattered", _N, range(0, _N, 5), range(0, _N, 7)),
+    ("first-row-of-each-block", _N, [0, 2 * _B], [_B]),
+    ("last-row-of-each-block", _N, [_B - 1, _N - 1], [2 * _B - 1]),
+    ("adjacent-rows", _N, [5, 6, _B - 1], [_B, _B + 1, _B + 2]),
+    ("every-row", _N, range(0, _N, 2), range(1, _N, 2)),
+    ("one-row-last-block", 2 * _B + 1, [2 * _B], []),
+    ("one-row-last-block-all-positional", 2 * _B + 1, [], []),
+]
+
+
 def test_dataset_csv_mixes_exponent_and_positional_cells_across_blocks(tmp_path):
-    rng = np.random.default_rng(8)
-    n = 2 * dataio._BLOCK_ROWS + 7
-    x = rng.standard_normal((n, 3))
-    x[::5, 0] *= 1e-4  # repr writes |v| < 1e-4 as 1.2e-05 ...
-    x[::7, 2] *= 1e16  # ... and |v| >= 1e16 as 1.2e+16, in rows whose other cells are positional
-    z = np.where(rng.random(n) < 0.5, rng.exponential(1.0, n), 0.0)
-    ds = Dataset(x=x, z=z)
-    path = tmp_path / "d.csv"
-    digest = write_dataset_csv(ds, path)
-    data = path.read_bytes()
-    assert data == _csv_writer_bytes(ds)
-    assert digest == hashlib.sha256(data).digest()
-    lines = data.splitlines()[1:]
-    for block in range(2):
-        rows = lines[block * dataio._BLOCK_ROWS : (block + 1) * dataio._BLOCK_ROWS]
-        assert any(b"e-" in row for row in rows) and any(b"e+" in row for row in rows)
-        assert any(b"e" not in row for row in rows)
-    back = ingest_csv(path)
-    assert np.array_equal(_bits(back.x), _bits(x)) and np.array_equal(_bits(back.z), _bits(z))
+    for case, n, small_rows, large_rows in _EXPONENT_CASES:
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.5, 2.0, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))  # every cell positional, until:
+        x[small_rows, 0] *= 1e-5  # repr writes |v| < 1e-4 as 1.2e-05 ...
+        x[large_rows, 2] *= 1e17  # ... and |v| >= 1e16 as 1.2e+17, in rows whose other cells are positional
+        z = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 2.0, n), 0.0)
+        ds = Dataset(x=x, z=z)
+        path = tmp_path / f"{case}.csv"
+        digest = write_dataset_csv(ds, path)
+        data = path.read_bytes()
+        assert data == _csv_writer_bytes(ds), case
+        assert digest == hashlib.sha256(data).digest(), case
+        lines = data.split(b"\n")[1:-1]
+        assert len(lines) == n, case
+        assert [i for i, line in enumerate(lines) if b"e-" in line] == sorted(small_rows), case
+        assert [i for i, line in enumerate(lines) if b"e+" in line] == sorted(large_rows), case
+        back = ingest_csv(path)
+        assert np.array_equal(_bits(back.x), _bits(x)) and np.array_equal(_bits(back.z), _bits(z)), case
 
 
 _GOOD = ["x_1,z"] + [f"{i * 0.25},{i * 0.5}" for i in range(12)]
@@ -269,6 +282,7 @@ def test_ingest_bad_file_names_first_bad_line(tmp_path, content, message):
         pytest.param("x_1,z\r0.5,1.0\r10.0,2.0\r", id="cr"),
         pytest.param("x_1,z\n0.5,1.0\r10.0,2.0\n", id="lone-cr"),
         pytest.param('x_1,z,"a\nb"\n0.5,1.0,2.0\n10.0,2.0,3.0\n', id="header-spans-two-lines"),
+        pytest.param('x_1,z\n"0.5\n",1.0\n10.0,"\r\n2.0"\n', id="cells-span-two-lines"),
         pytest.param("x_1,z\n0.5,1.0\n10.0,2.0", id="no-final-newline"),
     ],
 )
@@ -315,10 +329,19 @@ def test_ingest_names_the_first_bad_line(table):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from([b"1", b",", b"\n", b"\r", b"\r\n"]), max_size=30), st.integers(1, 4))
-def test_line_count_matches_splitlines_across_chunks(parts, chunk):
+@given(
+    st.lists(st.sampled_from([b"1", b",", b"\n", b"\r", b"\r\n"]), max_size=30),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_line_count_matches_splitlines_across_chunks(parts, chunk, mask):
+    # line ends straddle chunk boundaries and, within a chunk, the boundaries of the counting mask
     content = b"".join(parts)
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+    with (
+        tempfile.TemporaryDirectory() as d,
+        mock.patch.object(dataio, "_CHUNK_BYTES", chunk),
+        mock.patch.object(dataio, "_MASK_BYTES", mask),
+    ):
         path = Path(d) / "f.csv"
         path.write_bytes(content)
         assert dataio._count_lines(path) == len(content.splitlines())
@@ -590,6 +613,22 @@ def test_ingest_holds_its_result_and_one_block_of_rows(tmp_path):
         # beyond one block of rows: Dataset's finiteness scan of x, one byte per cell, and
         # 64 KiB for the open files, the header and per-block temporaries
         assert peak < result_bytes + block_bytes + ds.x.size + 64 * 1024, schema
+
+
+def test_the_row_loop_holds_its_table_and_no_list_of_rows(tmp_path):
+    # quoted cells, which loadtxt does not read, send every row through the csv.reader loop
+    path, _ = _simulated_csv(tmp_path, n=_STREAM_ROWS, p=10)
+    dataio.sidecar_path(path).unlink()
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + ['"' + row.replace(",", '","') + '"' for row in rows]) + "\n")
+    for schema in _SCHEMAS:
+        with mock.patch.object(dataio, "_parse_rows", wraps=dataio._parse_rows) as parse:
+            ds, peak = _traced_peak(ingest_csv, path, schema)
+        assert parse.call_count == 1 and ds.n == _STREAM_ROWS
+        result_bytes = sum(a.nbytes for a in (ds.x, ds.z, ds.y, ds.u, ds.r) if a is not None)
+        # the row loop's table of the read columns is as large as the result; beyond both:
+        # Dataset's finiteness scan of x and 64 KiB for the open files, the header and one row
+        assert peak < 2 * result_bytes + ds.x.size + 64 * 1024, schema
 
 
 def test_pu_omm_model_json_roundtrip(tmp_path):
