@@ -18,10 +18,11 @@ of the file through a small reused mask.  When that parse fails or
 miscounts, a csv.reader row loop reads the file again a row at a time,
 into a table preallocated from the line count: it accepts what float()
 accepts and loadtxt does not (quoted cells, "1_0"), and otherwise names
-the first bad line.  Rejected, each with its 1-based line number: blank
-lines and rows whose cell count differs from the header's; non-numeric,
-NaN or infinite cells in a column the schema reads; negative z; and,
-under the simulated schema, rows breaking u = 1{y > 0} or z = y*r.
+the first bad line.  Rejected, each with the 1-based line its row ends
+on: blank lines and rows whose cell count differs from the header's;
+non-numeric, NaN or infinite cells in a column the schema reads;
+negative z; and, under the simulated schema, rows breaking u = 1{y > 0}
+or z = y*r.
 
 ``puomm simulate`` also writes a table sidecar beside each dataset CSV
 (``train.csv`` -> ``train.csv.table``), with the CSV's permission bits:
@@ -289,12 +290,17 @@ def _schema_columns(path: Path, header: list[str], schema: str) -> tuple[int, bo
     return p, schema == "simulated"
 
 
-def _check_values(path: Path, x: np.ndarray, cols, start: int = 0) -> None:
+def _line(row: int) -> int:
+    return row + 2  # the line of a table row when the header and every row take one line each
+
+
+def _check_values(path: Path, x: np.ndarray, cols, start: int = 0, line=_line) -> None:
     """Raise at the first row holding NaN or +-inf in x or cols, or a negative z.
 
     x holds a block of feature rows and cols the block's other read
-    columns, z first; start is the table row of the block's first row.
-    One scan of the block decides; rows are located only when it fails.
+    columns, z first; start is the table row of the block's first row, and
+    line(row) the line of a table row.  One scan of the block decides;
+    rows are located only when it fails.
     """
     z = cols[0]
     if np.isfinite(x).all() and all(np.isfinite(col).all() for col in cols) and not (z < 0).any():
@@ -304,19 +310,20 @@ def _check_values(path: Path, x: np.ndarray, cols, start: int = 0) -> None:
         finite &= np.isfinite(col)
     bad = np.flatnonzero(~finite | (z < 0))
     i = int(bad[0])
-    line = start + i + 2  # header occupies line 1
     if not finite[i]:
-        raise ValueError(f"{path}: line {line}: non-finite cell")
-    raise ValueError(f"{path}: line {line}: z must be nonnegative, got {z[i]}")
+        raise ValueError(f"{path}: line {line(start + i)}: non-finite cell")
+    raise ValueError(f"{path}: line {line(start + i)}: z must be nonnegative, got {z[i]}")
 
 
-def _split_columns(path: Path, blocks, rows: int, idx: list[int], p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _split_columns(
+    path: Path, blocks, rows: int, idx: list[int], p: int, line=_line
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """C-contiguous x from columns idx[:p] and one vector per column of idx[p:], z first.
 
     blocks yields the table's rows in order, rows in all, a block at a
     time.  Each block is copied into the result and its values checked, so
-    a bad value raises naming the line it would for the whole table, and
-    no whole-table copy is made.
+    a bad value raises naming the line(row) it would for the whole table,
+    and no whole-table copy is made.
     """
     x = np.empty((rows, p))
     cols = [np.empty(rows) for _ in idx[p:]]
@@ -326,13 +333,13 @@ def _split_columns(path: Path, blocks, rows: int, idx: list[int], p: int) -> tup
         np.take(block, idx[:p], axis=1, out=x[start:stop], mode="clip")  # not "raise", which buffers out
         for col, j in zip(cols, idx[p:]):
             col[start:stop] = block[:, j]
-        _check_values(path, x[start:stop], [col[start:stop] for col in cols], start)
+        _check_values(path, x[start:stop], [col[start:stop] for col in cols], start, line)
         start = stop
     return x, cols
 
 
-def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], p: int) -> np.ndarray:
-    """Row-by-row parse of columns idx; raises at the first bad line.
+def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], p: int):
+    """Row-by-row parse of columns idx, and the map from its rows to their lines; raises at the first bad line.
 
     Used when the single-call parse fails or miscounts rows.  It accepts
     whatever float() does (quoted cells, "1_0") and otherwise names the
@@ -340,14 +347,21 @@ def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], p: int) 
     rows are read one at a time into a table of records rows, the count
     of lines after the header: csv.reader gives at most one row per line,
     and fewer when a quoted cell spans lines, so the table is trimmed to
-    the rows read.
+    the rows read.  A row's line is the one csv.reader ends it on.
     """
     table = np.empty((records, len(idx)))
     rows = 0
+    shifts = [(0, 2)]  # (k, s): from row k on, up to the next pair's k, each row ends on line row + s
+
+    def line(row: int) -> int:
+        return row + max(s for k, s in shifts if k <= row)
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
+            if reader.line_num != rows + shifts[-1][1]:
+                shifts.append((rows, reader.line_num - rows))
             if len(row) != n_cells:
                 err = f"expected {n_cells} cells, got {len(row)}"
             else:
@@ -357,9 +371,9 @@ def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], p: int) 
                     continue
                 except ValueError:
                     err = "non-numeric cell"
-            _check_values(path, table[:rows, :p], table[:rows, p:].T)
-            raise ValueError(f"{path}: line {rows + 2}: {err}")
-    return table[:rows]
+            _check_values(path, table[:rows, :p], table[:rows, p:].T, line=line)
+            raise ValueError(f"{path}: line {reader.line_num}: {err}")
+    return table[:rows], line
 
 
 def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
@@ -389,11 +403,12 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
         records = _count_lines(path, digest) - 1
         columns = None if digest is None else _read_sidecar(path, digest.digest(), (records, len(header)), idx, p)
         table = None if columns is not None else _load_rows(fh, records, len(header))
+    line = _line
     if columns is None:
         if table is None:  # blank lines, ragged rows, cells loadtxt cannot read: locate or accept row by row
-            table, idx = _parse_rows(path, records, len(header), idx, p), list(range(len(idx)))
+            (table, line), idx = _parse_rows(path, records, len(header), idx, p), list(range(len(idx)))
         blocks = (table[start : start + _BLOCK_ROWS] for start in range(0, len(table), _BLOCK_ROWS))
-        columns = _split_columns(path, blocks, len(table), idx, p)
+        columns = _split_columns(path, blocks, len(table), idx, p, line)
         del table  # not needed beside the dataset built from columns
     x, cols = columns
     ds = Dataset(x=x, **dict(zip(needed[p:], cols)))
@@ -401,7 +416,7 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
         bad = ds.latent_mismatch()
         if bad is not None:
             row, rule = bad
-            raise ValueError(f"{path}: line {row + 2}: {rule}")
+            raise ValueError(f"{path}: line {line(row)}: {rule}")
     return ds
 
 

@@ -73,21 +73,13 @@ def _check_paired(labels, probs):
     return labels, probs
 
 
-def brier(labels, probs) -> float:
-    """Mean squared difference between probabilities and binary outcomes."""
-    return _brier(*_check_paired(labels, probs))
-
-
-def misclassification(labels, probs) -> float:
-    """Mean disagreement of the strict threshold-at-0.5 classifier."""
-    return _misclassification(*_check_paired(labels, probs))
-
-
 def _brier(labels: np.ndarray, probs: np.ndarray) -> float:
+    """Mean squared difference between probabilities and binary outcomes, as _check_paired returns them."""
     return float(np.mean((probs - labels) ** 2))
 
 
 def _misclassification(labels: np.ndarray, probs: np.ndarray) -> float:
+    """Mean disagreement of the strict threshold-at-0.5 classifier, on _check_paired's output."""
     return float(np.mean((probs > 0.5).astype(float) != labels))
 
 

@@ -19,14 +19,13 @@ block with no sign test; the recorded rows take log expit(x.theta) from
 special.log_expit, which stays exact where the clipped pair saturates.
 The terms of the last point are kept, keyed by the point's bytes, so
 loss, gradient and Hessian at one point share that pass.
-The optimizer's closures (make_objective, make_hessian) read one shared
-state per Dataset, rate and thread, so a Hessian at the point the
-gradient just saw reuses its terms.  The state is held weakly: it lives
-only while some closure uses it.
-neg_log_likelihood and gradient build a private state per call, over
-the same kept split.  A non-finite total is traced back to its rows
-only then, so NumericalError still names the first bad sample in the
-original row order.
+The likelihood has one way in: the closures that optimizer.fit runs,
+make_objective's loss and loss_and_grad and make_hessian's Hessian.  They
+read one shared state per Dataset, rate and thread, so a Hessian at the
+point the gradient just saw reuses its terms.  The state is held weakly:
+it lives only while some closure uses it.  The rows are searched only
+when the loss total is not finite, and NumericalError then names the
+first bad sample in the original row order.
 """
 
 from __future__ import annotations
@@ -397,37 +396,17 @@ def _state_for(data: Dataset, d: DetectionParam) -> _RowTerms:
     return state
 
 
-def _state_at(omega: ParamPair, data: Dataset, d: DetectionParam) -> _RowTerms:
-    """A fresh row-terms state at omega, whose dimension must match the data's."""
-    state = _RowTerms(data, d)
-    if data.p != omega.p:
-        raise ValueError(f"dimension mismatch: data has {data.p} features, parameters have {omega.p}")
-    return state.at(omega.as_vector())
+def make_objective(data: Dataset, d: DetectionParam):
+    """Closures for the mean negative log-likelihood of data at w = [beta; theta], alone and with its gradient.
 
-
-def neg_log_likelihood(omega: ParamPair, data: Dataset, d: DetectionParam) -> float:
-    """Mean negative log-likelihood over the dataset; make_objective's loss at omega.
-
+    With make_hessian's closure they are the only way into the likelihood.
     z > 0 rows contribute log g(z|x) + log p1(x); z = 0 rows contribute
     log(1 - phi(x) p1(x)).  The detection factor log(1 - exp(-lambda_eps z))
-    on recorded rows is constant in omega and omitted, so values are not
-    comparable across lambda_eps.  Repeated calls on identical inputs are
-    bit-identical.
-    """
-    return _state_at(omega, data, d).loss()
-
-
-def gradient(omega: ParamPair, data: Dataset, d: DetectionParam) -> np.ndarray:
-    """Analytic gradient of neg_log_likelihood, stacked [d/dbeta; d/dtheta]; make_objective's at omega."""
-    return _state_at(omega, data, d).loss_and_grad()[1]
-
-
-def make_objective(data: Dataset, d: DetectionParam):
-    """Loss and loss+gradient closures over the stacked parameter vector.
-
-    Both read the _RowTerms state that _state_for shares with every live
-    closure of this Dataset, rate and thread, so loss_and_grad(w)
-    right after loss(w) costs only the two gradient products.
+    of recorded rows is constant in omega and omitted, so values are not
+    comparable across lambda_eps.  Both closures read the _RowTerms state
+    that _state_for shares with every live closure of this Dataset, rate
+    and thread, so loss_and_grad(w) right after loss(w) costs only the two
+    gradient products.
     """
     state = _state_for(data, d)
 

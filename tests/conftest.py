@@ -6,24 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from puomm.model import Dataset, ParamPair, neg_log_likelihood
+from puomm.model import Dataset, ParamPair
 from puomm.optimizer import FitResult
 from puomm.selection import PuOmmModel
 
 
-def central_diff_gradient(omega: ParamPair, data: Dataset, d, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the mean negative log-likelihood."""
-    w = omega.as_vector()
-    out = np.zeros_like(w)
+def central_differences(f, w: np.ndarray, step: float, order: int) -> np.ndarray:
+    """Central differences of f at w along each coordinate, of order 2 or 4 in step.
+
+    f maps a vector to a float, and the result approximates its gradient.
+    An f returning an array gives the Jacobian instead, column j holding
+    the differences along coordinate j.
+    """
+    if order not in (2, 4):
+        raise ValueError(f"order must be 2 or 4, got {order}")
+    cols = []
     for j in range(w.size):
-        wp, wm = w.copy(), w.copy()
-        wp[j] += step
-        wm[j] -= step
-        out[j] = (
-            neg_log_likelihood(ParamPair.from_vector(wp), data, d)
-            - neg_log_likelihood(ParamPair.from_vector(wm), data, d)
-        ) / (2 * step)
-    return out
+        e = np.zeros_like(w)
+        e[j] = step
+        if order == 2:
+            cols.append((f(w + e) - f(w - e)) / (2 * step))
+        else:
+            cols.append((-f(w + 2 * e) + 8 * f(w + e) - 8 * f(w - e) + f(w - 2 * e)) / (12 * step))
+    return np.array(cols).T
 
 
 def reference_loss_and_gradient(omega: ParamPair, data: Dataset, d) -> tuple[float, np.ndarray]:

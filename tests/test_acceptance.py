@@ -16,42 +16,35 @@ from puomm.baselines import fit_exponential_glm, fit_logistic, fit_observed_mixt
 from puomm.dataio import write_dataset_csv
 from puomm.experiment import ExperimentConfig, run_experiment
 from puomm.metrics import evaluate_trial
-from puomm.model import DetectionParam, ParamPair, gradient, phi
+from puomm.model import DetectionParam, ParamPair, make_hessian, make_objective, phi
 from puomm.optimizer import FitConfig
 from puomm.selection import default_radius, fit_at_lambda, fit_pu_omm, make_lambda_grid
 from puomm.simulate import SimConfig, apply_missingness, gen_latent, make_datasets
 
-from conftest import objective_points, random_dataset
+from conftest import central_differences, objective_points, random_dataset, reference_loss_and_gradient
 
 
 def _passed(num: int, text: str) -> None:
     print(f"\nACCEPTANCE {num} PASS: {text}")
 
 
-def _central_diff4(omega, ds, d, step=1e-4):
-    """Fourth-order central differences; accurate enough to certify 1e-6
-    per-coordinate relative error even when the loss magnitude is large."""
-    from puomm.model import neg_log_likelihood
-
-    w = omega.as_vector()
-    out = np.zeros_like(w)
-    f = lambda v: neg_log_likelihood(ParamPair.from_vector(v), ds, d)
-    for j in range(w.size):
-        e = np.zeros_like(w)
-        e[j] = step
-        out[j] = (-f(w + 2 * e) + 8 * f(w + e) - 8 * f(w - e) + f(w - 2 * e)) / (12 * step)
-    return out
-
-
 # -----------------------------------------------------------------------
-# criterion 1: analytic gradient vs central finite differences
+# criterion 1: the optimizer's analytic gradient vs central finite differences
 # -----------------------------------------------------------------------
+
+
+def _rel_err(a, b):
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
 
 
 def test_criterion_1_gradient_matches_finite_differences():
+    # the closures optimizer.fit runs: loss_and_grad against fourth-order
+    # differences of loss (accurate enough to certify 1e-6 even where the
+    # loss is large), then against the per-row reference right after a
+    # Hessian at the same point, as a Newton step reads their shared terms
     start = time.time()
     rng = np.random.default_rng(101)
-    worst = 0.0
+    worst = worst_after_hessian = 0.0
     for _ in range(50):
         p = int(rng.integers(2, 11))
         n = int(rng.integers(20, 201))
@@ -59,14 +52,24 @@ def test_criterion_1_gradient_matches_finite_differences():
         ds = random_dataset(rng, n, p, detect_rate=lam)
         om = ParamPair(rng.standard_normal(p) * 0.8, rng.standard_normal(p) * 0.8)
         d = DetectionParam(lam)
-        g = gradient(om, ds, d)
-        fd = _central_diff4(om, ds, d)
-        rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-3)
+        loss, loss_and_grad = make_objective(ds, d)
+        w = om.as_vector()
+        g = loss_and_grad(w)[1]
+        rel = _rel_err(g, central_differences(loss, w, 1e-4, order=4))
         worst = max(worst, float(rel.max()))
+        assert rel.max() < 1e-6
+        make_hessian(ds, d)(w)
+        g_after_hessian = loss_and_grad(w)[1]
+        rel = _rel_err(g_after_hessian, reference_loss_and_gradient(om, ds, d)[1])
+        worst_after_hessian = max(worst_after_hessian, float(rel.max()))
         assert rel.max() < 1e-6
     elapsed = time.time() - start
     assert elapsed < 10.0
-    _passed(1, f"50 draws, worst per-coordinate relative error {worst:.2e} (< 1e-6), {elapsed:.1f}s")
+    _passed(
+        1,
+        f"50 draws, worst per-coordinate relative error {worst:.2e} against differences of the loss and "
+        f"{worst_after_hessian:.2e} against the per-row reference after a Hessian (< 1e-6), {elapsed:.1f}s",
+    )
 
 
 # -----------------------------------------------------------------------

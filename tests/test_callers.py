@@ -1,0 +1,59 @@
+"""Every function, class and method of the package has a caller outside the tests."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import puomm
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLER_DIRS = ("src", "perfbench", "tools")
+
+
+def _names(tree: ast.AST) -> Counter:
+    """Identifiers that tree reads: names, attribute names and the last part of each imported name."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes, as (label, node)."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, kinds):
+                    yield f"{node.name}.{method.name}", method
+
+
+def test_every_package_definition_is_referenced_outside_its_own_body():
+    """Code that only tests call is deleted, not kept for them.
+
+    A definition in src/puomm passes when some file under src/, perfbench/
+    or tools/ reads its name outside the definition's own body.  The match
+    is by name alone: a definition whose name is also some other
+    identifier (a field, a keyword argument, a method of another class)
+    passes on that identifier's uses, as a public metrics.brier did
+    through MetricsReport.brier.  Names in puomm.__all__ and dunder
+    methods are exempt.
+    """
+    trees = {path: ast.parse(path.read_text(), str(path)) for d in CALLER_DIRS for path in (ROOT / d).rglob("*.py")}
+    read = sum((_names(tree) for tree in trees.values()), Counter())
+    unread = []
+    for path in sorted((ROOT / "src" / "puomm").glob("*.py")):
+        for label, node in _definitions(trees[path]):
+            name = node.name
+            if name in puomm.__all__ or (name.startswith("__") and name.endswith("__")):
+                continue
+            if read[name] == _names(node)[name]:
+                unread.append(f"{path.name}:{node.lineno} {label}")
+    assert unread == [], "defined but read nowhere outside its own body: " + ", ".join(unread)

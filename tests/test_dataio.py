@@ -274,6 +274,41 @@ def test_ingest_bad_file_names_first_bad_line(tmp_path, content, message):
         ingest_csv(path)
 
 
+def _blocks_after_cells_spanning_lines(bad_z: str) -> str:
+    """Three blocks of rows: cells spanning two and three lines, then z = bad_z on line 2105, in the third block."""
+    rows = [f"{i * 0.25},{i * 0.5}" for i in range(3 * dataio._BLOCK_ROWS)]
+    rows[5] = '"0.5\n",1.0'
+    rows[1500] = '1.0,"\n\n2.0"'
+    rows[2100] = f"0.75,{bad_z}"
+    return "\n".join(["x_1,z"] + rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "content, schema, message",
+    [
+        pytest.param('x_1,z\n"0.5\n",1.0\nabc,2.0\n', "observed_only", "line 4: non-numeric cell",
+                     id="after-a-cell-spanning-lines"),
+        pytest.param('x_1,z,"a\nb"\n0.5,1.0,2\nabc,2.0,3\n', "observed_only", "line 4: non-numeric cell",
+                     id="after-a-header-spanning-lines"),
+        pytest.param('x_1,z\n"0.5\n",1.0\n1.0,-2.0\n', "observed_only", "line 4: z must be nonnegative, got -2.0",
+                     id="negative-z"),
+        pytest.param('x_1,z\n"0.5\n",1.0\n1.0,nan\n', "observed_only", "line 4: non-finite cell", id="non-finite"),
+        pytest.param('x_1,z,y,u,r\n"0.5\n",1.0,1.0,1.0,1.0\n0.5,1.0,2.0,1.0,1.0\n', "simulated",
+                     r"line 4: z must equal y \* r", id="latent-rule"),
+        pytest.param(_blocks_after_cells_spanning_lines("-1.5"), "observed_only",
+                     "line 2105: z must be nonnegative, got -1.5", id="negative-z-blocks-later"),
+        pytest.param(_blocks_after_cells_spanning_lines("nan"), "observed_only", "line 2105: non-finite cell",
+                     id="non-finite-blocks-later"),
+    ],
+)
+def test_the_row_loop_names_the_line_a_row_ends_on(tmp_path, content, schema, message):
+    # a quoted cell spanning lines puts every later row below line index + 2
+    path = tmp_path / "bad.csv"
+    path.write_text(content, newline="")
+    with pytest.raises(ValueError, match=f": {message}$"):
+        ingest_csv(path, schema=schema)
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -8,12 +8,13 @@ from puomm.baselines import TwoPartModel, fit_logistic
 from puomm.metrics import (
     CSV_COLUMNS,
     MetricsReport,
+    _brier,
+    _check_paired,
     _coef_pair,
+    _misclassification,
     _recorded_occurrence_prob,
-    brier,
     evaluate_trial,
     mad,
-    misclassification,
     predict_magnitude,
     predict_occurrence,
     rmse_params,
@@ -43,26 +44,26 @@ def test_rmse_params_length_mismatch():
 
 
 def test_brier_values():
-    assert brier(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
-    assert brier(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == 0.25
-    assert brier(np.array([1.0, 1.0, 0.0]), np.full(3, 0.5)) == 0.25
+    assert _brier(*_check_paired(np.array([1.0, 0.0]), np.array([1.0, 0.0]))) == 0.0
+    assert _brier(*_check_paired(np.array([1.0, 0.0]), np.array([0.5, 0.5]))) == 0.25
+    assert _brier(*_check_paired(np.array([1.0, 1.0, 0.0]), np.full(3, 0.5))) == 0.25
 
 
 def test_brier_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        brier(np.array([1.0]), np.array([1.1]))
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+        _check_paired(np.array([1.0]), np.array([1.1]))
 
 
 def test_misclassification_values():
-    assert misclassification(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
+    assert _misclassification(*_check_paired(np.array([1.0, 0.0]), np.array([1.0, 0.0]))) == 0.0
     labels = np.array([1.0, 1.0, 0.0, 0.0])
     probs = np.array([0.6, 0.4, 0.6, 0.4])
-    assert misclassification(labels, probs) == 0.5
+    assert _misclassification(*_check_paired(labels, probs)) == 0.5
 
 
 def test_misclassification_half_probability_classifies_as_zero():
     labels = np.array([1.0, 1.0, 0.0, 1.0])
-    assert misclassification(labels, np.full(4, 0.5)) == labels.mean()
+    assert _misclassification(*_check_paired(labels, np.full(4, 0.5))) == labels.mean()
 
 
 def test_size_metrics_zero_error():
@@ -166,8 +167,8 @@ def test_evaluate_trial_validates_each_models_probabilities_once(monkeypatch):
     assert len(calls) == len(models)
     assert got == expected
     probs = _recorded_occurrence_prob(models["a"], x)
-    labels = (test.z > 0).astype(float)
-    assert (got[0].brier, got[0].misclassification) == (brier(labels, probs), misclassification(labels, probs))
+    checked = _check_paired((test.z > 0).astype(float), probs)
+    assert (got[0].brier, got[0].misclassification) == (_brier(*checked), _misclassification(*checked))
 
 
 def test_metrics_report_csv_row_roundtrip():
@@ -214,6 +215,7 @@ def reference_evaluate_trial(models, test, truth, mode) -> list[MetricsReport]:
             probs = predict_occurrence(model, test.x)
         else:
             probs = _recorded_occurrence_prob(model, test.x)
+        checked = _check_paired(labels, probs)
         size = dict.fromkeys(("mad", "rmse_pred", "smape"))
         if mask.any():
             y, yhat = outcome[mask], predict_magnitude(model, test.x[mask])
@@ -224,7 +226,7 @@ def reference_evaluate_trial(models, test, truth, mode) -> list[MetricsReport]:
             rb, rt = rmse_params(est_beta, truth[0]), rmse_params(est_theta, truth[1])
         reports.append(MetricsReport(
             method_name=name, trial_id=0, rmse_beta=rb, rmse_theta=rt,
-            brier=brier(labels, probs), misclassification=misclassification(labels, probs),
+            brier=_brier(*checked), misclassification=_misclassification(*checked),
             **size, n_eval=test.n, n_eval_size=int(mask.sum()),
         ))
     return reports

@@ -21,10 +21,8 @@ from puomm.model import (
     DetectionParam,
     NumericalError,
     ParamPair,
-    gradient,
     make_hessian,
     make_objective,
-    neg_log_likelihood,
     phi,
 )
 from puomm.selection import default_radius, observed_occurrence_prob
@@ -32,13 +30,23 @@ from puomm.simulate import Setting, apply_missingness
 
 from conftest import (
     assert_read_only,
-    central_diff_gradient,
+    central_differences,
     pu_model,
     random_dataset,
     reference_loss_and_gradient,
     tables_with_bad_cells,
     z_pattern_datasets,
 )
+
+
+def _loss_at(omega, ds, d):
+    """make_objective's loss at omega."""
+    return make_objective(ds, d)[0](omega.as_vector())
+
+
+def _loss_and_grad_at(omega, ds, d):
+    """make_objective's loss and gradient at omega."""
+    return make_objective(ds, d)[1](omega.as_vector())
 
 
 # The likelihood's logistic function is special.expit.
@@ -81,7 +89,7 @@ def test_occurrence_prob_dim_mismatch():
 def _recorded_row_density(t, x, beta, theta):
     """Likelihood of one row recorded at size t > 0: the magnitude density g(t | x) times expit(x.theta)."""
     ds = Dataset(x=np.atleast_2d(x), z=np.array([t]))
-    return np.exp(-neg_log_likelihood(ParamPair(beta, theta), ds, DetectionParam(1.0)))
+    return np.exp(-_loss_at(ParamPair(beta, theta), ds, DetectionParam(1.0)))
 
 
 def test_magnitude_density_unit_rate():
@@ -156,33 +164,33 @@ def test_phi_matches_quadrature():
     assert phi(x, beta, d) == pytest.approx(integral, abs=1e-8)
 
 
-# The per-sample loss is neg_log_likelihood on a one-row dataset.
+# The per-sample loss is make_objective's loss on a one-row dataset.
 
 
 def test_per_sample_loss_zero_branch():
     ds = Dataset(x=np.zeros((1, 3)), z=np.zeros(1))
     om = ParamPair(np.zeros(3), np.zeros(3))
-    assert -neg_log_likelihood(om, ds, DetectionParam(1.0)) == pytest.approx(np.log(0.75), abs=1e-12)
+    assert -_loss_at(om, ds, DetectionParam(1.0)) == pytest.approx(np.log(0.75), abs=1e-12)
 
 
 def test_per_sample_loss_positive_branch():
     ds = Dataset(x=np.array([[1.0, 0.0]]), z=np.ones(1))
     om = ParamPair(np.zeros(2), np.zeros(2))
-    assert -neg_log_likelihood(om, ds, DetectionParam(1.0)) == pytest.approx(-1.0 - np.log(2.0), abs=1e-12)
+    assert -_loss_at(om, ds, DetectionParam(1.0)) == pytest.approx(-1.0 - np.log(2.0), abs=1e-12)
 
 
 def test_per_sample_loss_no_missingness_limit(rng):
     # z = 0 branch collapses to log(1 - p1) when detection is certain
     x = rng.standard_normal(4)
     om = ParamPair(rng.standard_normal(4) * 0.5, rng.standard_normal(4) * 0.5)
-    val = -neg_log_likelihood(om, Dataset(x=x[None, :], z=np.zeros(1)), DetectionParam(1e9))
+    val = -_loss_at(om, Dataset(x=x[None, :], z=np.zeros(1)), DetectionParam(1e9))
     assert val == pytest.approx(np.log1p(-expit(x @ om.theta)), abs=1e-6)
 
 
 def test_neg_log_likelihood_single_sample_negation():
     ds = Dataset(x=np.zeros((1, 3)), z=np.zeros(1))
     om = ParamPair(np.zeros(3), np.zeros(3))
-    assert neg_log_likelihood(om, ds, DetectionParam(1.0)) == pytest.approx(0.2876820724517809, abs=1e-12)
+    assert _loss_at(om, ds, DetectionParam(1.0)) == pytest.approx(0.2876820724517809, abs=1e-12)
 
 
 def test_neg_log_likelihood_mean_invariance(rng):
@@ -190,21 +198,20 @@ def test_neg_log_likelihood_mean_invariance(rng):
     om = ParamPair(rng.standard_normal(3), rng.standard_normal(3))
     d = DetectionParam(0.5)
     doubled = Dataset(x=np.vstack([ds.x, ds.x]), z=np.concatenate([ds.z, ds.z]))
-    assert neg_log_likelihood(om, doubled, d) == pytest.approx(neg_log_likelihood(om, ds, d), rel=1e-12)
+    assert _loss_at(om, doubled, d) == pytest.approx(_loss_at(om, ds, d), rel=1e-12)
 
 
 def test_neg_log_likelihood_additivity(rng):
     ds = random_dataset(rng, 3, 2)
     om = ParamPair(rng.standard_normal(2), rng.standard_normal(2))
     d = DetectionParam(0.9)
-    per = [-neg_log_likelihood(om, ds.subset([i]), d) for i in range(3)]
-    assert neg_log_likelihood(om, ds, d) == pytest.approx(-sum(per) / 3, rel=1e-12)
+    per = [-_loss_at(om, ds.subset([i]), d) for i in range(3)]
+    assert _loss_at(om, ds, d) == pytest.approx(-sum(per) / 3, rel=1e-12)
 
 
 def test_neg_log_likelihood_rejects_empty():
-    om = ParamPair(np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        neg_log_likelihood(om, Dataset(x=np.zeros((0, 2)), z=np.zeros(0)), DetectionParam(1.0))
+    with pytest.raises(ValueError, match="at least one sample"):
+        make_objective(Dataset(x=np.zeros((0, 2)), z=np.zeros(0)), DetectionParam(1.0))
 
 
 def _zero_row(a, b):
@@ -215,7 +222,7 @@ def _zero_row(a, b):
     is expit(h) times the partials of h.
     """
     ds, om, d = Dataset(x=np.ones((1, 1)), z=np.zeros(1)), ParamPair([a], [b]), DetectionParam(1.0)
-    return neg_log_likelihood(om, ds, d), gradient(om, ds, d)
+    return _loss_and_grad_at(om, ds, d)
 
 
 def _link_prob(a, b):
@@ -269,9 +276,10 @@ def test_mixture_link_partials_match_finite_differences():
 def test_gradient_matches_finite_differences(rng):
     ds = random_dataset(rng, 60, 5)
     om = ParamPair(rng.standard_normal(5) * 0.8, rng.standard_normal(5) * 0.8)
-    d = DetectionParam(0.24)
-    g = gradient(om, ds, d)
-    fd = central_diff_gradient(om, ds, d)
+    loss, loss_and_grad = make_objective(ds, DetectionParam(0.24))
+    w = om.as_vector()
+    g = loss_and_grad(w)[1]
+    fd = central_differences(loss, w, 1e-6, order=2)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -291,28 +299,18 @@ def _rel_err(a, b, floor=1e-3):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
-def test_make_objective_matches_public_loss_and_gradient():
-    # the public functions read the optimizer's row terms; both must match the per-row reference
+def test_make_objective_matches_its_own_state_and_the_row_reference():
+    # the closures read the same terms as a state built on its own, and both match the per-row reference
     for ds, om, d in _criterion_1_draws():
         loss, loss_and_grad = make_objective(ds, d)
         w = om.as_vector()
         value, g = loss_and_grad(w)
-        assert loss(w) == value == neg_log_likelihood(om, ds, d)
-        assert np.array_equal(g, gradient(om, ds, d))
+        direct = _RowTerms(ds, d).at(w.copy())
+        assert loss(w) == value == direct.loss()
+        assert np.array_equal(g, direct.loss_and_grad()[1])
         expected, expected_g = reference_loss_and_gradient(om, ds, d)
         assert abs(value - expected) <= 1e-10 * abs(expected)
         assert _rel_err(g, expected_g).max() < 1e-10
-
-
-def _fd_derivative(f, w, scale=1.0):
-    """Fourth-order central differences of f, column by column, in steps 1e-3 / scale."""
-    step = 1e-3 / scale
-    cols = []
-    for j in range(w.size):
-        e = np.zeros_like(w)
-        e[j] = step
-        cols.append((-f(w + 2 * e) + 8 * f(w + e) - 8 * f(w - e) + f(w - 2 * e)) / (12 * step))
-    return np.array(cols).T
 
 
 def test_make_hessian_matches_finite_differences_of_the_gradient():
@@ -320,7 +318,7 @@ def test_make_hessian_matches_finite_differences_of_the_gradient():
         _, loss_and_grad = make_objective(ds, d)
         w = om.as_vector()
         h = make_hessian(ds, d)(w)
-        fd = _fd_derivative(lambda v: loss_and_grad(v)[1], w)
+        fd = central_differences(lambda v: loss_and_grad(v)[1], w, 1e-3, order=4)
         assert _rel_err(h, fd).max() < 1e-6
         assert np.abs(h - h.T).max() <= 1e-12
 
@@ -430,8 +428,8 @@ def test_objective_derivatives_match_finite_differences(case):
     hess = make_hessian(ds, d)
     scale = np.abs(ds.x).max()
     g, h = loss_and_grad(w)[1], hess(w)
-    fd_g = _fd_derivative(lambda v: np.array([loss(v)]), w, scale)[0]
-    fd_h = _fd_derivative(lambda v: loss_and_grad(v)[1], w, scale)
+    fd_g = central_differences(loss, w, 1e-3 / scale, order=4)
+    fd_h = central_differences(lambda v: loss_and_grad(v)[1], w, 1e-3 / scale, order=4)
     assert np.abs(g - fd_g).max() <= 1e-6 * np.abs(fd_g).max() + 1e-12
     assert np.abs(h - fd_h).max() <= 1e-6 * np.abs(fd_h).max() + 1e-12
     assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
@@ -566,14 +564,6 @@ def test_a_split_goes_with_its_dataset(rng):
     assert dataset() is None and features() is None
 
 
-def test_one_off_evaluations_keep_the_split_that_fits_read(rng):
-    ds, d, omega = random_dataset(rng, 30, 2), DetectionParam(0.24), ParamPair.zeros(2)
-    neg_log_likelihood(omega, ds, d), gradient(omega, ds, d)
-    split = _SPLITS[ds]
-    state = _state_for(ds, DetectionParam(0.5))
-    assert all(got is kept for got, kept in zip((state.rows_p, state.rows_n, state.XpT, state.XnT, state.zp), split))
-
-
 def test_writing_into_a_fitted_dataset_raises(rng):
     # kept row splits, states and logistic stages stay valid because no write gets through
     drawn = random_dataset(rng, 200, 2)
@@ -651,10 +641,12 @@ def test_gradient_theta_block_all_positive(rng):
     z = rng.exponential(1.0, n) + 0.05
     ds = Dataset(x=x, z=z)
     om = ParamPair(rng.standard_normal(p) * 0.5, rng.standard_normal(p) * 0.5)
-    g = gradient(om, ds, DetectionParam(0.24))
+    loss, loss_and_grad = make_objective(ds, DetectionParam(0.24))
+    w = om.as_vector()
+    g = loss_and_grad(w)[1]
     expected = -(x.T @ (1.0 - expit(x @ om.theta))) / n
     assert np.allclose(g[p:], expected, atol=1e-12)
-    fd = central_diff_gradient(om, ds, DetectionParam(0.24))
+    fd = central_differences(loss, w, 1e-6, order=2)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -666,20 +658,18 @@ def test_gradient_beta_block_no_missingness(rng):
     z = np.where(u, rng.exponential(1.0, n) + 0.01, 0.0)
     ds = Dataset(x=x, z=z)
     om = ParamPair(rng.standard_normal(p) * 0.4, rng.standard_normal(p) * 0.4)
-    g = gradient(om, ds, DetectionParam(1e9))
+    g = _loss_and_grad_at(om, ds, DetectionParam(1e9))[1]
     score = -(x.T @ (u * (np.exp(-x @ om.beta) * z - 1.0))) / n
     assert np.allclose(g[:p], score, atol=1e-6)
 
 
 def test_loss_decreases_along_negative_gradient(rng):
     ds = random_dataset(rng, 80, 4)
-    d = DetectionParam(0.4)
+    loss, loss_and_grad = make_objective(ds, DetectionParam(0.4))
     for _ in range(100):
-        om = ParamPair(rng.standard_normal(4), rng.standard_normal(4))
-        g = gradient(om, ds, d)
-        base = neg_log_likelihood(om, ds, d)
-        stepped = ParamPair.from_vector(om.as_vector() - 1e-7 * g)
-        assert neg_log_likelihood(stepped, ds, d) <= base + 1e-14
+        w = ParamPair(rng.standard_normal(4), rng.standard_normal(4)).as_vector()
+        base, g = loss_and_grad(w)
+        assert loss(w - 1e-7 * g) <= base + 1e-14
 
 
 def test_observed_occurrence_prob_in_unit_interval_and_monotone(rng):
@@ -700,7 +690,7 @@ def test_per_sample_loss_nonfinite_carries_index():
     ds = Dataset(x=x, z=z)
     om = ParamPair(np.array([-710.0, 0.0]), np.zeros(2))
     with pytest.raises(NumericalError) as exc:
-        neg_log_likelihood(om, ds, DetectionParam(1.0))
+        _loss_at(om, ds, DetectionParam(1.0))
     assert exc.value.index == 1
 
 
@@ -710,7 +700,7 @@ def test_neg_log_likelihood_names_the_bad_row_in_the_original_order():
     z = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     om = ParamPair(np.array([10.0, 0.0]), np.zeros(2))
     with pytest.raises(NumericalError, match="non-finite log-likelihood term at sample 3") as exc:
-        neg_log_likelihood(om, Dataset(x=x, z=z), DetectionParam(1.0))
+        _loss_at(om, Dataset(x=x, z=z), DetectionParam(1.0))
     assert exc.value.index == 3
 
 
@@ -718,14 +708,14 @@ def test_neg_log_likelihood_sum_overflow_raises():
     # every term is finite, their sum is not
     ds = Dataset(x=np.zeros((3, 1)), z=np.array([1e308, 1e308, 0.0]))
     with pytest.raises(NumericalError, match="non-finite log-likelihood sum"):
-        neg_log_likelihood(ParamPair.zeros(1), ds, DetectionParam(1.0))
+        _loss_at(ParamPair.zeros(1), ds, DetectionParam(1.0))
 
 
 def test_gradient_product_overflow_raises():
     # finite weights times features of 1e300 overflow the products over rows
     ds = Dataset(x=np.array([[1e300], [1e300], [0.0]]), z=np.array([1e10, 1e10, 0.0]))
     with pytest.raises(NumericalError, match="non-finite gradient sum"):
-        gradient(ParamPair.zeros(1), ds, DetectionParam(1.0))
+        _loss_and_grad_at(ParamPair.zeros(1), ds, DetectionParam(1.0))
 
 
 def test_param_pair_validation():
