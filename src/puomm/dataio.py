@@ -489,15 +489,13 @@ def model_to_dict(model, method: str) -> dict:
 def model_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "pu_omm":
-        omega = ParamPair(beta=np.asarray(d["beta"]), theta=np.asarray(d["theta"]))
         res = FitResult(
-            omega_hat=omega,
+            omega_hat=ParamPair(beta=np.asarray(d["beta"]), theta=np.asarray(d["theta"])),
             converged=bool(d["converged"]),
             iterations=int(d["iterations"]),
             final_loss=float(d["final_loss"]),
         )
         return PuOmmModel(
-            omega_hat=omega,
             lambda_hat=DetectionParam(d["lambda_hat"]).lambda_eps,
             fit=res,
             selection_scores=[(float(a), float(b)) for a, b in d["selection_scores"]],

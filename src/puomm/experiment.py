@@ -2,7 +2,8 @@
 
 Emits a long-format CSV (setting, n, trial, method, metric, value,
 status) plus a summary CSV with per-cell means and standard errors.
-Status is ok, not_converged (a fit stopped by max_iter; its metrics are
+Status is ok, not_converged (a fit that stopped at max_iter, or whose
+projected-gradient line search found no admissible step; its metrics are
 written but left out of the summary) or failed.
 Every output byte is a deterministic function of the configuration.
 """
@@ -30,7 +31,7 @@ from .selection import (
     fit_pu_omm,
     make_lambda_grid,
 )
-from .metrics import evaluate_trial
+from .metrics import csv_cell, evaluate_trial
 from .model import store_integer_fields
 from .simulate import SimConfig, make_datasets
 
@@ -203,13 +204,13 @@ def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mo
             continue
         try:
             report = evaluate_trial({method: model}, test, truth=truth, trial_id=trial, mode=mode)[0]
-            # a fit stopped by max_iter is reported but kept out of the summary means
+            # a fit that did not converge is reported but kept out of the summary means
             status = "not_converged" if isinstance(model, PuOmmModel) and not model.fit.converged else "ok"
             for metric in METRICS:
                 value = getattr(report, metric)
                 if value is None:
                     continue
-                rows.append((setting_label, n, trial, method, metric, repr(float(value)), status))
+                rows.append((setting_label, n, trial, method, metric, float(value), status))
         except Exception as exc:  # record and continue: one bad evaluation must not kill the sweep
             rows.append((setting_label, n, trial, method, "all", "", f"failed: {exc}"))
     return rows
@@ -282,7 +283,7 @@ def _write_rows(path: Path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in row])
+            writer.writerow([csv_cell(v) for v in row])
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:

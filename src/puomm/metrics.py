@@ -37,16 +37,15 @@ class MetricsReport:
     n_eval_size: int
 
     def to_csv_row(self) -> list[str]:
-        """Fields in CSV_COLUMNS order: None as empty, str and int as is, floats by repr."""
+        """Fields in CSV_COLUMNS order, each written by csv_cell."""
+        return [csv_cell(getattr(self, f.name)) for f in fields(self)]
 
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, (str, int)):
-                return str(v)
-            return repr(float(v))
 
-        return [fmt(getattr(self, f.name)) for f in fields(self)]
+def csv_cell(value) -> str:
+    """The text of one CSV cell: None as empty, a float by repr (which reads back exactly), anything else by str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 # CSV column names of the fields, where they differ from the field names

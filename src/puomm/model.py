@@ -10,9 +10,9 @@ likelihood, its analytic gradient and its analytic Hessian.
 
 Every evaluation reads one private per-point state, _RowTerms, over
 the rows split into recorded and zero blocks, stored feature-major
-(p x rows).  A Dataset's arrays cannot change, so its split is made once
-and kept while that Dataset lives, and the states of all its detection
-rates share it.  One pass per point computes both linear
+(p x rows).  A Dataset's arrays cannot change, so its split is made once,
+kept on the Dataset (Dataset._row_split), and shared by the states of
+all its detection rates.  One pass per point computes both linear
 predictors, the expit pairs and the log-likelihood total.  Both blocks
 take their sigmoid pairs from special.expit_pair, one clipped exp per
 block with no sign test; the recorded rows take log expit(x.theta) from
@@ -30,6 +30,7 @@ first bad sample in the original row order.
 
 from __future__ import annotations
 
+import functools
 import operator
 import threading
 import weakref
@@ -128,7 +129,7 @@ class Dataset:
     write into it raises ValueError.  (A write through another, writable
     view of the same base array is not caught.)  Fits therefore keep
     their lambda-free work per Dataset while it lives: the likelihood's
-    row split (model._split) and the observed-data mixtures' logistic
+    row split (_row_split) and the observed-data mixtures' logistic
     stage (baselines._occurrence_stage).  A Dataset equals only itself
     and hashes by identity.  x may be shared with other datasets: while a
     simulated design is alive, make_datasets returns that same array for
@@ -184,6 +185,25 @@ class Dataset:
     @property
     def has_latent(self) -> bool:
         return self.y is not None and self.u is not None
+
+    @functools.cached_property
+    def _row_split(self) -> tuple[np.ndarray, ...]:
+        """rows_p, rows_n, XpT, XnT and zp, the lambda-free part of every _RowTerms on this Dataset.
+
+        rows_p and rows_n hold each block's rows in the original order, also
+        used to name the first bad row; XpT and XnT are those rows' features,
+        feature-major, and zp the recorded sizes.  Threads that miss it at
+        once may each make the same arrays; one thread's stay.
+        """
+        pos = self.z > 0
+        rows_p, rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
+        return (
+            rows_p,
+            rows_n,
+            np.ascontiguousarray(self.x.take(rows_p, axis=0).T),
+            np.ascontiguousarray(self.x.take(rows_n, axis=0).T),
+            self.z[rows_p],
+        )
 
     def observed_only(self) -> "Dataset":
         """A Dataset over the same x and z, with the latent columns stripped (what a real estimator sees)."""
@@ -248,7 +268,7 @@ class _RowTerms:
     negligible.  A recorded row's loss needs log expit(b) itself, which is
     about b far below zero, so it comes from log_expit, exact in both
     tails, and not from the clipped pair.  The row blocks come from
-    _split, shared by the states of all the Dataset's rates.  The terms
+    Dataset._row_split, shared by the states of all its rates.  The terms
     are recomputed only when at() gets a point whose bytes differ from
     the last one's, so evaluating the loss, the gradient and the Hessian
     at one point pays for them once, mutating the caller's array in place
@@ -261,7 +281,7 @@ class _RowTerms:
     def __init__(self, data: Dataset, d: DetectionParam):
         if data.n < 1:
             raise ValueError("dataset must contain at least one sample")
-        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = _split(data)
+        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = data._row_split
         self.n, self.p = data.n, data.p
         self.loglam = np.log(d.lambda_eps)
         self.key = None  # the bytes of the last point, once its terms are complete
@@ -353,33 +373,6 @@ class _RowTerms:
             h[p:, :p] = h[:p, p:].T
             h /= self.n
         return h
-
-
-# Each Dataset's row split, the lambda-free part of every _RowTerms on it; an
-# entry goes with its Dataset.  No lock: threads that miss one Dataset at once
-# each make the same arrays, and the last one's stay in the map.
-_SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _split(data: Dataset) -> tuple[np.ndarray, ...]:
-    """rows_p, rows_n, XpT, XnT and zp of data, made once while data lives.
-
-    rows_p and rows_n hold each block's rows in the original order, also
-    used to name the first bad row; XpT and XnT are those rows' features,
-    feature-major, and zp the recorded sizes.
-    """
-    split = _SPLITS.get(data)
-    if split is None:
-        pos = data.z > 0
-        rows_p, rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
-        split = _SPLITS[data] = (
-            rows_p,
-            rows_n,
-            np.ascontiguousarray(data.x.take(rows_p, axis=0).T),
-            np.ascontiguousarray(data.x.take(rows_n, axis=0).T),
-            data.z[rows_p],
-        )
-    return split
 
 
 # The live shared state of each (data, lambda_eps, thread); an entry goes when

@@ -15,15 +15,15 @@ instead, as in projected Newton methods (Bertsekas 1982).  After a
 Newton step that moved the iterate by at most HESSIAN_REUSE, the next
 step reuses the same eigendecomposition instead of a new Hessian (the
 lazy-Hessian scheme of Doikov, Chayti & Jaggi 2023); a longer step or a
-PGD step means a fresh one.  Iterates never leave the ball and the loss
-trace is monotone non-increasing.
+PGD step means a fresh one.  Iterates never leave the ball, and the loss
+never increases from one iterate to the next.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -86,19 +86,12 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Fitted parameters plus the convergence trace.
-
-    trace rows are (iteration, loss, step_size, iterate_change); losses
-    are non-increasing.  On a PGD iteration step_size is the gradient
-    step eta; on a Newton iteration it is the accepted fraction of the
-    segment to the ball-constrained Newton point (1, 1/2, ..., 2^-8).
-    """
+    """Fitted parameters, whether the fit converged, its iteration count and its loss at omega_hat."""
 
     omega_hat: ParamPair
     converged: bool
     iterations: int
     final_loss: float
-    trace: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
 def project_l2_ball(v: np.ndarray, r: float) -> np.ndarray:
@@ -130,13 +123,13 @@ def _backtrack(
     loss_w: float,
     loss_vec: Callable[[np.ndarray], float],
     cfg: FitConfig,
-) -> tuple[np.ndarray, float, float]:
-    """Largest step eta = INIT_STEP * BACKTRACK_FACTOR^k passing the projected decrease test.
+) -> tuple[np.ndarray, float] | None:
+    """The PGD step of the largest eta = INIT_STEP * BACKTRACK_FACTOR^k passing the projected decrease test.
 
     Accepts w_plus = P(w - eta * grad) when
     loss(w_plus) <= loss(w) - (ARMIJO_C / eta) * ||w_plus - w||^2; a
-    non-finite loss rejects that eta.  Returns (w, 0, loss(w)) if no
-    eta >= STEP_FLOOR qualifies.
+    non-finite loss rejects that eta.  Returns (w_plus, loss(w_plus)),
+    or None if no eta >= STEP_FLOOR qualifies.
     """
     eta = INIT_STEP
     while eta >= STEP_FLOOR:
@@ -144,9 +137,9 @@ def _backtrack(
         decrease = np.sum((candidate - w) ** 2) * (ARMIJO_C / eta)
         loss_c = _trial_loss(loss_vec, candidate)
         if loss_c <= loss_w - decrease:
-            return candidate, eta, loss_c
+            return candidate, loss_c
         eta *= BACKTRACK_FACTOR
-    return w.copy(), 0.0, loss_w
+    return None
 
 
 def _pd_eigh(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -191,12 +184,12 @@ def _newton_step(
     loss_vec: Callable[[np.ndarray], float],
     eig: tuple[np.ndarray, np.ndarray],
     cfg: FitConfig,
-) -> tuple[np.ndarray, float, float] | None:
+) -> tuple[np.ndarray, float] | None:
     """Damped step toward the ball-constrained Newton point v of the Hessian that eig decomposes.
 
     Accepts w_plus = w + t (v - w) for the first t in 1, 1/2, ..., 2^-8 with
     loss(w_plus) <= loss(w) + ARMIJO_C * grad.(w_plus - w); a non-finite loss
-    rejects that t.  Returns (w_plus, t, loss(w_plus)), or None when no t
+    rejects that t.  Returns (w_plus, loss(w_plus)), or None when no t
     qualifies.
     """
     direction = _ball_newton_point(w, grad, eig, cfg.radius) - w
@@ -206,7 +199,7 @@ def _newton_step(
         candidate = project_l2_ball(w + t * direction, cfg.radius)
         loss_c = _trial_loss(loss_vec, candidate)
         if loss_c <= loss_w + t * slope:
-            return candidate, t, loss_c
+            return candidate, loss_c
         t *= 0.5
     return None
 
@@ -224,7 +217,7 @@ def fit(
     eigendecomposition to the next one.
     Stops when the iterate change drops to cfg.tol or max_iter is
     reached; exhausting max_iter is reported through converged=False,
-    not an error.  A failed line search (no admissible step) also
+    not an error.  A PGD line search that finds no admissible step also
     returns the current iterate with converged=False.
     """
     w = ParamPair.zeros(data.p).as_vector()
@@ -232,7 +225,6 @@ def fit(
     loss_vec, loss_and_grad = make_objective(data, d)
     hessian = make_hessian(data, d)
     loss_w, grad = loss_and_grad(w)
-    trace = [(0, loss_w, 0.0, 0.0)]
 
     converged = False
     newton = False
@@ -248,9 +240,9 @@ def fit(
         if step is None:
             eig = None
             step = _backtrack(w, grad, loss_w, loss_vec, cfg)
-            if step[1] == 0.0:
+            if step is None:
                 break
-        candidate, eta, loss_c = step
+        candidate, loss_c = step
         move = candidate - w
         change = math.sqrt(move.dot(move))
         newton = newton or change <= NEWTON_SWITCH
@@ -258,7 +250,6 @@ def fit(
             eig = None
         w, loss_w = candidate, loss_c
         iterations = t
-        trace.append((t, loss_w, eta, change))
         if change <= cfg.tol:
             converged = True
             break
@@ -269,5 +260,4 @@ def fit(
         converged=converged,
         iterations=iterations,
         final_loss=loss_w,
-        trace=trace,
     )

@@ -52,16 +52,19 @@ class LambdaGrid:
 
 @dataclass
 class PuOmmModel:
-    """Fitted coefficient pair with the selected detection rate.
+    """The fit at the selected detection rate lambda_hat.
 
     selection_scores holds one (lambda, brier) pair per grid value;
     lambda_hat attains the minimum (ties broken toward smaller lambda).
     """
 
-    omega_hat: ParamPair
     lambda_hat: float
     fit: FitResult
     selection_scores: list[tuple[float, float]]
+
+    @property
+    def omega_hat(self) -> ParamPair:
+        return self.fit.omega_hat
 
     @property
     def beta(self) -> np.ndarray:
@@ -107,7 +110,6 @@ def fit_at_lambda(train: Dataset, lam: float, cfg: FitConfig) -> PuOmmModel:
     """Single fit at a fixed detection rate; no grid, no selection."""
     res, score = _fit_and_score(train, lam, cfg)
     return PuOmmModel(
-        omega_hat=res.omega_hat,
         lambda_hat=float(lam),
         fit=res,
         selection_scores=[(float(lam), score)],
@@ -150,7 +152,6 @@ def fit_pu_omm(
     briers = np.array([s for _, s in scores])
     best = int(np.argmin(briers))  # argmin takes the first minimum: ties go to smaller lambda
     return PuOmmModel(
-        omega_hat=results[best].omega_hat,
         lambda_hat=scores[best][0],
         fit=results[best],
         selection_scores=scores,

@@ -63,7 +63,7 @@ def pu_model(beta, theta, lam=0.5) -> PuOmmModel:
     """A fitted-looking PuOmmModel at the given coefficients."""
     omega = ParamPair(np.asarray(beta, dtype=float), np.asarray(theta, dtype=float))
     res = FitResult(omega_hat=omega, converged=True, iterations=1, final_loss=0.0)
-    return PuOmmModel(omega_hat=omega, lambda_hat=lam, fit=res, selection_scores=[(lam, 0.0)])
+    return PuOmmModel(lambda_hat=lam, fit=res, selection_scores=[(lam, 0.0)])
 
 
 def random_dataset(rng: np.random.Generator, n: int, p: int, detect_rate: float = 0.24) -> Dataset:
@@ -90,31 +90,48 @@ def assert_read_only(ds: Dataset) -> None:
 
 @contextlib.contextmanager
 def objective_points():
-    """Copies of the points that optimizer.fit's objective closures see while the block runs.
+    """Copies of the points that optimizer.fit's objective closures see while the block runs, and their losses.
 
-    Yields {"loss": [...], "loss_and_grad": [...]}, filled in call order
-    by wrapping optimizer.make_objective, as the benchmark's tracer does.
-    loss sees the line searches' trial points; loss_and_grad sees the
-    start and every accepted iterate after which the fit went on.
+    Yields (points, losses), two dicts {"loss": [...], "loss_and_grad": [...]}
+    filled in call order by wrapping optimizer.make_objective, as the
+    benchmark's tracer does: each call records its point, then the loss it
+    returns (a call that raises records no loss).  loss sees the line
+    searches' trial points; loss_and_grad sees the start and every
+    accepted iterate after which the fit went on.
     """
     from puomm import optimizer
 
     points = {"loss": [], "loss_and_grad": []}
+    losses = {"loss": [], "loss_and_grad": []}
     make_objective = optimizer.make_objective
 
     def recording(data, d):
-        def recorded(seen, f):
+        def recorded(kind, f):
             def call(w):
-                seen.append(w.copy())
-                return f(w)
+                points[kind].append(w.copy())
+                out = f(w)
+                losses[kind].append(out if kind == "loss" else out[0])
+                return out
 
             return call
 
-        return tuple(recorded(seen, f) for seen, f in zip(points.values(), make_objective(data, d)))
+        return tuple(recorded(kind, f) for kind, f in zip(points, make_objective(data, d)))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "make_objective", recording)
-        yield points
+        yield points, losses
+
+
+def accepted_iterates(points, losses, res) -> tuple[np.ndarray, list[float]]:
+    """The start and every accepted iterate of one fit run under objective_points, in order, and their losses.
+
+    The fit evaluates loss_and_grad at the start and at every accepted
+    iterate after which it went on; a converged fit's last iterate is its
+    omega_hat, at its final_loss.
+    """
+    if not res.converged:
+        return np.array(points["loss_and_grad"]), losses["loss_and_grad"]
+    return np.array(points["loss_and_grad"] + [res.omega_hat.as_vector()]), losses["loss_and_grad"] + [res.final_loss]
 
 
 @st.composite

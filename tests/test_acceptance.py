@@ -21,7 +21,13 @@ from puomm.optimizer import FitConfig
 from puomm.selection import default_radius, fit_at_lambda, fit_pu_omm, make_lambda_grid
 from puomm.simulate import SimConfig, apply_missingness, gen_latent, make_datasets
 
-from conftest import central_differences, objective_points, random_dataset, reference_loss_and_gradient
+from conftest import (
+    accepted_iterates,
+    central_differences,
+    objective_points,
+    random_dataset,
+    reference_loss_and_gradient,
+)
 
 
 def _passed(num: int, text: str) -> None:
@@ -142,13 +148,12 @@ def scaling_fits():
                 SimConfig(setting="correct", n=n, p=10, lambda_eps_true=0.24, seed=400 + trial, n_test=10)
             )
             cfg = FitConfig(radius=default_radius(10), tol=1e-8)
-            with objective_points() as points:
+            with objective_points() as (points, losses):
                 model = fit_at_lambda(sim.train.observed_only(), 0.24, cfg)
             omega0 = np.concatenate([sim.beta0, sim.theta0])
             err = float(np.linalg.norm(model.fit.omega_hat.as_vector() - omega0))
-            # the fit takes a gradient at the start and at every iterate but a converged last one
-            iterates = points["loss_and_grad"] + ([model.fit.omega_hat.as_vector()] if model.fit.converged else [])
-            out[n].append((err, model.fit, np.array(iterates), points["loss"], cfg.radius))
+            iterates, accepted = accepted_iterates(points, losses, model.fit)
+            out[n].append((err, model.fit, iterates, accepted, points["loss"], cfg.radius))
     return out, time.time() - start
 
 
@@ -166,8 +171,7 @@ def test_criterion_5_optimizer_trajectories(scaling_fits):
     fits, _ = scaling_fits
     checked = 0
     for n in (2500, 10000):
-        for _err, res, iterates, trial_points, radius in fits[n]:
-            losses = [t[1] for t in res.trace]
+        for _err, res, iterates, losses, trial_points, radius in fits[n]:
             assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
             assert len(iterates) == res.iterations + 1
             norms = np.linalg.norm(np.vstack([iterates, trial_points]), axis=1)

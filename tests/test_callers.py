@@ -1,6 +1,9 @@
-"""Every function, class and method of the package has a caller outside the tests."""
+"""Every function, class and method of the package has a caller outside the tests, and module state is listed."""
 
 import ast
+import importlib
+import pkgutil
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -57,3 +60,18 @@ def test_every_package_definition_is_referenced_outside_its_own_body():
             if read[name] == _names(node)[name]:
                 unread.append(f"{path.name}:{node.lineno} {label}")
     assert unread == [], "defined but read nowhere outside its own body: " + ", ".join(unread)
+
+
+def test_the_package_keeps_exactly_these_module_level_weak_maps():
+    """State kept across calls, keyed by object identity, lives only in these maps.
+
+    A forked child inherits exactly these.  Anything else that depends on
+    one immutable Dataset alone is cached on that Dataset instead.
+    """
+    found = set()
+    for info in pkgutil.iter_modules(puomm.__path__):
+        module = importlib.import_module(f"puomm.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, (weakref.WeakKeyDictionary, weakref.WeakValueDictionary)):
+                found.add(f"{info.name}.{name}")
+    assert found == {"model._STATES", "baselines._OCCURRENCE", "simulate._DESIGNS"}

@@ -669,12 +669,14 @@ def test_the_row_loop_holds_its_table_and_no_list_of_rows(tmp_path):
 def test_pu_omm_model_json_roundtrip(tmp_path):
     omega = ParamPair(np.array([0.1, -0.2]), np.array([0.3, 0.4]))
     res = FitResult(omega_hat=omega, converged=True, iterations=17, final_loss=0.5)
-    model = PuOmmModel(omega_hat=omega, lambda_hat=0.24, fit=res, selection_scores=[(0.24, 0.1), (1.0, 0.2)])
+    model = PuOmmModel(lambda_hat=0.24, fit=res, selection_scores=[(0.24, 0.1), (1.0, 0.2)])
     path = tmp_path / "m.json"
     write_model_json(model, "pu_omm", path)
     back = read_model_json(path)
     assert isinstance(back, PuOmmModel)
-    assert np.array_equal(back.beta, model.beta)
+    assert back.omega_hat is back.fit.omega_hat
+    assert np.array_equal(back.beta, model.beta) and np.array_equal(back.theta, model.theta)
+    assert (back.fit.converged, back.fit.iterations, back.fit.final_loss) == (True, 17, 0.5)
     assert back.lambda_hat == 0.24
     assert back.selection_scores == model.selection_scores
 

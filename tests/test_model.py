@@ -15,7 +15,6 @@ from puomm.model import (
     Dataset,
     _Q_MAX,
     _RowTerms,
-    _SPLITS,
     _STATES,
     _state_for,
     DetectionParam,
@@ -546,9 +545,10 @@ def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
     ds = random_dataset(rng, 120, 3)
     w = rng.standard_normal(6) * 0.4
     states = [_state_for(ds, DetectionParam(lam)) for lam in (0.24, 2.0)]
-    for name in ("rows_p", "rows_n", "XpT", "XnT", "zp"):
-        assert getattr(states[0], name) is getattr(states[1], name), name
-    assert len(_SPLITS[ds]) == 5
+    names = ("rows_p", "rows_n", "XpT", "XnT", "zp")
+    assert len(ds._row_split) == len(names)
+    for name, part in zip(names, ds._row_split):
+        assert getattr(states[0], name) is part is getattr(states[1], name), name
     for state in states:
         copy = Dataset(x=ds.x.copy(), z=ds.z.copy())
         fresh = _RowTerms(copy, DetectionParam(np.exp(state.loglam)))
@@ -559,7 +559,7 @@ def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
 def test_a_split_goes_with_its_dataset(rng):
     ds = random_dataset(rng, 30, 2)
     make_objective(ds, DetectionParam(0.24))[0](np.zeros(4))
-    dataset, features = weakref.ref(ds), weakref.ref(_SPLITS[ds][3])
+    dataset, features = weakref.ref(ds), weakref.ref(ds._row_split[3])
     del ds
     assert dataset() is None and features() is None
 
