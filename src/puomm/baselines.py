@@ -3,13 +3,13 @@
 The oracle sees the unmasked magnitudes; the observed-data mixtures fit a
 logistic stage on 1{z > 0} plus a Gamma or log-normal size stage on the
 recorded positives.  All fitters are deterministic damped-Newton solvers
-with explicit tolerances.
+with explicit tolerances.  A stage on degenerate data returns a fallback
+fit and says so in a returned value, from which TwoPartModel.flags is built.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 import weakref
 from dataclasses import dataclass
 
@@ -22,20 +22,16 @@ GRAD_TOL = 1e-8
 MAX_NEWTON = 100
 
 
-class SeparationWarning(UserWarning):
-    """Logistic labels are (nearly) separable; coefficients were clamped."""
-
-
-class DegenerateFitWarning(UserWarning):
-    """Too little data to estimate a stage; returned a degenerate fit."""
-
-
 @dataclass
 class TwoPartModel:
     """Occurrence logistic stage plus a log-link magnitude stage.
 
-    aux carries the Gamma shape or the log-normal residual variance;
-    flags records degeneracies (separation, rank deficiency, ...).
+    aux carries the Gamma shape or the log-normal residual variance.
+    flags names the degeneracies that the stage fits returned:
+    "separation" when the logistic stage was clamped (separable or
+    all-equal labels), and "degenerate_magnitude" when the size stage had
+    no more rows than features, a +inf Gamma shape or a rank-deficient
+    log-normal design.
     Coefficients must be finite, and aux nonnegative and finite, apart
     from the +inf Gamma shape of a degenerate fit.
     """
@@ -59,7 +55,7 @@ class TwoPartModel:
             raise ValueError(f"aux must be nonnegative and finite (or a +inf Gamma shape), got {self.aux}")
 
 
-def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX_NEWTON):
+def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None):
     """Minimize a smooth convex objective; returns (w, clamped) flag.
 
     Newton direction with step halving on the objective; falls back to a
@@ -70,7 +66,7 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None, max_iter=MAX
     w = np.asarray(w0, dtype=float).copy()
     clamped = False
     f = obj_fn(w)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON):
         g = grad_fn(w)
         if math.sqrt(g.dot(g)) <= GRAD_TOL:  # np.linalg.norm's arithmetic, without its call overhead
             break
@@ -160,12 +156,12 @@ def _exponential_rows(s, y):
     return r + s, 1.0 - r, r
 
 
-def fit_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Logistic regression MLE by damped Newton.
+def fit_logistic(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Logistic regression MLE by damped Newton, and whether the labels are separated.
 
     Separable (or all-equal) labels push the MLE to infinity; such fits
-    are clamped to the ball of radius 5*sqrt(p) and flagged with a
-    SeparationWarning instead of raising.
+    are clamped to the ball of radius 5*sqrt(p), and the flag is True
+    when the clamp was active or the final gradient norm exceeds 1e-4.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -178,9 +174,7 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     terms = _GlmTerms(X, y, _logistic_rows)
     w, clamped = _damped_newton(np.zeros(p), terms.grad, terms.hess, terms.obj, clamp_radius=clamp)
     g = terms.grad(w)
-    if clamped or math.sqrt(g.dot(g)) > 1e-4:
-        warnings.warn("labels are separable or nearly so; coefficients clamped", SeparationWarning)
-    return w
+    return w, clamped or math.sqrt(g.dot(g)) > 1e-4
 
 
 def fit_exponential_glm(features: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -196,7 +190,9 @@ def fit_exponential_glm(features: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     if np.any(y <= 0):
         raise ValueError("sizes must be strictly positive")
     terms = _GlmTerms(X, y, _exponential_rows)
-    w, _ = _damped_newton(np.zeros(X.shape[1]), terms.grad, terms.hess, terms.obj)
+    # exp(-s) overflows only at trial points whose loss is inf, which the line search rejects
+    with np.errstate(over="ignore"):
+        w, _ = _damped_newton(np.zeros(X.shape[1]), terms.grad, terms.hess, terms.obj)
     return w
 
 
@@ -205,14 +201,14 @@ def fit_gamma_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
 
     The mean-model score does not involve the shape, so the coefficients
     coincide with the exponential-GLM fit; the shape then solves
-    log(a) - digamma(a) = s by scalar Newton.
+    log(a) - digamma(a) = s by scalar Newton.  A perfect mean fit (s at
+    most 1e-12) has no finite shape estimate and returns shape +inf.
     """
     coef = fit_exponential_glm(features, sizes)
     y = np.asarray(sizes, dtype=float)
     mu = np.exp(np.asarray(features, dtype=float) @ coef)
     s = -1.0 - float(np.mean(np.log(y / mu) - y / mu))
     if s <= 1e-12:
-        warnings.warn("degenerate Gamma shape (perfect mean fit)", DegenerateFitWarning)
         return coef, np.inf
     # Minka's starting point, then Newton on log(a) - digamma(a) - s = 0.
     a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
@@ -224,10 +220,10 @@ def fit_gamma_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
     return coef, float(a)
 
 
-def fit_lognormal(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least squares of log(size) on the features; aux is the MLE residual variance.
+def fit_lognormal(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Least squares of log(size) on the features: coefficients, MLE residual variance, rank deficiency.
 
-    Rank-deficient designs get the minimum-norm solution and a warning.
+    A rank-deficient design gets the minimum-norm solution, and the flag is True.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(sizes, dtype=float)
@@ -235,10 +231,8 @@ def fit_lognormal(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("sizes must be strictly positive")
     logy = np.log(y)
     coef, _, rank, _ = np.linalg.lstsq(X, logy, rcond=None)
-    if rank < X.shape[1]:
-        warnings.warn("rank-deficient design; minimum-norm solution", DegenerateFitWarning)
     resid = logy - X @ coef
-    return coef, float(np.mean(resid**2))
+    return coef, float(np.mean(resid**2)), bool(rank < X.shape[1])
 
 
 def fit_oracle(train: Dataset) -> TwoPartModel:
@@ -251,19 +245,14 @@ def fit_oracle(train: Dataset) -> TwoPartModel:
     events = train.y > 0
     if not events.any():
         raise ValueError("no positive responses; cannot fit the magnitude stage")
-    flags = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        occ = fit_logistic(train.x, events.astype(float))
-    if any(issubclass(w.category, SeparationWarning) for w in caught):
-        flags.append("separation")
+    occ, separated = fit_logistic(train.x, events.astype(float))
     rows = np.flatnonzero(events)
     mag = fit_exponential_glm(train.x.take(rows, axis=0), train.y[rows])
     return TwoPartModel(
         occurrence_coef=occ,
         magnitude_coef=mag,
         magnitude_family="exponential",
-        flags=tuple(flags),
+        flags=("separation",) if separated else (),
     )
 
 
@@ -273,16 +262,13 @@ _OCCURRENCE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _occurrence_stage(train: Dataset, recorded: np.ndarray) -> tuple[np.ndarray, bool]:
-    """fit_logistic on 1{z > 0} and whether it warned of separation, fitted once per Dataset.
+    """fit_logistic's (coefficients, separated) pair on 1{z > 0}, fitted once per Dataset.
 
     Each call returns its own copy of the coefficients.
     """
     stage = _OCCURRENCE.get(train)
     if stage is None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            occ = fit_logistic(train.x, recorded.astype(float))
-        stage = _OCCURRENCE[train] = (occ, any(issubclass(w.category, SeparationWarning) for w in caught))
+        stage = _OCCURRENCE[train] = fit_logistic(train.x, recorded.astype(float))
     return stage[0].copy(), stage[1]
 
 
@@ -301,17 +287,14 @@ def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
         raise ValueError("no positive observations; cannot fit the magnitude stage")
     occ, separated = _occurrence_stage(train, recorded)
     flags = ["separation"] if separated else []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = np.flatnonzero(recorded)
-        Xp, zp = train.x.take(rows, axis=0), train.z[rows]
-        if rows.size <= Xp.shape[1]:
-            warnings.warn("too few positives for the magnitude stage", DegenerateFitWarning)
-        if family == "gamma":
-            mag, aux = fit_gamma_glm(Xp, zp)
-        else:
-            mag, aux = fit_lognormal(Xp, zp)
-    if any(issubclass(w.category, DegenerateFitWarning) for w in caught):
+    rows = np.flatnonzero(recorded)
+    Xp, zp = train.x.take(rows, axis=0), train.z[rows]
+    if family == "gamma":
+        mag, aux = fit_gamma_glm(Xp, zp)
+        degenerate = aux == np.inf
+    else:
+        mag, aux, degenerate = fit_lognormal(Xp, zp)
+    if degenerate or rows.size <= Xp.shape[1]:
         flags.append("degenerate_magnitude")
     return TwoPartModel(
         occurrence_coef=occ,

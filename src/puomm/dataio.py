@@ -252,9 +252,10 @@ def _load_rows(lines, rows: int, n_cells: int) -> np.ndarray | None:
 
     loadtxt skips blank lines and warns when it reads no row at all; either
     way the shape differs, and the row loop names the first blank line.
+    Only that warning is silenced.
     """
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:

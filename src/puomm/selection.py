@@ -54,8 +54,11 @@ class LambdaGrid:
 class PuOmmModel:
     """The fit at the selected detection rate lambda_hat.
 
-    selection_scores holds one (lambda, brier) pair per grid value;
-    lambda_hat attains the minimum (ties broken toward smaller lambda).
+    selection_scores holds one (lambda, brier) pair per grid value (inf
+    where the fit failed).  lambda_hat attains the minimum Brier score
+    among the grid fits that converged, or among all that returned when
+    none converged, in which case fit.converged is False; ties go to the
+    smaller lambda.
     """
 
     lambda_hat: float
@@ -123,8 +126,10 @@ def fit_pu_omm(
 ) -> PuOmmModel:
     """Fit once per grid value and keep the best observed-occurrence Brier score.
 
-    Each grid fit starts from zero, so results do not depend on grid
-    order.  Raises only if every grid fit errors out.
+    The best score is taken over the converged grid fits; only when none
+    converged is it taken over every fit that returned.  Each grid fit
+    starts from zero, so results do not depend on grid order.  Raises
+    only if every grid fit errors out.
     """
     if train.n < 1:
         raise ValueError("training data must be nonempty")
@@ -150,6 +155,9 @@ def fit_pu_omm(
         raise RuntimeError("every grid fit failed: " + "; ".join(failures))
 
     briers = np.array([s for _, s in scores])
+    converged = np.array([r is not None and r.converged for r in results])
+    if converged.any():  # a fit stopped at max_iter competes only when no fit converged
+        briers[~converged] = np.inf
     best = int(np.argmin(briers))  # argmin takes the first minimum: ties go to smaller lambda
     return PuOmmModel(
         lambda_hat=scores[best][0],

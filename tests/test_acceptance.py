@@ -250,7 +250,7 @@ def test_criterion_8_no_missingness_reduction():
     model = fit_at_lambda(train.observed_only(), float(grid.values[-1]), cfg)
 
     u = (train.y > 0).astype(float)
-    theta_oracle = fit_logistic(train.x, u)
+    theta_oracle, _ = fit_logistic(train.x, u)
     beta_oracle = fit_exponential_glm(train.x[train.y > 0], train.y[train.y > 0])
     d_theta = float(np.linalg.norm(model.theta - theta_oracle))
     d_beta = float(np.linalg.norm(model.beta - beta_oracle))

@@ -1,4 +1,5 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,6 @@ from scipy.special import expit, log_expit
 
 from puomm import baselines
 from puomm.baselines import (
-    DegenerateFitWarning,
-    SeparationWarning,
     TwoPartModel,
     fit_exponential_glm,
     fit_gamma_glm,
@@ -37,16 +36,17 @@ def test_logistic_recovers_coefficients_within_3_se():
     x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 1))])
     theta = np.array([-0.3, 0.8])
     y = (rng.random(n) < expit(x @ theta)).astype(float)
-    w = fit_logistic(x, y)
+    w, separated = fit_logistic(x, y)
     se = _logistic_se(x, w)
     assert np.all(np.abs(w - theta) < 3 * se)
+    assert not separated
 
 
 def test_logistic_degenerate_labels_clamped():
     rng = np.random.default_rng(1)
     x = np.hstack([np.ones((200, 1)), rng.standard_normal((200, 1))])
-    with pytest.warns(SeparationWarning):
-        w = fit_logistic(x, np.ones(200))
+    w, separated = fit_logistic(x, np.ones(200))
+    assert separated
     assert np.isfinite(w).all()
     assert np.linalg.norm(w) <= 5 * np.sqrt(2) + 1e-9
 
@@ -56,7 +56,7 @@ def test_logistic_permutation_stable():
     x = rng.standard_normal((500, 3))
     y = (rng.random(500) < expit(x @ np.array([1.0, -0.5, 0.2]))).astype(float)
     perm = rng.permutation(500)
-    assert np.allclose(fit_logistic(x, y), fit_logistic(x[perm], y[perm]), atol=1e-8)
+    assert np.allclose(fit_logistic(x, y)[0], fit_logistic(x[perm], y[perm])[0], atol=1e-8)
 
 
 def test_logistic_rejects_nonbinary():
@@ -132,7 +132,8 @@ def test_lognormal_recovers_coefficients_and_variance():
     x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 1))])
     beta = np.array([0.1, -0.4])
     y = np.exp(x @ beta + rng.normal(0, 0.5, n))
-    coef, logvar = fit_lognormal(x, y)
+    coef, logvar, rank_deficient = fit_lognormal(x, y)
+    assert not rank_deficient
     se = 0.5 * np.sqrt(np.diag(np.linalg.inv(x.T @ x)))
     assert np.all(np.abs(coef - beta) < 3 * se)
     assert logvar == pytest.approx(0.25, rel=0.02)
@@ -142,7 +143,7 @@ def test_lognormal_noiseless_exact():
     rng = np.random.default_rng(10)
     x = np.hstack([np.ones((100, 1)), rng.standard_normal((100, 1))])
     beta = np.array([0.7, -0.2])
-    coef, logvar = fit_lognormal(x, np.exp(x @ beta))
+    coef, logvar, _ = fit_lognormal(x, np.exp(x @ beta))
     assert np.allclose(coef, beta, atol=1e-10)
     assert logvar == pytest.approx(0.0, abs=1e-20)
 
@@ -150,25 +151,35 @@ def test_lognormal_noiseless_exact():
 def test_lognormal_intercept_only_mean_of_logs():
     rng = np.random.default_rng(11)
     y = rng.lognormal(0.3, 1.0, 1000)
-    coef, _ = fit_lognormal(np.ones((1000, 1)), y)
+    coef, _, _ = fit_lognormal(np.ones((1000, 1)), y)
     assert coef[0] == pytest.approx(np.log(y).mean(), abs=1e-12)
 
 
 def test_lognormal_rank_deficient_flagged():
     x = np.ones((50, 2))  # duplicated column
-    with pytest.warns(DegenerateFitWarning):
-        fit_lognormal(x, np.full(50, 2.0))
+    coef, logvar, rank_deficient = fit_lognormal(x, np.full(50, 2.0))
+    assert rank_deficient
+    assert np.allclose(coef, np.log(2.0) / 2)  # the minimum-norm solution
+    assert logvar == pytest.approx(0.0, abs=1e-20)
+
+
+def test_gamma_glm_perfect_mean_fit_returns_infinite_shape():
+    # constant sizes on an intercept: the mean fit is exact, so the shape MLE is at infinity
+    coef, shape = fit_gamma_glm(np.ones((50, 1)), np.full(50, 2.0))
+    assert shape == np.inf
+    assert coef[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_oracle_is_composition_of_stage_fits():
     sim = make_datasets(SimConfig(setting="correct", n=3000, p=4, seed=12, n_test=10))
     model = fit_oracle(sim.train)
     u = (sim.train.y > 0).astype(float)
-    occ = fit_logistic(sim.train.x, u)
+    occ, separated = fit_logistic(sim.train.x, u)
     mag = fit_exponential_glm(sim.train.x[sim.train.y > 0], sim.train.y[sim.train.y > 0])
     assert np.array_equal(model.occurrence_coef, occ)
     assert np.array_equal(model.magnitude_coef, mag)
     assert model.magnitude_family == "exponential"
+    assert model.flags == () and not separated
 
 
 def test_oracle_all_positive_flags_separation():
@@ -307,6 +318,37 @@ def test_observed_mixture_single_positive_flagged():
     assert "degenerate_magnitude" in model.flags
 
 
+def test_observed_mixture_with_too_few_positives_is_flagged_without_a_warning():
+    # 4 recorded positives for 4 features; the Gamma stage's rejected trial points overflow exp
+    train = make_datasets(SimConfig(setting="threshold", n=60, p=4, seed=6, n_test=10)).train.observed_only()
+    assert np.count_nonzero(train.z > 0) <= train.p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_observed_mixture(train, "gamma")
+    assert model.flags == ("degenerate_magnitude",)
+    assert np.isfinite(model.aux)
+
+
+def test_two_threads_fitting_mixtures_get_the_serial_flags():
+    # the flags are returned values, so a fit on one thread cannot add to or hide another's
+    datasets = {
+        "separable": _separable_dataset(),
+        "plain": make_datasets(SimConfig(setting="correct", n=200, p=3, seed=14, n_test=10)).train.observed_only(),
+    }
+
+    def flags(name, repeats):
+        # a new Dataset per round, so every round fits its own logistic stage
+        fresh = [Dataset(x=datasets[name].x, z=datasets[name].z) for _ in range(repeats)]
+        return [fit_observed_mixture(ds, family).flags for ds in fresh for family in ("gamma", "lognormal")]
+
+    serial = {name: flags(name, 1) for name in datasets}
+    assert serial == {"separable": [("separation",)] * 2, "plain": [(), ()]}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = {name: pool.submit(flags, name, 40) for name in datasets}
+        for name, future in threaded.items():
+            assert future.result() == serial[name] * 40, name
+
+
 def test_observed_mixture_requires_positives():
     with pytest.raises(ValueError):
         fit_observed_mixture(Dataset(x=np.ones((5, 1)), z=np.zeros(5)), "gamma")
@@ -343,8 +385,7 @@ def _newton_functions(fitter, x, y, solve=True):
         seen.append((grad_fn, hess_fn, obj_fn))
         return newton(w0, grad_fn, hess_fn, obj_fn, **kwargs) if solve else (np.asarray(w0, dtype=float), False)
 
-    with mock.patch.object(baselines, "_damped_newton", capture), warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeparationWarning)
+    with mock.patch.object(baselines, "_damped_newton", capture):
         fitter(x, y)
     (functions,) = seen
     return functions
@@ -383,7 +424,7 @@ def _events(seed):
 def test_logistic_newton_functions_match_central_differences_away_from_the_optimum():
     x, labels, _, _ = _events(17)
     grad, hess, obj = _newton_functions(fit_logistic, x, labels)
-    w = fit_logistic(x, labels) + np.array([0.3, -0.2, 0.1, 0.4])
+    w = fit_logistic(x, labels)[0] + np.array([0.3, -0.2, 0.1, 0.4])
     assert obj(w) == pytest.approx(_logistic_loss(labels, x @ w), rel=1e-13)
     assert np.linalg.norm(grad(w)) > 1e-2
     _assert_derivatives_match_central_differences(grad, hess, obj, w)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 import pkgutil
 import weakref
 from collections import Counter
@@ -60,6 +61,49 @@ def test_every_package_definition_is_referenced_outside_its_own_body():
             if read[name] == _names(node)[name]:
                 unread.append(f"{path.name}:{node.lineno} {label}")
     assert unread == [], "defined but read nowhere outside its own body: " + ", ".join(unread)
+
+
+def _calls(tree: ast.AST) -> Counter:
+    """Calls in tree as (called name, positional count, keyword names, whether it unpacks *args or **kwargs)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            found[name, len(node.args), frozenset(k.arg for k in node.keywords if k.arg), unpacks] += 1
+    return found
+
+
+def test_every_parameter_default_is_overridden_by_a_caller_outside_the_tests():
+    """A parameter default that only tests override is a knob kept for them, and is deleted.
+
+    A defaulted parameter of a function or method in src/puomm passes
+    when some call under src/, perfbench/ or tools/, outside the
+    definition's own body, passes it by keyword or by position.  Calls
+    match by name alone, as above; a class call counts for its __init__,
+    and a call that unpacks *args or **kwargs passes every parameter.
+    Other dunder methods are exempt.
+    """
+    trees = {path: ast.parse(path.read_text(), str(path)) for d in CALLER_DIRS for path in (ROOT / d).rglob("*.py")}
+    calls = sum((_calls(tree) for tree in trees.values()), Counter())
+    unpassed = []
+    for path in sorted((ROOT / "src" / "puomm").glob("*.py")):
+        for label, node in _definitions(trees[path]):
+            if isinstance(node, ast.ClassDef) or (node.name.startswith("__") and node.name != "__init__"):
+                continue
+            names = {label.split(".")[0], "__init__"} if node.name == "__init__" else {node.name}
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            bound = "." in label and not static  # self or cls is not passed in the call's arguments
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults) :]
+            defaulted += [arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            outside = [call for call in calls - _calls(node) if call[0] in names]
+            for arg in defaulted:
+                index = positional.index(arg) - bound if arg in positional else math.inf
+                if not any(unpacks or arg.arg in keywords or n_pos > index for _, n_pos, keywords, unpacks in outside):
+                    unpassed.append(f"{path.name}:{node.lineno} {label}({arg.arg})")
+    assert unpassed == [], "defaults that no caller outside the tests overrides: " + ", ".join(unpassed)
 
 
 def test_the_package_keeps_exactly_these_module_level_weak_maps():

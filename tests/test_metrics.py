@@ -100,7 +100,7 @@ def test_predict_occurrence_baseline_delegates_to_logistic():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((300, 2))
     y = (rng.random(300) < expit(x @ np.array([0.5, -1.0]))).astype(float)
-    coef = fit_logistic(x, y)
+    coef, _ = fit_logistic(x, y)
     model = TwoPartModel(coef, np.zeros(2), "exponential")
     assert np.allclose(predict_occurrence(model, x), expit(x @ coef))
 

@@ -154,6 +154,23 @@ def test_all_grid_fits_failing_raises_with_details(rng):
     assert "lambda=0.5: " in str(exc.value) and "lambda=2.0: " in str(exc.value)
 
 
+@pytest.mark.parametrize("max_iter, lambda_hat, converged", [(500, 1.0, True), (5, 0.02, False)])
+def test_selection_prefers_converged_grid_fits(max_iter, lambda_hat, converged):
+    # no recorded positives: at lambda=0.02 the fit is still moving after 500
+    # iterations, with the lowest Brier score of the three; at lambda=1 it
+    # converges in 116.  With 5 iterations none converges, and all compete.
+    ds = Dataset(x=np.random.default_rng(0).standard_normal((500, 3)), z=np.zeros(500))
+    model = fit_pu_omm(ds, LambdaGrid([0.02, 1.0, 50.0]), FitConfig(radius=default_radius(3), max_iter=max_iter))
+    assert model.lambda_hat == lambda_hat
+    assert model.fit.converged is converged
+    scores = dict(model.selection_scores)
+    assert list(scores) == [0.02, 1.0, 50.0] and all(np.isfinite(list(scores.values())))
+    if converged:
+        assert model.fit.iterations == 116
+        assert scores[1.0] == pytest.approx(0.0621, abs=1e-4)
+        assert scores[0.02] < scores[1.0]
+
+
 def test_boundary_selection_at_grid_max_under_no_missingness():
     # data generated with essentially certain detection: the largest
     # detection rate on the grid gives the best recorded-occurrence fit
