@@ -454,6 +454,8 @@ def reject_unknown_keys(d: dict, allowed, where: str) -> None:
 
 def sim_config_from_dict(d: dict, where: str) -> SimConfig:
     """A SimConfig from a config's settings entry; n may be omitted where n_values supplies it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
     reject_unknown_keys(d, [f.name for f in dataclasses.fields(SimConfig)], where)
     try:
         return SimConfig(**{"n": 1, **d})

@@ -32,7 +32,7 @@ from .selection import (
     make_lambda_grid,
 )
 from .metrics import csv_cell, evaluate_trial
-from .model import store_integer_fields
+from .model import is_positive_real, store_integer_fields
 from .simulate import SimConfig, make_datasets
 
 # Every metric a cell reports; one that evaluate_trial leaves as None (the
@@ -126,12 +126,11 @@ class ExperimentConfig:
         if self.grid_size < 2:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
         lo, hi = self.grid_lo, self.grid_hi
-        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0 < lo < hi < math.inf):
+        if not (is_positive_real(lo) and is_positive_real(hi) and lo < hi):
             raise ValueError(f"grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got {lo!r} and {hi!r}")
         _fit_config(self, p=1)  # FitConfig names a bad tol, max_iter or radius
-        value = self.true_lambda
-        if value is not None and not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-            raise ValueError(f"true_lambda must be a finite positive real, got {value!r}")
+        if self.true_lambda is not None and not is_positive_real(self.true_lambda):
+            raise ValueError(f"true_lambda must be a finite positive real, got {self.true_lambda!r}")
         if not self.methods:
             raise ValueError(f"methods must name at least one of {tuple(METHODS)}")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -141,7 +140,7 @@ class ExperimentConfig:
         if self.mode == "simulation":
             if not self.settings or not self.n_values:
                 raise ValueError("simulation mode needs settings and n_values")
-            if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.n_values):
+            if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in self.n_values):
                 raise ValueError(f"n_values must be integers >= 1, got {self.n_values}")
             _reject_duplicates("settings", [s.setting.value for s in self.settings])
             _reject_duplicates("n_values", self.n_values)
@@ -160,11 +159,17 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from parsed JSON; an unknown key at any level raises ValueError.
 
-        Nested grid {size, lo, hi} and fit {tol, max_iter, radius} fill the fields no top-level key sets.
+        So does a grid, fit or settings entry that is not a JSON object, or
+        methods, settings or n_values that is not an array.  Nested grid
+        {size, lo, hi} and fit {tol, max_iter, radius} fill the fields no
+        top-level key sets.
         """
         d = dict(d)
-        grid = d.pop("grid", None) or {}
-        fit_opts = d.pop("fit", None) or {}
+        for key, kind in (("grid", dict), ("fit", dict), ("methods", list), ("settings", list), ("n_values", list)):
+            if key in d and not isinstance(d[key], kind):
+                raise ValueError(f"{key} must be a JSON {'object' if kind is dict else 'array'}, got {d[key]!r}")
+        grid = d.pop("grid", {})
+        fit_opts = d.pop("fit", {})
         reject_unknown_keys(d, [f.name for f in fields(cls)], "the experiment config")
         reject_unknown_keys(grid, ("size", "lo", "hi"), "grid")
         reject_unknown_keys(fit_opts, ("tol", "max_iter", "radius"), "fit")

@@ -23,14 +23,16 @@ The likelihood has one way in: the closures that optimizer.fit runs,
 make_objective's loss and loss_and_grad and make_hessian's Hessian.  They
 read one shared state per Dataset, rate and thread, so a Hessian at the
 point the gradient just saw reuses its terms.  The state is held weakly:
-it lives only while some closure uses it.  The rows are searched only
-when the loss total is not finite, and NumericalError then names the
-first bad sample in the original row order.
+it lives only while some closure uses it.  A loss total that is not
+finite reads as +inf, so a line search rejects that trial point; the
+gradient at such a point raises ValueError.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import operator
 import threading
 import weakref
@@ -44,22 +46,19 @@ from .special import expit, expit_pair, log_expit
 _Q_MAX = 1.0 - 1e-15
 
 
-class NumericalError(ValueError):
-    """Non-finite value met while evaluating the loss; carries the sample index."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 def store_integer_fields(obj, names) -> None:
-    """Set each named field of obj to an int; ValueError naming the first field that is not an integer."""
+    """Set each named field of obj to an int; ValueError naming the first field that is not an integer or is a bool."""
     for name in names:
         value = getattr(obj, name)
         try:
-            setattr(obj, name, operator.index(value))
+            setattr(obj, name, operator.index(None if isinstance(value, bool) else value))
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def is_positive_real(value) -> bool:
+    """Whether value is a real number in (0, inf); NaN is not, and neither is a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 @dataclass
@@ -188,21 +187,18 @@ class Dataset:
 
     @functools.cached_property
     def _row_split(self) -> tuple[np.ndarray, ...]:
-        """rows_p, rows_n, XpT, XnT and zp, the lambda-free part of every _RowTerms on this Dataset.
+        """XpT, XnT and zp, the lambda-free part of every _RowTerms on this Dataset.
 
-        rows_p and rows_n hold each block's rows in the original order, also
-        used to name the first bad row; XpT and XnT are those rows' features,
-        feature-major, and zp the recorded sizes.  Threads that miss it at
-        once may each make the same arrays; one thread's stay.
+        XpT and XnT are the features of the recorded and zero rows, in the
+        original order, feature-major; zp is the recorded sizes.  Threads
+        that miss it at once may each make the same arrays; one thread's stay.
         """
         pos = self.z > 0
-        rows_p, rows_n = np.flatnonzero(pos), np.flatnonzero(~pos)
+        recorded, zero = np.flatnonzero(pos), np.flatnonzero(~pos)
         return (
-            rows_p,
-            rows_n,
-            np.ascontiguousarray(self.x.take(rows_p, axis=0).T),
-            np.ascontiguousarray(self.x.take(rows_n, axis=0).T),
-            self.z[rows_p],
+            np.ascontiguousarray(self.x.take(recorded, axis=0).T),
+            np.ascontiguousarray(self.x.take(zero, axis=0).T),
+            self.z[recorded],
         )
 
     def observed_only(self) -> "Dataset":
@@ -273,15 +269,15 @@ class _RowTerms:
     the last one's, so evaluating the loss, the gradient and the Hessian
     at one point pays for them once, mutating the caller's array in place
     never serves stale terms, and 0.0 and -0.0 count as different points.
-    Overflow is left to produce inf, which loss() and loss_and_grad()
-    report as NumericalError and hessian() as non-finite entries, not as
-    a warning.
+    Overflow is left to produce inf, not a warning: loss() reads a
+    non-finite total as +inf, loss_and_grad() raises ValueError, and
+    hessian() returns non-finite entries.
     """
 
     def __init__(self, data: Dataset, d: DetectionParam):
         if data.n < 1:
             raise ValueError("dataset must contain at least one sample")
-        self.rows_p, self.rows_n, self.XpT, self.XnT, self.zp = data._row_split
+        self.XpT, self.XnT, self.zp = data._row_split
         self.n, self.p = data.n, data.p
         self.loglam = np.log(d.lambda_eps)
         self.key = None  # the bytes of the last point, once its terms are complete
@@ -307,27 +303,24 @@ class _RowTerms:
         return self
 
     def loss(self) -> float:
-        """Mean negative log-likelihood at the current point.
+        """Mean negative log-likelihood at the current point; +inf where the total is not finite.
 
-        A non-finite total raises NumericalError naming the first row, in
-        the original order, whose term is not finite; when every term is
-        finite, their sum overflowed.
+        A trial point whose loss overflows is rejected like any point
+        with a larger loss, so NaN and -inf never reach a comparison.
         """
-        if not np.isfinite(self.total):
-            bad = np.concatenate([self.rows_n[~np.isfinite(self.ell_n)], self.rows_p[~np.isfinite(self.ell_p)]])
-            if bad.size == 0:
-                raise NumericalError("non-finite log-likelihood sum")
-            i = int(bad.min())
-            raise NumericalError(f"non-finite log-likelihood term at sample {i}", index=i)
+        if not math.isfinite(self.total):
+            return math.inf
         return float(-self.total / self.n)
 
     def loss_and_grad(self) -> tuple[float, np.ndarray]:
-        """loss() and its gradient, stacked [d/dbeta; d/dtheta].
+        """loss() and its gradient, stacked [d/dbeta; d/dtheta]; ValueError where either is not finite.
 
         Once the total is finite, so is every row's weight, and only the
         products over rows can overflow.
         """
         value = self.loss()
+        if value == math.inf:
+            raise ValueError("non-finite log-likelihood sum")
         with np.errstate(over="ignore", invalid="ignore"):
             # zero rows: residual is -q, shared by both blocks of the gradient
             scaled = self.qn / (1.0 - self.qn)
@@ -343,7 +336,7 @@ class _RowTerms:
             g_pos = wp @ self.XpT.T
             g = ((g_zero - g_pos) / self.n).ravel()
         if not np.isfinite(g).all():
-            raise NumericalError("non-finite gradient sum")
+            raise ValueError("non-finite gradient sum")
         return value, g
 
     def hessian(self) -> np.ndarray:

@@ -16,13 +16,14 @@ Newton step that moved the iterate by at most HESSIAN_REUSE, the next
 step reuses the same eigendecomposition instead of a new Hessian (the
 lazy-Hessian scheme of Doikov, Chayti & Jaggi 2023); a longer step or a
 PGD step means a fresh one.  Iterates never leave the ball, and the loss
-never increases from one iterate to the next.
+never increases from one iterate to the next.  The loss is +inf at a
+trial point where the log-likelihood overflows, so both line searches
+reject that point as they would any point of larger loss.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +32,8 @@ import numpy as np
 from .model import (
     Dataset,
     DetectionParam,
-    NumericalError,
     ParamPair,
+    is_positive_real,
     make_hessian,
     make_objective,
     store_integer_fields,
@@ -78,7 +79,7 @@ class FitConfig:
         store_integer_fields(self, ("max_iter",))
         for name in ("radius", "tol"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):  # NaN fails this too
+            if not is_positive_real(value):
                 raise ValueError(f"{name} must be a finite positive real, got {value!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -109,14 +110,6 @@ def project_l2_ball(v: np.ndarray, r: float) -> np.ndarray:
     return v * (r / norm)
 
 
-def _trial_loss(loss_vec: Callable[[np.ndarray], float], candidate: np.ndarray) -> float:
-    """Loss at a line-search trial point; +inf, which rejects the point, where it is not finite."""
-    try:
-        return loss_vec(candidate)
-    except NumericalError:
-        return np.inf
-
-
 def _backtrack(
     w: np.ndarray,
     grad: np.ndarray,
@@ -128,14 +121,14 @@ def _backtrack(
 
     Accepts w_plus = P(w - eta * grad) when
     loss(w_plus) <= loss(w) - (ARMIJO_C / eta) * ||w_plus - w||^2; a
-    non-finite loss rejects that eta.  Returns (w_plus, loss(w_plus)),
+    loss of +inf rejects that eta.  Returns (w_plus, loss(w_plus)),
     or None if no eta >= STEP_FLOOR qualifies.
     """
     eta = INIT_STEP
     while eta >= STEP_FLOOR:
         candidate = project_l2_ball(w - eta * grad, cfg.radius)
         decrease = np.sum((candidate - w) ** 2) * (ARMIJO_C / eta)
-        loss_c = _trial_loss(loss_vec, candidate)
+        loss_c = loss_vec(candidate)
         if loss_c <= loss_w - decrease:
             return candidate, loss_c
         eta *= BACKTRACK_FACTOR
@@ -188,7 +181,7 @@ def _newton_step(
     """Damped step toward the ball-constrained Newton point v of the Hessian that eig decomposes.
 
     Accepts w_plus = w + t (v - w) for the first t in 1, 1/2, ..., 2^-8 with
-    loss(w_plus) <= loss(w) + ARMIJO_C * grad.(w_plus - w); a non-finite loss
+    loss(w_plus) <= loss(w) + ARMIJO_C * grad.(w_plus - w); a loss of +inf
     rejects that t.  Returns (w_plus, loss(w_plus)), or None when no t
     qualifies.
     """
@@ -197,7 +190,7 @@ def _newton_step(
     t = 1.0
     for _ in range(NEWTON_HALVINGS + 1):
         candidate = project_l2_ball(w + t * direction, cfg.radius)
-        loss_c = _trial_loss(loss_vec, candidate)
+        loss_c = loss_vec(candidate)
         if loss_c <= loss_w + t * slope:
             return candidate, loss_c
         t *= 0.5

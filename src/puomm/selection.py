@@ -8,14 +8,12 @@ against the training indicator 1{z > 0}.
 
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, DetectionParam, ParamPair, phi
+from .model import Dataset, DetectionParam, ParamPair, is_positive_real, phi
 from .optimizer import FitConfig, FitResult, fit
 from .special import expit
 
@@ -90,7 +88,7 @@ def make_lambda_grid(
         raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if n_points < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_points}")
-    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0 < lo < hi < math.inf):
+    if not (is_positive_real(lo) and is_positive_real(hi) and lo < hi):
         raise ValueError(f"grid bounds must satisfy 0 < lo < hi < inf, got ({lo!r}, {hi!r})")
     return LambdaGrid(np.exp(np.linspace(np.log(lo), np.log(hi), n_points)))
 

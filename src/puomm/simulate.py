@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, store_integer_fields
+from .model import Dataset, is_positive_real, store_integer_fields
 from .special import expit
 
 
@@ -53,12 +53,12 @@ class SimConfig:
         for name in ("n", "p", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not abs(self.rho) < 1:
+        if isinstance(self.rho, bool) or not abs(self.rho) < 1:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho!r}")
-        if self.param_scale is not None and not self.param_scale > 0:
-            raise ValueError(f"param_scale must be positive, got {self.param_scale!r}")
+        if self.param_scale is not None and not is_positive_real(self.param_scale):
+            raise ValueError(f"param_scale must be positive and finite, got {self.param_scale!r}")
         rate = "tau" if self.setting is Setting.THRESHOLD else "lambda_eps_true"
-        if not 0 < getattr(self, rate) < np.inf:
+        if not is_positive_real(getattr(self, rate)):
             raise ValueError(f"{rate} must be a finite positive real, got {getattr(self, rate)!r}")
 
     @property
@@ -128,26 +128,23 @@ def gen_latent(
     setting: Setting,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Occurrence flags and true magnitudes for one row or a matrix of rows.
+    """Occurrence flags and true magnitudes for the rows of the matrix x.
 
     u ~ Bernoulli(expit(x.theta0)); given an event, the magnitude is
     exponential with mean exp(x.beta0) (settings correct/threshold) or
     log-normal with log-mean x.beta0 and unit log-variance (lognormal).
     """
     setting = Setting(setting)
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    xb = x2 @ beta0
-    xt = x2 @ theta0
-    u = (rng.random(x2.shape[0]) < expit(xt)).astype(float)
-    y = np.zeros(x2.shape[0])
+    xb = x @ beta0
+    xt = x @ theta0
+    u = (rng.random(x.shape[0]) < expit(xt)).astype(float)
+    y = np.zeros(x.shape[0])
     events = np.flatnonzero(u)
     if events.size:
         if setting is Setting.LOGNORMAL:
             y[events] = rng.lognormal(mean=xb[events], sigma=1.0)
         else:
             y[events] = rng.exponential(scale=np.exp(xb[events]))
-    if np.asarray(x).ndim == 1:
-        return float(u[0]), float(y[0])
     return u, y
 
 
@@ -158,25 +155,21 @@ def apply_missingness(
     tau: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detection flags and observed magnitudes z = y * r.
+    """Detection flags and observed magnitudes z = y * r for the vector of magnitudes y.
 
     Probabilistic settings record an event with probability
     1 - exp(-lambda_eps_true * y) (never when y = 0); the threshold
     setting records exactly the events with y >= tau.
     """
     setting = Setting(setting)
-    y1 = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y1 < 0):
+    if np.any(y < 0):
         raise ValueError("y must be nonnegative")
     if setting is Setting.THRESHOLD:
-        r = (y1 >= tau).astype(float)
+        r = (y >= tau).astype(float)
     else:
-        gamma = -np.expm1(-lambda_eps_true * y1)
-        r = (rng.random(y1.shape[0]) < gamma).astype(float)
-    z = y1 * r
-    if np.asarray(y).ndim == 0:
-        return float(r[0]), float(z[0])
-    return r, z
+        gamma = -np.expm1(-lambda_eps_true * y)
+        r = (rng.random(y.shape[0]) < gamma).astype(float)
+    return r, y * r
 
 
 # The live designs by (split, seed, rows, p, rho).  Each is drawn from a

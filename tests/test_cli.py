@@ -710,6 +710,69 @@ def test_experiment_config_names_a_bad_true_lambda(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("grid", 5, "grid must be a JSON object, got 5"),
+        ("grid", "abc", "grid must be a JSON object, got 'abc'"),
+        ("grid", None, "grid must be a JSON object, got None"),
+        ("fit", [1e-3], "fit must be a JSON object, got [0.001]"),
+        ("settings", [{"setting": "correct"}, "lognormal"], "settings[1] must be a JSON object, got 'lognormal'"),
+        ("settings", {"setting": "correct"}, "settings must be a JSON array, got {'setting': 'correct'}"),
+        ("methods", "oracle", "methods must be a JSON array, got 'oracle'"),
+        ("n_values", 50, "n_values must be a JSON array, got 50"),
+    ],
+    ids=["grid_int", "grid_text", "grid_null", "fit_array", "settings_entry", "settings_object", "methods", "n_values"],
+)
+def test_experiment_config_names_a_key_of_the_wrong_json_type(tmp_path, capsys, key, value, message):
+    # a string or number is never iterated as if it were a list of keys or entries
+    raw = {**_SIM_CONFIG, "output_dir": str(tmp_path / "out"), key: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+_REAL, _SCALE = "must be a finite positive real, got", "must be positive and finite, got"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"base_seed": False}, "base_seed must be an integer, got False"),
+        ({"grid": {"size": True}}, "grid_size must be an integer, got True"),
+        ({"grid": {"lo": True}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got True and 50.0"),
+        ({"grid": {"hi": True}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.02 and True"),
+        ({"fit": {"tol": True}}, f"tol {_REAL} True"),
+        ({"fit": {"radius": True}}, f"radius {_REAL} True"),
+        ({"fit": {"max_iter": True}}, "max_iter must be an integer, got True"),
+        ({"true_lambda": True}, f"true_lambda {_REAL} True"),
+        ({"n_values": [True]}, "n_values must be integers >= 1, got [True]"),
+        ({"settings": [{"setting": "correct", "n": True}]}, "settings[0]: n must be an integer, got True"),
+        ({"settings": [{"setting": "correct", "p": True}]}, "settings[0]: p must be an integer, got True"),
+        ({"settings": [{"setting": "correct", "seed": True}]}, "settings[0]: seed must be an integer, got True"),
+        ({"settings": [{"setting": "correct", "n_test": True}]}, "settings[0]: n_test must be an integer, got True"),
+        ({"settings": [{"setting": "correct", "rho": False}]}, "settings[0]: rho must lie in (-1, 1), got False"),
+        ({"settings": [{"setting": "correct", "lambda_eps_true": True}]}, f"settings[0]: lambda_eps_true {_REAL} True"),
+        ({"settings": [{"setting": "threshold", "tau": True}]}, f"settings[0]: tau {_REAL} True"),
+        ({"settings": [{"setting": "correct", "param_scale": True}]}, f"settings[0]: param_scale {_SCALE} True"),
+        ({"settings": [{"setting": "correct", "param_scale": math.inf}]}, f"settings[0]: param_scale {_SCALE} inf"),
+    ],
+    ids=[
+        "trials", "base_seed", "grid_size", "grid_lo", "grid_hi", "tol", "radius", "max_iter", "true_lambda",
+        "n_values", "n", "p", "seed", "n_test", "rho", "lambda_eps_true", "tau", "param_scale", "param_scale_inf",
+    ],
+)
+def test_experiment_config_rejects_a_bool_or_an_infinite_scale(change, message):
+    # JSON true is not the number 1, nor false 0, wherever a count or a rate is read
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict({**_SIM_CONFIG, "output_dir": "unused", **change})
+
+
 @pytest.mark.parametrize("n_values", [[50.0], [50, 0], ["50"]])
 def test_experiment_config_rejects_bad_n_values(n_values):
     # checked with the config, before run_experiment makes its output directory

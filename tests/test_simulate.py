@@ -118,16 +118,16 @@ def test_gen_latent_vanishing_occurrence():
 
 
 def test_apply_missingness_zero_magnitude():
-    r, z = apply_missingness(0.0, Setting.CORRECT, 0.24, 3.0, np.random.default_rng(0))
-    assert (r, z) == (0.0, 0.0)
+    r, z = apply_missingness(np.array([0.0]), Setting.CORRECT, 0.24, 3.0, np.random.default_rng(0))
+    assert (r.tolist(), z.tolist()) == ([0.0], [0.0])
 
 
 def test_apply_missingness_threshold_rule():
     rng = np.random.default_rng(0)
-    r, z = apply_missingness(2.9, Setting.THRESHOLD, 0.24, 3.0, rng)
-    assert (r, z) == (0.0, 0.0)
-    r, z = apply_missingness(3.1, Setting.THRESHOLD, 0.24, 3.0, rng)
-    assert (r, z) == (1.0, 3.1)
+    r, z = apply_missingness(np.array([2.9]), Setting.THRESHOLD, 0.24, 3.0, rng)
+    assert (r.tolist(), z.tolist()) == ([0.0], [0.0])
+    r, z = apply_missingness(np.array([3.1]), Setting.THRESHOLD, 0.24, 3.0, rng)
+    assert (r.tolist(), z.tolist()) == ([1.0], [3.1])
 
 
 def test_apply_missingness_detection_rate_monte_carlo():
@@ -281,8 +281,8 @@ def test_sim_config_validation():
         ("rho", 1.0, r"rho must lie in \(-1, 1\), got 1.0"),
         ("rho", -1.5, r"rho must lie in \(-1, 1\), got -1.5"),
         ("rho", float("nan"), r"rho must lie in \(-1, 1\), got nan"),
-        ("param_scale", -1.0, "param_scale must be positive, got -1.0"),
-        ("param_scale", 0.0, "param_scale must be positive, got 0.0"),
+        ("param_scale", -1.0, "param_scale must be positive and finite, got -1.0"),
+        ("param_scale", 0.0, "param_scale must be positive and finite, got 0.0"),
         ("lambda_eps_true", -1.0, "lambda_eps_true must be a finite positive real, got -1.0"),
         ("lambda_eps_true", float("nan"), "lambda_eps_true must be a finite positive real, got nan"),
         ("lambda_eps_true", float("inf"), "lambda_eps_true must be a finite positive real, got inf"),
