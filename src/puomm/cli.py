@@ -128,7 +128,7 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    if args.out is not None:
+    if args.out is not None and isinstance(raw, dict):  # from_dict names any other top-level value
         raw["output_dir"] = args.out
     cfg = ExperimentConfig.from_dict(raw)
     long_path, summary_path = run_experiment(cfg)

@@ -446,7 +446,9 @@ def read_sim_meta(path: str | Path) -> dict:
 
 
 def reject_unknown_keys(d: dict, allowed, where: str) -> None:
-    """Raise ValueError naming every key of d that allowed lacks."""
+    """Raise ValueError if d is not a JSON object, or naming every key of d that allowed lacks."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(f"unknown keys {unknown} in {where}; expected some of {sorted(allowed)}")
@@ -454,8 +456,6 @@ def reject_unknown_keys(d: dict, allowed, where: str) -> None:
 
 def sim_config_from_dict(d: dict, where: str) -> SimConfig:
     """A SimConfig from a config's settings entry; n may be omitted where n_values supplies it."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object, got {d!r}")
     reject_unknown_keys(d, [f.name for f in dataclasses.fields(SimConfig)], where)
     try:
         return SimConfig(**{"n": 1, **d})

@@ -32,7 +32,7 @@ from .selection import (
     make_lambda_grid,
 )
 from .metrics import csv_cell, evaluate_trial
-from .model import is_positive_real, store_integer_fields
+from .model import is_real_in, store_integer_fields
 from .simulate import SimConfig, make_datasets
 
 # Every metric a cell reports; one that evaluate_trial leaves as None (the
@@ -126,10 +126,10 @@ class ExperimentConfig:
         if self.grid_size < 2:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
         lo, hi = self.grid_lo, self.grid_hi
-        if not (is_positive_real(lo) and is_positive_real(hi) and lo < hi):
+        if not (is_real_in(lo, 0, math.inf) and is_real_in(hi, lo, math.inf)):
             raise ValueError(f"grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got {lo!r} and {hi!r}")
         _fit_config(self, p=1)  # FitConfig names a bad tol, max_iter or radius
-        if self.true_lambda is not None and not is_positive_real(self.true_lambda):
+        if self.true_lambda is not None and not is_real_in(self.true_lambda, 0, math.inf):
             raise ValueError(f"true_lambda must be a finite positive real, got {self.true_lambda!r}")
         if not self.methods:
             raise ValueError(f"methods must name at least one of {tuple(METHODS)}")
@@ -147,8 +147,8 @@ class ExperimentConfig:
         else:
             if self.input_csv is None:
                 raise ValueError("real_data mode needs input_csv")
-            if not 0 < self.split_fraction < 1:
-                raise ValueError("split_fraction must lie in (0, 1)")
+            if not is_real_in(self.split_fraction, 0, 1):
+                raise ValueError(f"split_fraction must lie in (0, 1), got {self.split_fraction!r}")
             latent = [m for m in self.methods if m in LATENT_METHODS]
             if latent:
                 raise ValueError(f"the {latent[0]} method requires simulation mode (latent labels)")
@@ -159,18 +159,18 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from parsed JSON; an unknown key at any level raises ValueError.
 
-        So does a grid, fit or settings entry that is not a JSON object, or
-        methods, settings or n_values that is not an array.  Nested grid
-        {size, lo, hi} and fit {tol, max_iter, radius} fill the fields no
-        top-level key sets.
+        So does a config, grid, fit or settings entry that is not a JSON
+        object, or methods, settings or n_values that is not an array.
+        Nested grid {size, lo, hi} and fit {tol, max_iter, radius} fill the
+        fields no top-level key sets.
         """
+        reject_unknown_keys(d, [f.name for f in fields(cls)] + ["grid", "fit"], "the experiment config")
+        for key in ("methods", "settings", "n_values"):
+            if key in d and not isinstance(d[key], list):
+                raise ValueError(f"{key} must be a JSON array, got {d[key]!r}")
         d = dict(d)
-        for key, kind in (("grid", dict), ("fit", dict), ("methods", list), ("settings", list), ("n_values", list)):
-            if key in d and not isinstance(d[key], kind):
-                raise ValueError(f"{key} must be a JSON {'object' if kind is dict else 'array'}, got {d[key]!r}")
         grid = d.pop("grid", {})
         fit_opts = d.pop("fit", {})
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "the experiment config")
         reject_unknown_keys(grid, ("size", "lo", "hi"), "grid")
         reject_unknown_keys(fit_opts, ("tol", "max_iter", "radius"), "fit")
         for key, value in grid.items():

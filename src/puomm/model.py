@@ -19,13 +19,11 @@ block with no sign test; the recorded rows take log expit(x.theta) from
 special.log_expit, which stays exact where the clipped pair saturates.
 The terms of the last point are kept, keyed by the point's bytes, so
 loss, gradient and Hessian at one point share that pass.
-The likelihood has one way in: the closures that optimizer.fit runs,
-make_objective's loss and loss_and_grad and make_hessian's Hessian.  They
-read one shared state per Dataset, rate and thread, so a Hessian at the
-point the gradient just saw reuses its terms.  The state is held weakly:
-it lives only while some closure uses it.  A loss total that is not
-finite reads as +inf, so a line search rejects that trial point; the
-gradient at such a point raises ValueError.
+The likelihood has one way in: make_objective's loss and derivatives
+closures, which optimizer.fit runs.  Each call builds a state of its own,
+so two fits share nothing that changes.  A non-finite loss total reads
+as +inf, so a line search rejects that trial point; the gradient there
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ import functools
 import math
 import numbers
 import operator
-import threading
-import weakref
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,9 +53,9 @@ def store_integer_fields(obj, names) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def is_positive_real(value) -> bool:
-    """Whether value is a real number in (0, inf); NaN is not, and neither is a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+def is_real_in(value, lo: float, hi: float) -> bool:
+    """Whether value is a real number in (lo, hi); NaN is not, and neither is a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and lo < value < hi
 
 
 @dataclass
@@ -264,14 +261,16 @@ class _RowTerms:
     negligible.  A recorded row's loss needs log expit(b) itself, which is
     about b far below zero, so it comes from log_expit, exact in both
     tails, and not from the clipped pair.  The row blocks come from
-    Dataset._row_split, shared by the states of all its rates.  The terms
-    are recomputed only when at() gets a point whose bytes differ from
-    the last one's, so evaluating the loss, the gradient and the Hessian
-    at one point pays for them once, mutating the caller's array in place
-    never serves stale terms, and 0.0 and -0.0 count as different points.
-    Overflow is left to produce inf, not a warning: loss() reads a
-    non-finite total as +inf, loss_and_grad() raises ValueError, and
-    hessian() returns non-finite entries.
+    Dataset._row_split, shared by the states of all its rates; the rest
+    changes with the point, so a state serves one fit in one thread, and
+    make_objective builds one per call.  The terms are recomputed only
+    when at() gets a point whose bytes differ from the last one's, so
+    evaluating the loss, the gradient and the Hessian at one point pays
+    for them once, mutating the caller's array in place never serves
+    stale terms, and 0.0 and -0.0 count as different points.  Overflow is
+    left to produce inf, not a warning: loss() reads a non-finite total as
+    +inf, loss_and_grad() raises ValueError, and hessian() returns
+    non-finite entries.
     """
 
     def __init__(self, data: Dataset, d: DetectionParam):
@@ -368,56 +367,27 @@ class _RowTerms:
         return h
 
 
-# The live shared state of each (data, lambda_eps, thread); an entry goes when
-# the last closure reading its state is dropped.
-_STATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _state_for(data: Dataset, d: DetectionParam) -> _RowTerms:
-    """The live _RowTerms of this Dataset, rate and thread, or a new one."""
-    key = (data, d.lambda_eps, threading.get_ident())
-    state = _STATES.get(key)
-    if state is None:
-        state = _STATES[key] = _RowTerms(data, d)
-    return state
-
-
 def make_objective(data: Dataset, d: DetectionParam):
-    """Closures for the mean negative log-likelihood of data at w = [beta; theta], alone and with its gradient.
+    """Closures for the mean negative log-likelihood of data at w = [beta; theta] and for its derivatives.
 
-    With make_hessian's closure they are the only way into the likelihood.
     z > 0 rows contribute log g(z|x) + log p1(x); z = 0 rows contribute
     log(1 - phi(x) p1(x)).  The detection factor log(1 - exp(-lambda_eps z))
     of recorded rows is constant in omega and omitted, so values are not
-    comparable across lambda_eps.  Both closures read the _RowTerms state
-    that _state_for shares with every live closure of this Dataset, rate
-    and thread, so loss_and_grad(w) right after loss(w) costs only the two
-    gradient products.
+    comparable across lambda_eps.  derivatives(w) returns (loss, gradient,
+    hessian), where hessian() gives the 2p x 2p Hessian at that w (see
+    _RowTerms.hessian).  Both closures read one _RowTerms built here, so
+    derivatives(w) right after loss(w) costs only the two gradient
+    products, and hessian() called before any other point recomputes no
+    row terms.
     """
-    state = _state_for(data, d)
+    state = _RowTerms(data, d)
 
     def loss(w: np.ndarray) -> float:
         return state.at(w).loss()
 
-    def loss_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        return state.at(w).loss_and_grad()
+    def derivatives(w: np.ndarray) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
+        value, grad = state.at(w).loss_and_grad()
+        point = w.copy()
+        return value, grad, lambda: state.at(point).hessian()
 
-    return loss, loss_and_grad
-
-
-def make_hessian(data: Dataset, d: DetectionParam):
-    """Closure for the 2p x 2p Hessian of make_objective's loss (see _RowTerms.hessian).
-
-    It reads the same shared state as make_objective's closures for this
-    Dataset, rate and thread, so a Hessian at the point that
-    loss_and_grad has just evaluated recomputes no row terms.  The state
-    is held weakly by the lookup and strongly by the closures: it lives
-    while any of them does.  Overflow shows as non-finite entries, which
-    the optimizer rejects.
-    """
-    state = _state_for(data, d)
-
-    def hess(w: np.ndarray) -> np.ndarray:
-        return state.at(w).hessian()
-
-    return hess
+    return loss, derivatives

@@ -33,8 +33,7 @@ from .model import (
     Dataset,
     DetectionParam,
     ParamPair,
-    is_positive_real,
-    make_hessian,
+    is_real_in,
     make_objective,
     store_integer_fields,
 )
@@ -79,7 +78,7 @@ class FitConfig:
         store_integer_fields(self, ("max_iter",))
         for name in ("radius", "tol"):
             value = getattr(self, name)
-            if not is_positive_real(value):
+            if not is_real_in(value, 0, math.inf):
                 raise ValueError(f"{name} must be a finite positive real, got {value!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -207,7 +206,8 @@ def fit(
     PGD steps until one moves the iterate by at most NEWTON_SWITCH, then
     Newton steps, each falling back to the PGD step when it fails.  A
     Newton step that moved at most HESSIAN_REUSE leaves its Hessian's
-    eigendecomposition to the next one.
+    eigendecomposition to the next one.  The fit owns its one objective,
+    so an iterate's loss, gradient and Hessian share one pass over the rows.
     Stops when the iterate change drops to cfg.tol or max_iter is
     reached; exhausting max_iter is reported through converged=False,
     not an error.  A PGD line search that finds no admissible step also
@@ -215,9 +215,8 @@ def fit(
     """
     w = ParamPair.zeros(data.p).as_vector()
 
-    loss_vec, loss_and_grad = make_objective(data, d)
-    hessian = make_hessian(data, d)
-    loss_w, grad = loss_and_grad(w)
+    loss_vec, derivatives = make_objective(data, d)
+    loss_w, grad, hessian = derivatives(w)
 
     converged = False
     newton = False
@@ -227,7 +226,7 @@ def fit(
         step = None
         if newton:
             if eig is None:
-                eig = _pd_eigh(hessian(w))
+                eig = _pd_eigh(hessian())
             if eig is not None:
                 step = _newton_step(w, grad, loss_w, loss_vec, eig, cfg)
         if step is None:
@@ -246,7 +245,7 @@ def fit(
         if change <= cfg.tol:
             converged = True
             break
-        loss_w, grad = loss_and_grad(w)
+        loss_w, grad, hessian = derivatives(w)
 
     return FitResult(
         omega_hat=ParamPair.from_vector(w),

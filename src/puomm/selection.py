@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, DetectionParam, ParamPair, is_positive_real, phi
+from .model import Dataset, DetectionParam, ParamPair, is_real_in, phi
 from .optimizer import FitConfig, FitResult, fit
 from .special import expit
 
@@ -88,7 +88,7 @@ def make_lambda_grid(
         raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if n_points < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_points}")
-    if not (is_positive_real(lo) and is_positive_real(hi) and lo < hi):
+    if not (is_real_in(lo, 0, np.inf) and is_real_in(hi, lo, np.inf)):
         raise ValueError(f"grid bounds must satisfy 0 < lo < hi < inf, got ({lo!r}, {hi!r})")
     return LambdaGrid(np.exp(np.linspace(np.log(lo), np.log(hi), n_points)))
 

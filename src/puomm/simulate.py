@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, is_positive_real, store_integer_fields
+from .model import Dataset, is_real_in, store_integer_fields
 from .special import expit
 
 
@@ -53,12 +53,12 @@ class SimConfig:
         for name in ("n", "p", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if isinstance(self.rho, bool) or not abs(self.rho) < 1:
+        if not is_real_in(self.rho, -1, 1):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho!r}")
-        if self.param_scale is not None and not is_positive_real(self.param_scale):
+        if self.param_scale is not None and not is_real_in(self.param_scale, 0, np.inf):
             raise ValueError(f"param_scale must be positive and finite, got {self.param_scale!r}")
         rate = "tau" if self.setting is Setting.THRESHOLD else "lambda_eps_true"
-        if not is_positive_real(getattr(self, rate)):
+        if not is_real_in(getattr(self, rate), 0, np.inf):
             raise ValueError(f"{rate} must be a finite positive real, got {getattr(self, rate)!r}")
 
     @property

@@ -92,17 +92,17 @@ def assert_read_only(ds: Dataset) -> None:
 def objective_points():
     """Copies of the points that optimizer.fit's objective closures see while the block runs, and their losses.
 
-    Yields (points, losses), two dicts {"loss": [...], "loss_and_grad": [...]}
+    Yields (points, losses), two dicts {"loss": [...], "derivatives": [...]}
     filled in call order by wrapping optimizer.make_objective, as the
     benchmark's tracer does: each call records its point, then the loss it
     returns (a call that raises records no loss).  loss sees the line
-    searches' trial points; loss_and_grad sees the start and every
+    searches' trial points; derivatives sees the start and every
     accepted iterate after which the fit went on.
     """
     from puomm import optimizer
 
-    points = {"loss": [], "loss_and_grad": []}
-    losses = {"loss": [], "loss_and_grad": []}
+    points = {"loss": [], "derivatives": []}
+    losses = {"loss": [], "derivatives": []}
     make_objective = optimizer.make_objective
 
     def recording(data, d):
@@ -125,13 +125,13 @@ def objective_points():
 def accepted_iterates(points, losses, res) -> tuple[np.ndarray, list[float]]:
     """The start and every accepted iterate of one fit run under objective_points, in order, and their losses.
 
-    The fit evaluates loss_and_grad at the start and at every accepted
+    The fit evaluates derivatives at the start and at every accepted
     iterate after which it went on; a converged fit's last iterate is its
     omega_hat, at its final_loss.
     """
     if not res.converged:
-        return np.array(points["loss_and_grad"]), losses["loss_and_grad"]
-    return np.array(points["loss_and_grad"] + [res.omega_hat.as_vector()]), losses["loss_and_grad"] + [res.final_loss]
+        return np.array(points["derivatives"]), losses["derivatives"]
+    return np.array(points["derivatives"] + [res.omega_hat.as_vector()]), losses["derivatives"] + [res.final_loss]
 
 
 @st.composite

@@ -16,7 +16,7 @@ from puomm.baselines import fit_exponential_glm, fit_logistic, fit_observed_mixt
 from puomm.dataio import write_dataset_csv
 from puomm.experiment import ExperimentConfig, run_experiment
 from puomm.metrics import evaluate_trial
-from puomm.model import DetectionParam, ParamPair, make_hessian, make_objective, phi
+from puomm.model import DetectionParam, ParamPair, make_objective, phi
 from puomm.optimizer import FitConfig
 from puomm.selection import default_radius, fit_at_lambda, fit_pu_omm, make_lambda_grid
 from puomm.simulate import SimConfig, apply_missingness, gen_latent, make_datasets
@@ -44,7 +44,7 @@ def _rel_err(a, b):
 
 
 def test_criterion_1_gradient_matches_finite_differences():
-    # the closures optimizer.fit runs: loss_and_grad against fourth-order
+    # the closures optimizer.fit runs: derivatives against fourth-order
     # differences of loss (accurate enough to certify 1e-6 even where the
     # loss is large), then against the per-row reference right after a
     # Hessian at the same point, as a Newton step reads their shared terms
@@ -58,14 +58,14 @@ def test_criterion_1_gradient_matches_finite_differences():
         ds = random_dataset(rng, n, p, detect_rate=lam)
         om = ParamPair(rng.standard_normal(p) * 0.8, rng.standard_normal(p) * 0.8)
         d = DetectionParam(lam)
-        loss, loss_and_grad = make_objective(ds, d)
+        loss, derivatives = make_objective(ds, d)
         w = om.as_vector()
-        g = loss_and_grad(w)[1]
+        _, g, hessian = derivatives(w)
         rel = _rel_err(g, central_differences(loss, w, 1e-4, order=4))
         worst = max(worst, float(rel.max()))
         assert rel.max() < 1e-6
-        make_hessian(ds, d)(w)
-        g_after_hessian = loss_and_grad(w)[1]
+        hessian()
+        g_after_hessian = derivatives(w)[1]
         rel = _rel_err(g_after_hessian, reference_loss_and_gradient(om, ds, d)[1])
         worst_after_hessian = max(worst_after_hessian, float(rel.max()))
         assert rel.max() < 1e-6

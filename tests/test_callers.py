@@ -118,4 +118,4 @@ def test_the_package_keeps_exactly_these_module_level_weak_maps():
         for name, value in vars(module).items():
             if isinstance(value, (weakref.WeakKeyDictionary, weakref.WeakValueDictionary)):
                 found.add(f"{info.name}.{name}")
-    assert found == {"model._STATES", "baselines._OCCURRENCE", "simulate._DESIGNS"}
+    assert found == {"baselines._OCCURRENCE", "simulate._DESIGNS"}

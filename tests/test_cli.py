@@ -736,7 +736,20 @@ def test_experiment_config_names_a_key_of_the_wrong_json_type(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("raw", [[1, 2], "abc", 5, None], ids=["array", "text", "number", "null"])
+def test_experiment_config_that_is_not_a_json_object_is_an_error(tmp_path, capsys, raw):
+    # with or without --out, which sets a key of the config
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    message = f"the experiment config must be a JSON object, got {raw!r}"
+    for out in ([], ["--out", str(tmp_path / "out")]):
+        assert main(["experiment", "--config", str(path), *out]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 _REAL, _SCALE = "must be a finite positive real, got", "must be positive and finite, got"
+_REAL_DATA = {"mode": "real_data", "input_csv": "unused.csv"}
 
 
 @pytest.mark.parametrize(
@@ -757,18 +770,23 @@ _REAL, _SCALE = "must be a finite positive real, got", "must be positive and fin
         ({"settings": [{"setting": "correct", "seed": True}]}, "settings[0]: seed must be an integer, got True"),
         ({"settings": [{"setting": "correct", "n_test": True}]}, "settings[0]: n_test must be an integer, got True"),
         ({"settings": [{"setting": "correct", "rho": False}]}, "settings[0]: rho must lie in (-1, 1), got False"),
+        ({"settings": [{"setting": "correct", "rho": "0.2"}]}, "settings[0]: rho must lie in (-1, 1), got '0.2'"),
         ({"settings": [{"setting": "correct", "lambda_eps_true": True}]}, f"settings[0]: lambda_eps_true {_REAL} True"),
         ({"settings": [{"setting": "threshold", "tau": True}]}, f"settings[0]: tau {_REAL} True"),
         ({"settings": [{"setting": "correct", "param_scale": True}]}, f"settings[0]: param_scale {_SCALE} True"),
         ({"settings": [{"setting": "correct", "param_scale": math.inf}]}, f"settings[0]: param_scale {_SCALE} inf"),
+        ({**_REAL_DATA, "split_fraction": True}, "split_fraction must lie in (0, 1), got True"),
+        ({**_REAL_DATA, "split_fraction": "0.9"}, "split_fraction must lie in (0, 1), got '0.9'"),
     ],
     ids=[
         "trials", "base_seed", "grid_size", "grid_lo", "grid_hi", "tol", "radius", "max_iter", "true_lambda",
-        "n_values", "n", "p", "seed", "n_test", "rho", "lambda_eps_true", "tau", "param_scale", "param_scale_inf",
+        "n_values", "n", "p", "seed", "n_test", "rho", "rho_text", "lambda_eps_true", "tau", "param_scale",
+        "param_scale_inf", "split_fraction", "split_fraction_text",
     ],
 )
 def test_experiment_config_rejects_a_bool_or_an_infinite_scale(change, message):
-    # JSON true is not the number 1, nor false 0, wherever a count or a rate is read
+    # JSON true is not the number 1, nor false 0, wherever a count or a rate
+    # is read, and neither is a string that spells a number
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentConfig.from_dict({**_SIM_CONFIG, "output_dir": "unused", **change})
 

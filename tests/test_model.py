@@ -1,6 +1,5 @@
 import math
 import re
-import threading
 import weakref
 
 import numpy as np
@@ -16,11 +15,8 @@ from puomm.model import (
     Dataset,
     _Q_MAX,
     _RowTerms,
-    _STATES,
-    _state_for,
     DetectionParam,
     ParamPair,
-    make_hessian,
     make_objective,
     phi,
 )
@@ -45,7 +41,7 @@ def _loss_at(omega, ds, d):
 
 def _loss_and_grad_at(omega, ds, d):
     """make_objective's loss and gradient at omega."""
-    return make_objective(ds, d)[1](omega.as_vector())
+    return make_objective(ds, d)[1](omega.as_vector())[:2]
 
 
 # The likelihood's logistic function is special.expit.
@@ -275,9 +271,9 @@ def test_mixture_link_partials_match_finite_differences():
 def test_gradient_matches_finite_differences(rng):
     ds = random_dataset(rng, 60, 5)
     om = ParamPair(rng.standard_normal(5) * 0.8, rng.standard_normal(5) * 0.8)
-    loss, loss_and_grad = make_objective(ds, DetectionParam(0.24))
+    loss, derivatives = make_objective(ds, DetectionParam(0.24))
     w = om.as_vector()
-    g = loss_and_grad(w)[1]
+    g = derivatives(w)[1]
     fd = central_differences(loss, w, 1e-6, order=2)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
 
@@ -301,9 +297,9 @@ def _rel_err(a, b, floor=1e-3):
 def test_make_objective_matches_its_own_state_and_the_row_reference():
     # the closures read the same terms as a state built on its own, and both match the per-row reference
     for ds, om, d in _criterion_1_draws():
-        loss, loss_and_grad = make_objective(ds, d)
+        loss, derivatives = make_objective(ds, d)
         w = om.as_vector()
-        value, g = loss_and_grad(w)
+        value, g, _ = derivatives(w)
         direct = _RowTerms(ds, d).at(w.copy())
         assert loss(w) == value == direct.loss()
         assert np.array_equal(g, direct.loss_and_grad()[1])
@@ -312,12 +308,12 @@ def test_make_objective_matches_its_own_state_and_the_row_reference():
         assert _rel_err(g, expected_g).max() < 1e-10
 
 
-def test_make_hessian_matches_finite_differences_of_the_gradient():
+def test_hessian_matches_finite_differences_of_the_gradient():
     for ds, om, d in _criterion_1_draws():
-        _, loss_and_grad = make_objective(ds, d)
+        _, derivatives = make_objective(ds, d)
         w = om.as_vector()
-        h = make_hessian(ds, d)(w)
-        fd = central_differences(lambda v: loss_and_grad(v)[1], w, 1e-3, order=4)
+        h = derivatives(w)[2]()
+        fd = central_differences(lambda v: derivatives(v)[1], w, 1e-3, order=4)
         assert _rel_err(h, fd).max() < 1e-6
         assert np.abs(h - h.T).max() <= 1e-12
 
@@ -367,15 +363,15 @@ def test_objective_is_finite_or_raises_at_extreme_predictors(case):
     # gradient call raises wherever the loss is +inf; no overflow warning
     # either: the suite turns warnings into errors
     ds, w, d = case
-    loss, loss_and_grad = make_objective(ds, d)
+    loss, derivatives = make_objective(ds, d)
     value = loss(w)
     assert math.isfinite(value) or value == math.inf
     if value == math.inf:
         with pytest.raises(ValueError, match="^non-finite log-likelihood sum$"):
-            loss_and_grad(w)
+            derivatives(w)
         return
     try:
-        value_g, g = loss_and_grad(w)
+        value_g, g, _ = derivatives(w)
     except ValueError as exc:
         assert str(exc) == "non-finite gradient sum"
         return
@@ -442,12 +438,12 @@ def test_objective_derivatives_match_finite_differences(case):
     # beyond |x.w| ~ 10 the differences lose digits to the cancellation in
     # 1 - q, not the analytic derivatives (worst seen here: 1e-8 relative)
     ds, w, d = case
-    loss, loss_and_grad = make_objective(ds, d)
-    hess = make_hessian(ds, d)
+    loss, derivatives = make_objective(ds, d)
     scale = np.abs(ds.x).max()
-    g, h = loss_and_grad(w)[1], hess(w)
+    _, g, hessian = derivatives(w)
+    h = hessian()
     fd_g = central_differences(loss, w, 1e-3 / scale, order=4)
-    fd_h = central_differences(lambda v: loss_and_grad(v)[1], w, 1e-3 / scale, order=4)
+    fd_h = central_differences(lambda v: derivatives(v)[1], w, 1e-3 / scale, order=4)
     assert np.abs(g - fd_g).max() <= 1e-6 * np.abs(fd_g).max() + 1e-12
     assert np.abs(h - fd_h).max() <= 1e-6 * np.abs(fd_h).max() + 1e-12
     assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
@@ -456,17 +452,17 @@ def test_objective_derivatives_match_finite_differences(case):
 @settings(max_examples=60, deadline=None)
 @given(_objective_cases(reach=(0.5, 30.0)), _objective_cases(reach=(0.5, 30.0)))
 def test_objective_memo_never_serves_a_mutated_point(case, other):
-    # evaluate w1, overwrite that same array with w2, evaluate again:
-    # the values must be those of fresh closures at w2
+    # evaluate w1, overwrite that same array with w2, evaluate again: the
+    # values must be those of a state of its own at w2, and the Hessian
+    # callable handed out at w1 must still give the Hessian at w1
     ds, w1, d = case
     w2 = np.resize(other[1], w1.size)
-    loss, loss_and_grad = make_objective(ds, d)
-    hess = make_hessian(ds, d)
+    loss, derivatives = make_objective(ds, d)
     w = w1.copy()
-    for f in (loss, loss_and_grad, hess):
-        f(w)
+    loss(w)
+    hessian_at_w1 = derivatives(w)[2]
+    hessian_at_w1()
     w[:] = w2
-    # new closures would share the kept closures' state, so the reference is a state of its own
     ref = _RowTerms(ds, d).at(w2.copy())
     try:
         ref.loss_and_grad()
@@ -475,14 +471,15 @@ def test_objective_memo_never_serves_a_mutated_point(case, other):
         # must then give the reference's loss and raise what it raises at w2
         assert loss(w) == ref.loss()
         with pytest.raises(ValueError) as got:
-            loss_and_grad(w)
+            derivatives(w)
         assert str(got.value) == str(expected)
-        return
-    value, g = loss_and_grad(w)
-    expected_value, expected_g = ref.loss_and_grad()
-    assert loss(w) == value == expected_value == ref.loss()
-    assert np.array_equal(g, expected_g)
-    assert np.array_equal(hess(w), ref.hessian())
+    else:
+        value, g, hessian = derivatives(w)
+        expected_value, expected_g = ref.loss_and_grad()
+        assert loss(w) == value == expected_value == ref.loss()
+        assert np.array_equal(g, expected_g)
+        assert np.array_equal(hessian(), ref.hessian())
+    assert np.array_equal(hessian_at_w1(), _RowTerms(ds, d).at(w1.copy()).hessian())
 
 
 def reference_block_hessian(s: _RowTerms) -> np.ndarray:
@@ -496,12 +493,12 @@ def reference_block_hessian(s: _RowTerms) -> np.ndarray:
     return np.block([[h_bb, h_bt], [h_bt.T, h_tt]]) / s.n
 
 
-def test_make_hessian_reads_the_row_terms_hessian():
-    # the closure's Hessian is a directly built state's, and the in-place build keeps every bit
+def test_the_hessian_callable_reads_the_row_terms_hessian():
+    # the callable's Hessian is a directly built state's, and the in-place build keeps every bit
     for ds, om, d in _criterion_1_draws():
         w = om.as_vector()
         direct = _RowTerms(ds, d).at(w)
-        h = make_hessian(ds, d)(w)
+        h = make_objective(ds, d)[1](w)[2]()
         assert np.array_equal(h, direct.hessian())
         assert h.tobytes() == reference_block_hessian(direct).tobytes()
 
@@ -510,46 +507,29 @@ def test_hessian_after_loss_and_grad_recomputes_no_row_terms(rng, monkeypatch):
     passes = []
     monkeypatch.setattr("puomm.model.expit_pair", lambda v: passes.append(1) or special.expit_pair(v))
     ds, d = random_dataset(rng, 80, 3), DetectionParam(0.24)
-    _, loss_and_grad = make_objective(ds, d)
-    hess = make_hessian(ds, d)
+    loss, derivatives = make_objective(ds, d)
     w = rng.standard_normal(6) * 0.3
-    loss_and_grad(w)
+    hessian = derivatives(w)[2]
     done = len(passes)
     assert done > 0
-    hess(w)
+    h = hessian()
     assert len(passes) == done
-    hess(w + 0.1)  # a new point recomputes them
+    loss(w + 0.1)  # the state moves on, so the callable recomputes its point's terms
+    assert np.array_equal(hessian(), h)
     assert len(passes) > done
-
-
-def test_closures_share_a_state_only_within_one_dataset_object_rate_and_thread(rng):
-    ds, d = random_dataset(rng, 30, 2), DetectionParam(0.24)
-    state = _state_for(ds, d)
-    assert _state_for(ds, DetectionParam(0.24)) is state
-    others = [_state_for(Dataset(x=ds.x, z=ds.z), d), _state_for(ds, DetectionParam(0.5))]
-    worker = threading.Thread(target=lambda: others.append(_state_for(ds, d)))
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive() and len(others) == 3
-    assert all(other is not state for other in others)
-    assert len({id(other) for other in others}) == 3
 
 
 def test_no_state_remains_once_the_closures_are_dropped(rng):
     ds, d = random_dataset(rng, 30, 2), DetectionParam(0.24)
-    key = (ds, d.lambda_eps, threading.get_ident())
-    loss, loss_and_grad = make_objective(ds, d)
-    hess = make_hessian(ds, d)
-    w = np.full(4, 0.1)
-    loss_and_grad(w), hess(w)
-    state = weakref.ref(_STATES[key])
-    del loss, loss_and_grad
-    assert state() is not None  # hess still reads it
-    del hess
-    assert state() is None and key not in _STATES
-    dataset = weakref.ref(ds)
-    del ds, key
-    assert dataset() is None  # the state's key held it only while the state lived
+    loss, derivatives = make_objective(ds, d)
+    hessian = derivatives(np.full(4, 0.1))[2]
+    dataset, features = weakref.ref(ds), weakref.ref(ds._row_split[1])
+    del ds
+    assert dataset() is None  # the closures hold the row blocks, not the Dataset
+    del loss, derivatives
+    assert features() is not None  # the Hessian callable still reads them
+    del hessian
+    assert features() is None
 
 
 def _state_values(state: _RowTerms) -> tuple:
@@ -561,7 +541,7 @@ def _state_values(state: _RowTerms) -> tuple:
 def test_states_of_one_dataset_share_its_split_and_match_states_on_a_copy(rng):
     ds = random_dataset(rng, 120, 3)
     w = rng.standard_normal(6) * 0.4
-    states = [_state_for(ds, DetectionParam(lam)) for lam in (0.24, 2.0)]
+    states = [_RowTerms(ds, DetectionParam(lam)) for lam in (0.24, 2.0)]
     names = ("XpT", "XnT", "zp")
     assert len(ds._row_split) == len(names)
     for name, part in zip(names, ds._row_split):
@@ -658,9 +638,9 @@ def test_gradient_theta_block_all_positive(rng):
     z = rng.exponential(1.0, n) + 0.05
     ds = Dataset(x=x, z=z)
     om = ParamPair(rng.standard_normal(p) * 0.5, rng.standard_normal(p) * 0.5)
-    loss, loss_and_grad = make_objective(ds, DetectionParam(0.24))
+    loss, derivatives = make_objective(ds, DetectionParam(0.24))
     w = om.as_vector()
-    g = loss_and_grad(w)[1]
+    g = derivatives(w)[1]
     expected = -(x.T @ (1.0 - expit(x @ om.theta))) / n
     assert np.allclose(g[p:], expected, atol=1e-12)
     fd = central_differences(loss, w, 1e-6, order=2)
@@ -682,10 +662,10 @@ def test_gradient_beta_block_no_missingness(rng):
 
 def test_loss_decreases_along_negative_gradient(rng):
     ds = random_dataset(rng, 80, 4)
-    loss, loss_and_grad = make_objective(ds, DetectionParam(0.4))
+    loss, derivatives = make_objective(ds, DetectionParam(0.4))
     for _ in range(100):
         w = ParamPair(rng.standard_normal(4), rng.standard_normal(4)).as_vector()
-        base, g = loss_and_grad(w)
+        base, g, _ = derivatives(w)
         assert loss(w - 1e-7 * g) <= base + 1e-14
 
 

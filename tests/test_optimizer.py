@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_fit_loss_monotone_and_iterates_in_ball(rng):
     _, accepted = accepted_iterates(points, losses, res)
     assert all(b <= a + 1e-15 for a, b in zip(accepted, accepted[1:]))
     assert len(points["loss"]) >= res.iterations >= 1  # one trial point or more per iteration
-    norms = np.linalg.norm(points["loss"] + points["loss_and_grad"], axis=1)
+    norms = np.linalg.norm(points["loss"] + points["derivatives"], axis=1)
     assert np.all(norms <= cfg.radius + 1e-12)
 
 
@@ -80,8 +81,8 @@ def test_fit_all_positive_converges_on_the_sphere(rng):
     ds, d, cfg = _all_positive_case(rng)
     res = fit(ds, d, cfg)
     w = res.omega_hat.as_vector()
-    _, loss_and_grad = make_objective(ds, d)
-    stationarity = np.linalg.norm(w - project_l2_ball(w - loss_and_grad(w)[1], cfg.radius))
+    _, derivatives = make_objective(ds, d)
+    stationarity = np.linalg.norm(w - project_l2_ball(w - derivatives(w)[1], cfg.radius))
     assert res.converged
     assert abs(res.omega_hat.norm() - cfg.radius) <= 1e-9
     assert stationarity <= 1e-8
@@ -163,15 +164,15 @@ def test_fit_rejects_a_pgd_trial_step_whose_loss_overflows():
     z = np.where(rng.random(2000) < 0.3, rng.exponential(2.0, 2000), 0)
     ds = Dataset(x, z)
     cfg = FitConfig(radius=default_radius(3))
-    loss, loss_and_grad = make_objective(ds, DetectionParam(0.5))
-    grad = loss_and_grad(np.zeros(6))[1]
+    loss, derivatives = make_objective(ds, DetectionParam(0.5))
+    grad = derivatives(np.zeros(6))[1]
     assert loss(project_l2_ball(-grad, cfg.radius)) == math.inf  # the full first step from zero
     with objective_points() as (points, _):
         res = fit(ds, DetectionParam(0.5), cfg)
     assert res.converged
     # the first iterate is a PGD step of some eta = INIT_STEP * BACKTRACK_FACTOR^k < INIT_STEP
     etas = [optimizer.INIT_STEP * optimizer.BACKTRACK_FACTOR**k for k in range(1, 54)]
-    assert any(np.array_equal(points["loss_and_grad"][1], project_l2_ball(-eta * grad, cfg.radius)) for eta in etas)
+    assert any(np.array_equal(points["derivatives"][1], project_l2_ball(-eta * grad, cfg.radius)) for eta in etas)
     assert res.final_loss == pytest.approx(0.957360, abs=1e-6)
 
 
@@ -212,23 +213,18 @@ def sweep_like():
 
 def test_fit_reuses_the_hessian_after_short_newton_steps(sweep_like, monkeypatch):
     counts = {"hessians": 0, "newton_steps": 0}
-    make_hessian, newton_step = optimizer.make_hessian, optimizer._newton_step
+    hessian, newton_step = model._RowTerms.hessian, optimizer._newton_step
 
-    def counting_make_hessian(data, d):
-        hess = make_hessian(data, d)
-
-        def call(w):
-            counts["hessians"] += 1
-            return hess(w)
-
-        return call
+    def counting_hessian(state):
+        counts["hessians"] += 1
+        return hessian(state)
 
     def counting_newton_step(*args):
         step = newton_step(*args)
         counts["newton_steps"] += step is not None
         return step
 
-    monkeypatch.setattr(optimizer, "make_hessian", counting_make_hessian)
+    monkeypatch.setattr(model._RowTerms, "hessian", counting_hessian)
     monkeypatch.setattr(optimizer, "_newton_step", counting_newton_step)
     assert fit(*sweep_like).converged
     assert 0 < counts["hessians"] < counts["newton_steps"]
@@ -236,30 +232,59 @@ def test_fit_reuses_the_hessian_after_short_newton_steps(sweep_like, monkeypatch
 
 def test_fit_builds_one_row_terms_state_and_its_hessians_recompute_no_row_terms(sweep_like, monkeypatch):
     built, passes, hessian_passes = [], [], []
+    make_objective = optimizer.make_objective
 
     class CountingRowTerms(model._RowTerms):
         def __init__(self, *args):
             built.append(self)
             super().__init__(*args)
 
-    def counting_make_hessian(data, d):
-        hess = make_hessian(data, d)
+    def counting_make_objective(data, d):
+        loss, derivatives = make_objective(data, d)
 
-        def call(w):
-            before = len(passes)
-            h = hess(w)
-            hessian_passes.append(len(passes) - before)
-            return h
+        def counted(w):
+            value, grad, hessian = derivatives(w)
 
-        return call
+            def call():
+                before = len(passes)
+                h = hessian()
+                hessian_passes.append(len(passes) - before)
+                return h
 
-    make_hessian = optimizer.make_hessian
+            return value, grad, call
+
+        return loss, counted
+
     monkeypatch.setattr(model, "_RowTerms", CountingRowTerms)
     monkeypatch.setattr(model, "expit_pair", lambda v: passes.append(1) or special.expit_pair(v))
-    monkeypatch.setattr(optimizer, "make_hessian", counting_make_hessian)
+    monkeypatch.setattr(optimizer, "make_objective", counting_make_objective)
     assert fit(*sweep_like).converged
     assert len(built) == 1
     assert hessian_passes and not any(hessian_passes)
+
+
+def test_two_threads_fitting_one_dataset_get_the_serial_result(sweep_like):
+    # each fit owns its row-terms state, so two fits of one Dataset at one
+    # rate running at once, racing to make its row split too, agree with a
+    # serial fit bit for bit
+    drawn, d, cfg = sweep_like
+    ds = Dataset(x=drawn.x, z=drawn.z)  # its row split is not made yet
+    start, results = threading.Barrier(2), [None, None]
+
+    def run(i):
+        start.wait(timeout=30)
+        results[i] = fit(ds, d, cfg)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert not any(worker.is_alive() for worker in workers)
+    serial = fit(ds, d, cfg)
+    for res in results:
+        assert res.omega_hat.as_vector().tobytes() == serial.omega_hat.as_vector().tobytes()
+        assert (res.converged, res.iterations, res.final_loss) == (serial.converged, serial.iterations, serial.final_loss)
 
 
 def test_fit_without_hessian_reuse_reaches_the_same_point(sweep_like, monkeypatch):
@@ -294,7 +319,7 @@ def test_fit_at_the_grid_ends_is_monotone_in_the_ball_and_reports_exhaustion(ds,
         res = fit(ds, DetectionParam(lam), cfg)
     iterates, accepted = accepted_iterates(points, losses, res)
     assert all(b <= a + 1e-15 for a, b in zip(accepted, accepted[1:]))
-    assert np.all(np.linalg.norm(points["loss"] + points["loss_and_grad"], axis=1) <= cfg.radius + 1e-12)
+    assert np.all(np.linalg.norm(points["loss"] + points["derivatives"], axis=1) <= cfg.radius + 1e-12)
     assert len(iterates) == len(accepted) == res.iterations + 1 <= max_iter + 1
     move = iterates[-1] - iterates[max(len(iterates) - 2, 0)]
     last_change = math.sqrt(move.dot(move))  # the optimizer's own arithmetic
