@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
-from .special import digamma, trigamma
+from .special import digamma, expit, trigamma
 
 GRAD_TOL = 1e-8
 MAX_NEWTON = 100
@@ -29,9 +29,10 @@ class TwoPartModel:
     aux carries the Gamma shape or the log-normal residual variance.
     flags names the degeneracies that the stage fits returned:
     "separation" when the logistic stage was clamped (separable or
-    all-equal labels), and "degenerate_magnitude" when the size stage had
-    no more rows than features, a +inf Gamma shape or a rank-deficient
-    log-normal design.
+    all-equal labels), "degenerate_magnitude" when the size stage had no
+    more rows than features, a +inf Gamma shape or a rank-deficient
+    log-normal design, and "not_converged" when a stage's damped-Newton
+    solve used all MAX_NEWTON iterations.
     Coefficients must be finite, and aux nonnegative and finite, apart
     from the +inf Gamma shape of a degenerate fit.
     """
@@ -54,14 +55,40 @@ class TwoPartModel:
         if self.aux is not None and not 0 <= self.aux <= top:
             raise ValueError(f"aux must be nonnegative and finite (or a +inf Gamma shape), got {self.aux}")
 
+    @property
+    def converged(self) -> bool:
+        return "not_converged" not in self.flags
+
+    def occurrence_prob(self, x: np.ndarray) -> np.ndarray:
+        """Occurrence probability of the logistic stage, expit(x.occurrence_coef)."""
+        return expit(x @ self.occurrence_coef)
+
+    def recorded_prob(self, x: np.ndarray) -> np.ndarray:
+        """The recorded-occurrence probability: a two-part model has no detection stage, so its occurrence_prob."""
+        return self.occurrence_prob(x)
+
+    def size_mean(self, x: np.ndarray) -> np.ndarray:
+        """Conditional mean event size given occurrence; the log-normal mean adds half the residual variance."""
+        eta = x @ self.magnitude_coef
+        if self.magnitude_family == "lognormal":
+            return np.exp(eta + 0.5 * (self.aux or 0.0))
+        return np.exp(eta)
+
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (magnitude, occurrence) coefficients."""
+        return self.magnitude_coef, self.occurrence_coef
+
 
 def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None):
-    """Minimize a smooth convex objective; returns (w, clamped) flag.
+    """Minimize a smooth convex objective; returns (w, clamped, exhausted).
 
     Newton direction with step halving on the objective; falls back to a
     plain gradient step when the Hessian solve fails.  If clamp_radius is
     set, iterates are projected back onto that l2 ball and the projection
-    is reported (used to contain separation divergence).
+    is reported (used to contain separation divergence).  exhausted is
+    True when the solve used all MAX_NEWTON iterations; a stop at the
+    gradient tolerance, at a negligible step or where the line search
+    finds no decrease is not reported.
     """
     w = np.asarray(w0, dtype=float).copy()
     clamped = False
@@ -96,7 +123,9 @@ def _damped_newton(w0, grad_fn, hess_fn, obj_fn, clamp_radius=None):
         w, f = w_new, f_new
         if delta <= 1e-14:
             break
-    return w, clamped
+    else:
+        return w, clamped, True
+    return w, clamped, False
 
 
 class _GlmTerms:
@@ -156,8 +185,8 @@ def _exponential_rows(s, y):
     return r + s, 1.0 - r, r
 
 
-def fit_logistic(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Logistic regression MLE by damped Newton, and whether the labels are separated.
+def fit_logistic(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, bool, bool]:
+    """Logistic regression MLE by damped Newton, whether the labels are separated, and whether Newton was exhausted.
 
     Separable (or all-equal) labels push the MLE to infinity; such fits
     are clamped to the ball of radius 5*sqrt(p), and the flag is True
@@ -172,13 +201,13 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     p = X.shape[1]
     clamp = 5.0 * np.sqrt(p)
     terms = _GlmTerms(X, y, _logistic_rows)
-    w, clamped = _damped_newton(np.zeros(p), terms.grad, terms.hess, terms.obj, clamp_radius=clamp)
+    w, clamped, exhausted = _damped_newton(np.zeros(p), terms.grad, terms.hess, terms.obj, clamp_radius=clamp)
     g = terms.grad(w)
-    return w, clamped or math.sqrt(g.dot(g)) > 1e-4
+    return w, clamped or math.sqrt(g.dot(g)) > 1e-4, exhausted
 
 
-def fit_exponential_glm(features: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """MLE of the exponential size model y ~ Exp(rate exp(-x.beta)).
+def fit_exponential_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, bool]:
+    """MLE of the exponential size model y ~ Exp(rate exp(-x.beta)), and whether Newton was exhausted.
 
     Minimizes mean(exp(-x.beta) y + x.beta); the Hessian is positive
     definite whenever all sizes are positive.
@@ -192,24 +221,24 @@ def fit_exponential_glm(features: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     terms = _GlmTerms(X, y, _exponential_rows)
     # exp(-s) overflows only at trial points whose loss is inf, which the line search rejects
     with np.errstate(over="ignore"):
-        w, _ = _damped_newton(np.zeros(X.shape[1]), terms.grad, terms.hess, terms.obj)
-    return w
+        w, _, exhausted = _damped_newton(np.zeros(X.shape[1]), terms.grad, terms.hess, terms.obj)
+    return w, exhausted
 
 
-def fit_gamma_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
-    """Log-link Gamma regression: mean-model coefficients plus profile-MLE shape.
+def fit_gamma_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Log-link Gamma regression: mean-model coefficients, profile-MLE shape, and whether Newton was exhausted.
 
     The mean-model score does not involve the shape, so the coefficients
-    coincide with the exponential-GLM fit; the shape then solves
-    log(a) - digamma(a) = s by scalar Newton.  A perfect mean fit (s at
-    most 1e-12) has no finite shape estimate and returns shape +inf.
+    and the exhaustion flag are the exponential-GLM fit's; the shape then
+    solves log(a) - digamma(a) = s by scalar Newton.  A perfect mean fit
+    (s at most 1e-12) has no finite shape estimate and returns shape +inf.
     """
-    coef = fit_exponential_glm(features, sizes)
+    coef, exhausted = fit_exponential_glm(features, sizes)
     y = np.asarray(sizes, dtype=float)
     mu = np.exp(np.asarray(features, dtype=float) @ coef)
     s = -1.0 - float(np.mean(np.log(y / mu) - y / mu))
     if s <= 1e-12:
-        return coef, np.inf
+        return coef, np.inf, exhausted
     # Minka's starting point, then Newton on log(a) - digamma(a) - s = 0.
     a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(MAX_NEWTON):
@@ -217,7 +246,7 @@ def fit_gamma_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
         if abs(g) <= 1e-8:
             break
         a -= g / (1.0 / a - trigamma(a))
-    return coef, float(a)
+    return coef, float(a), exhausted
 
 
 def fit_lognormal(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -245,14 +274,17 @@ def fit_oracle(train: Dataset) -> TwoPartModel:
     events = train.y > 0
     if not events.any():
         raise ValueError("no positive responses; cannot fit the magnitude stage")
-    occ, separated = fit_logistic(train.x, events.astype(float))
+    occ, separated, occ_exhausted = fit_logistic(train.x, events.astype(float))
     rows = np.flatnonzero(events)
-    mag = fit_exponential_glm(train.x.take(rows, axis=0), train.y[rows])
+    mag, mag_exhausted = fit_exponential_glm(train.x.take(rows, axis=0), train.y[rows])
+    flags = ["separation"] if separated else []
+    if occ_exhausted or mag_exhausted:
+        flags.append("not_converged")
     return TwoPartModel(
         occurrence_coef=occ,
         magnitude_coef=mag,
         magnitude_family="exponential",
-        flags=("separation",) if separated else (),
+        flags=tuple(flags),
     )
 
 
@@ -261,15 +293,15 @@ def fit_oracle(train: Dataset) -> TwoPartModel:
 _OCCURRENCE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _occurrence_stage(train: Dataset, recorded: np.ndarray) -> tuple[np.ndarray, bool]:
-    """fit_logistic's (coefficients, separated) pair on 1{z > 0}, fitted once per Dataset.
+def _occurrence_stage(train: Dataset, recorded: np.ndarray) -> tuple[np.ndarray, bool, bool]:
+    """fit_logistic's (coefficients, separated, exhausted) on 1{z > 0}, fitted once per Dataset.
 
     Each call returns its own copy of the coefficients.
     """
     stage = _OCCURRENCE.get(train)
     if stage is None:
         stage = _OCCURRENCE[train] = fit_logistic(train.x, recorded.astype(float))
-    return stage[0].copy(), stage[1]
+    return stage[0].copy(), *stage[1:]
 
 
 def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
@@ -285,17 +317,20 @@ def fit_observed_mixture(train: Dataset, family: str) -> TwoPartModel:
     recorded = train.z > 0
     if not recorded.any():
         raise ValueError("no positive observations; cannot fit the magnitude stage")
-    occ, separated = _occurrence_stage(train, recorded)
+    occ, separated, occ_exhausted = _occurrence_stage(train, recorded)
     flags = ["separation"] if separated else []
     rows = np.flatnonzero(recorded)
     Xp, zp = train.x.take(rows, axis=0), train.z[rows]
+    mag_exhausted = False
     if family == "gamma":
-        mag, aux = fit_gamma_glm(Xp, zp)
+        mag, aux, mag_exhausted = fit_gamma_glm(Xp, zp)
         degenerate = aux == np.inf
     else:
         mag, aux, degenerate = fit_lognormal(Xp, zp)
     if degenerate or rows.size <= Xp.shape[1]:
         flags.append("degenerate_magnitude")
+    if occ_exhausted or mag_exhausted:
+        flags.append("not_converged")
     return TwoPartModel(
         occurrence_coef=occ,
         magnitude_coef=mag,

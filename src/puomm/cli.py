@@ -118,9 +118,8 @@ def cmd_evaluate(args) -> int:
     if args.truth:
         meta = dataio.read_sim_meta(args.truth)
         truth = (meta["beta0"], meta["theta0"])
-    label = _model_label(args.model)
-    reports = evaluate_trial({label: model}, data, truth=truth, trial_id=args.trial, mode=args.mode)
-    dataio.write_metrics_csv(reports, args.out)
+    report = evaluate_trial(_model_label(args.model), model, data, truth=truth, trial_id=args.trial, mode=args.mode)
+    dataio.write_metrics_csv(report, args.out)
     print(f"wrote metrics to {args.out}")
     return 0
 

@@ -52,6 +52,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -61,7 +62,7 @@ import numpy as np
 
 from .baselines import TwoPartModel
 from .metrics import CSV_COLUMNS, MetricsReport
-from .model import Dataset, DetectionParam, ParamPair
+from .model import Dataset, ParamPair, is_real_in, store_integer_fields
 from .optimizer import FitResult
 from .selection import PuOmmModel
 from .simulate import SimConfig, SimOutput
@@ -489,28 +490,68 @@ def model_to_dict(model, method: str) -> dict:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def _checked(key: str, value, ok, what: str):
+    """value, read from a model JSON's key, when ok accepts it; otherwise a ValueError naming the key."""
+    if not ok(value):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _finite(value) -> bool:
+    return is_real_in(value, -math.inf, math.inf)
+
+
+def _is_score(pair) -> bool:
+    """Whether pair is a selection_scores entry [lambda, brier]: a finite positive lambda, a brier +inf or finite."""
+    return isinstance(pair, list) and len(pair) == 2 and is_real_in(pair[0], 0, math.inf) and (
+        pair[1] == math.inf or _finite(pair[1])
+    )
+
+
+def _array_of(ok):
+    """A check that its value is a JSON array whose every entry ok accepts."""
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
+def _coefficients(d: dict, key: str) -> np.ndarray:
+    return np.asarray(_checked(key, d[key], _array_of(_finite), "an array of finite numbers"), dtype=float)
+
+
 def model_from_dict(d: dict):
+    """The model that a model_to_dict object describes.
+
+    A value of the wrong JSON type is a ValueError naming its key, never
+    converted: numbers must be JSON numbers (not strings or booleans),
+    converged a boolean, iterations an integer and flags an array of
+    strings.  A grid point's Brier score and a Gamma aux may be +inf.
+    """
     kind = d.get("kind")
     if kind == "pu_omm":
         res = FitResult(
-            omega_hat=ParamPair(beta=np.asarray(d["beta"]), theta=np.asarray(d["theta"])),
-            converged=bool(d["converged"]),
-            iterations=int(d["iterations"]),
-            final_loss=float(d["final_loss"]),
+            omega_hat=ParamPair(beta=_coefficients(d, "beta"), theta=_coefficients(d, "theta")),
+            converged=_checked("converged", d["converged"], lambda v: isinstance(v, bool), "true or false"),
+            iterations=d["iterations"],
+            final_loss=float(_checked("final_loss", d["final_loss"], _finite, "a finite number")),
+        )
+        store_integer_fields(res, ("iterations",))
+        lam = _checked("lambda_hat", d["lambda_hat"], lambda v: is_real_in(v, 0, math.inf), "a finite positive number")
+        scores = _checked(
+            "selection_scores", d["selection_scores"], _array_of(_is_score), "an array of [lambda, brier] pairs"
         )
         return PuOmmModel(
-            lambda_hat=DetectionParam(d["lambda_hat"]).lambda_eps,
+            lambda_hat=float(lam),
             fit=res,
-            selection_scores=[(float(a), float(b)) for a, b in d["selection_scores"]],
+            selection_scores=[(float(a), float(b)) for a, b in scores],
         )
     if kind == "two_part":
-        aux = d.get("aux")
+        aux = _checked("aux", d.get("aux"), lambda v: v is None or v == math.inf or _finite(v), "a number or null")
+        flags = _checked("flags", d.get("flags", []), _array_of(lambda f: isinstance(f, str)), "an array of strings")
         return TwoPartModel(
-            occurrence_coef=np.asarray(d["occurrence_coef"], dtype=float),
-            magnitude_coef=np.asarray(d["magnitude_coef"], dtype=float),
+            occurrence_coef=_coefficients(d, "occurrence_coef"),
+            magnitude_coef=_coefficients(d, "magnitude_coef"),
             magnitude_family=d["family"],
             aux=None if aux is None else float(aux),
-            flags=tuple(d.get("flags", ())),
+            flags=tuple(flags),
         )
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -524,9 +565,22 @@ def read_model_json(path: str | Path):
         return model_from_dict(json.load(fh))
 
 
-def write_metrics_csv(reports: list[MetricsReport], path: str | Path) -> None:
+def csv_cell(value) -> str:
+    """The text of one CSV cell: None as empty, a float by repr (which reads back exactly), anything else by str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_csv_rows(path: str | Path, header, rows) -> None:
+    """A CSV file of the header and then rows, each row's cells written by csv_cell, with "\\n" line ends."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rep in reports:
-            writer.writerow(rep.to_csv_row())
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([csv_cell(v) for v in row])
+
+
+def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
+    """The CSV_COLUMNS header and report's one row, a column per MetricsReport field."""
+    write_csv_rows(path, CSV_COLUMNS, [dataclasses.astuple(report)])

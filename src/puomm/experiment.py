@@ -2,15 +2,15 @@
 
 Emits a long-format CSV (setting, n, trial, method, metric, value,
 status) plus a summary CSV with per-cell means and standard errors.
-Status is ok, not_converged (a fit that stopped at max_iter, or whose
-projected-gradient line search found no admissible step; its metrics are
-written but left out of the summary) or failed.
+Status is ok, not_converged (a PU-OMM fit that stopped at max_iter, or
+whose projected-gradient line search found no admissible step, or a
+two-part fit flagged not_converged; its metrics are written but left out
+of the summary) or failed.
 Every output byte is a deterministic function of the configuration.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -19,19 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import fit_observed_mixture, fit_oracle
-from .dataio import ingest_csv, reject_unknown_keys, sim_config_from_dict
+from .dataio import ingest_csv, reject_unknown_keys, sim_config_from_dict, write_csv_rows
 from .optimizer import FitConfig
 from .selection import (
     DEFAULT_GRID_HI,
     DEFAULT_GRID_LO,
     DEFAULT_GRID_SIZE,
-    PuOmmModel,
     default_radius,
     fit_at_lambda,
     fit_pu_omm,
     make_lambda_grid,
 )
-from .metrics import csv_cell, evaluate_trial
+from .metrics import evaluate_trial
 from .model import is_real_in, store_integer_fields
 from .simulate import SimConfig, make_datasets
 
@@ -41,6 +40,9 @@ METRICS = ("rmse_beta", "rmse_theta", "brier", "misclassification", "mad", "rmse
 
 LONG_COLUMNS = ("setting", "n", "trial", "method", "metric", "value", "status")
 SUMMARY_COLUMNS = ("setting", "n", "method", "metric", "mean", "se", "n_trials")
+
+# The config keys that only one mode reads; a config of the other mode that sets one is an error.
+_MODE_KEYS = {"simulation": ("settings", "n_values"), "real_data": ("input_csv", "split_fraction", "true_lambda")}
 
 # Tag for the train/test partition substream, so real-data partitions never
 # share draws with anything else derived from the trial seed.
@@ -159,8 +161,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from parsed JSON; an unknown key at any level raises ValueError.
 
-        So does a config, grid, fit or settings entry that is not a JSON
-        object, or methods, settings or n_values that is not an array.
+        So does a key that only the other mode reads (_MODE_KEYS), a
+        config, grid, fit or settings entry that is not a JSON object, or
+        methods, settings or n_values that is not an array.
         Nested grid {size, lo, hi} and fit {tol, max_iter, radius} fill the
         fields no top-level key sets.
         """
@@ -180,7 +183,12 @@ class ExperimentConfig:
         if d.get("mode") == "simulation":
             settings = d.get("settings", [])
             d["settings"] = [sim_config_from_dict(s, f"settings[{i}]") for i, s in enumerate(settings)]
-        return cls(**d)
+        cfg = cls(**d)
+        other = "real_data" if cfg.mode == "simulation" else "simulation"
+        ignored = [key for key in _MODE_KEYS[other] if key in d]
+        if ignored:
+            raise ValueError(f"keys {ignored} are read only in {other} mode, not in a {cfg.mode} config")
+        return cfg
 
 
 def _fit_methods(cfg, train, true_lambda) -> dict:
@@ -208,9 +216,9 @@ def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mo
             rows.append((setting_label, n, trial, method, "all", "", model))
             continue
         try:
-            report = evaluate_trial({method: model}, test, truth=truth, trial_id=trial, mode=mode)[0]
+            report = evaluate_trial(method, model, test, truth=truth, trial_id=trial, mode=mode)
             # a fit that did not converge is reported but kept out of the summary means
-            status = "not_converged" if isinstance(model, PuOmmModel) and not model.fit.converged else "ok"
+            status = "ok" if model.converged else "not_converged"
             for metric in METRICS:
                 value = getattr(report, metric)
                 if value is None:
@@ -283,14 +291,6 @@ def summarize(rows: list[tuple]) -> list[tuple]:
     return out
 
 
-def _write_rows(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([csv_cell(v) for v in row])
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Run every (setting, n, trial, method) cell and write long + summary CSVs."""
     out_dir = Path(cfg.output_dir)
@@ -298,6 +298,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     rows = _simulation_rows(cfg) if cfg.mode == "simulation" else _real_data_rows(cfg)
     long_path = out_dir / "results_long.csv"
     summary_path = out_dir / "results_summary.csv"
-    _write_rows(long_path, LONG_COLUMNS, rows)
-    _write_rows(summary_path, SUMMARY_COLUMNS, summarize(rows))
+    write_csv_rows(long_path, LONG_COLUMNS, rows)
+    write_csv_rows(summary_path, SUMMARY_COLUMNS, summarize(rows))
     return long_path, summary_path

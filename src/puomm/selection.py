@@ -75,6 +75,26 @@ class PuOmmModel:
     def theta(self) -> np.ndarray:
         return self.omega_hat.theta
 
+    @property
+    def converged(self) -> bool:
+        return self.fit.converged
+
+    def occurrence_prob(self, x: np.ndarray) -> np.ndarray:
+        """True-occurrence probability expit(x.theta), not the recorded-occurrence probability."""
+        return expit(x @ self.theta)
+
+    def recorded_prob(self, x: np.ndarray) -> np.ndarray:
+        """Probability a row is recorded positive, at the selected detection rate."""
+        return observed_occurrence_prob(self.omega_hat, self.lambda_hat, x)
+
+    def size_mean(self, x: np.ndarray) -> np.ndarray:
+        """Conditional mean event size given occurrence, exp(x.beta)."""
+        return np.exp(x @ self.beta)
+
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (magnitude, occurrence) coefficients."""
+        return self.beta, self.theta
+
 
 def make_lambda_grid(
     n_points: int = DEFAULT_GRID_SIZE,

@@ -205,8 +205,8 @@ def ordering_trials():
             "pu_omm_true_lambda": fit_at_lambda(train, 0.24, cfg),
             "logistic": fit_observed_mixture(train, "gamma"),
         }
-        reports = evaluate_trial(models, sim.test, truth=(sim.beta0, sim.theta0), trial_id=trial)
-        rows.extend(reports)
+        for name, model in models.items():
+            rows.append(evaluate_trial(name, model, sim.test, truth=(sim.beta0, sim.theta0), trial_id=trial))
     return rows, time.time() - start
 
 
@@ -250,8 +250,8 @@ def test_criterion_8_no_missingness_reduction():
     model = fit_at_lambda(train.observed_only(), float(grid.values[-1]), cfg)
 
     u = (train.y > 0).astype(float)
-    theta_oracle, _ = fit_logistic(train.x, u)
-    beta_oracle = fit_exponential_glm(train.x[train.y > 0], train.y[train.y > 0])
+    theta_oracle, _, _ = fit_logistic(train.x, u)
+    beta_oracle, _ = fit_exponential_glm(train.x[train.y > 0], train.y[train.y > 0])
     d_theta = float(np.linalg.norm(model.theta - theta_oracle))
     d_beta = float(np.linalg.norm(model.beta - beta_oracle))
     assert d_theta < 0.05, d_theta

@@ -18,7 +18,8 @@ from puomm.baselines import (
     fit_observed_mixture,
     fit_oracle,
 )
-from puomm.dataio import ingest_csv, write_dataset_csv
+from puomm.dataio import ingest_csv, read_model_json, write_dataset_csv, write_model_json
+from puomm.experiment import ExperimentConfig, run_experiment
 from puomm.model import Dataset
 from puomm.simulate import SimConfig, make_datasets
 
@@ -36,16 +37,16 @@ def test_logistic_recovers_coefficients_within_3_se():
     x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 1))])
     theta = np.array([-0.3, 0.8])
     y = (rng.random(n) < expit(x @ theta)).astype(float)
-    w, separated = fit_logistic(x, y)
+    w, separated, exhausted = fit_logistic(x, y)
     se = _logistic_se(x, w)
     assert np.all(np.abs(w - theta) < 3 * se)
-    assert not separated
+    assert not separated and not exhausted
 
 
 def test_logistic_degenerate_labels_clamped():
     rng = np.random.default_rng(1)
     x = np.hstack([np.ones((200, 1)), rng.standard_normal((200, 1))])
-    w, separated = fit_logistic(x, np.ones(200))
+    w, separated, _ = fit_logistic(x, np.ones(200))
     assert separated
     assert np.isfinite(w).all()
     assert np.linalg.norm(w) <= 5 * np.sqrt(2) + 1e-9
@@ -67,7 +68,7 @@ def test_logistic_rejects_nonbinary():
 def test_exponential_glm_intercept_only_closed_form():
     rng = np.random.default_rng(3)
     sizes = rng.exponential(2.5, 5000)
-    w = fit_exponential_glm(np.ones((5000, 1)), sizes)
+    w, _ = fit_exponential_glm(np.ones((5000, 1)), sizes)
     assert w[0] == pytest.approx(np.log(sizes.mean()), abs=1e-8)
 
 
@@ -77,7 +78,7 @@ def test_exponential_glm_recovers_coefficients():
     x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 2))])
     beta = np.array([0.5, -0.7, 0.3])
     y = rng.exponential(np.exp(x @ beta))
-    w = fit_exponential_glm(x, y)
+    w, _ = fit_exponential_glm(x, y)
     # asymptotic covariance of the exponential-GLM MLE is (X'X)^{-1}
     se = np.sqrt(np.diag(np.linalg.inv(x.T @ x)))
     assert np.all(np.abs(w - beta) < 3 * se)
@@ -87,8 +88,8 @@ def test_exponential_glm_duplication_invariant():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((300, 2))
     y = rng.exponential(1.0, 300) + 0.01
-    w1 = fit_exponential_glm(x, y)
-    w2 = fit_exponential_glm(np.vstack([x, x]), np.concatenate([y, y]))
+    w1, _ = fit_exponential_glm(x, y)
+    w2, _ = fit_exponential_glm(np.vstack([x, x]), np.concatenate([y, y]))
     assert np.allclose(w1, w2, atol=1e-9)
 
 
@@ -102,15 +103,15 @@ def test_gamma_glm_shape_one_on_exponential_data():
     n = 100_000
     x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 1))])
     y = rng.exponential(np.exp(x @ np.array([0.2, 0.5])))
-    coef, shape = fit_gamma_glm(x, y)
+    coef, shape, _ = fit_gamma_glm(x, y)
     assert shape == pytest.approx(1.0, abs=0.05)
-    assert np.allclose(coef, fit_exponential_glm(x, y))
+    assert np.allclose(coef, fit_exponential_glm(x, y)[0])
 
 
 def test_gamma_glm_intercept_only_mean():
     rng = np.random.default_rng(7)
     y = rng.gamma(3.0, 2.0, 20_000)
-    coef, _ = fit_gamma_glm(np.ones((20_000, 1)), y)
+    coef, _, _ = fit_gamma_glm(np.ones((20_000, 1)), y)
     assert coef[0] == pytest.approx(np.log(y.mean()), abs=1e-8)
 
 
@@ -119,8 +120,8 @@ def test_gamma_glm_scaling_shifts_intercept():
     x = np.hstack([np.ones((2000, 1)), rng.standard_normal((2000, 1))])
     y = rng.gamma(2.0, 1.0, 2000) * np.exp(0.3 * x[:, 1])
     c = 4.0
-    coef1, shape1 = fit_gamma_glm(x, y)
-    coef2, shape2 = fit_gamma_glm(x, c * y)
+    coef1, shape1, _ = fit_gamma_glm(x, y)
+    coef2, shape2, _ = fit_gamma_glm(x, c * y)
     assert coef2[0] - coef1[0] == pytest.approx(np.log(c), abs=1e-7)
     assert coef2[1] == pytest.approx(coef1[1], abs=1e-7)
     assert shape2 == pytest.approx(shape1, rel=1e-5)
@@ -165,7 +166,7 @@ def test_lognormal_rank_deficient_flagged():
 
 def test_gamma_glm_perfect_mean_fit_returns_infinite_shape():
     # constant sizes on an intercept: the mean fit is exact, so the shape MLE is at infinity
-    coef, shape = fit_gamma_glm(np.ones((50, 1)), np.full(50, 2.0))
+    coef, shape, _ = fit_gamma_glm(np.ones((50, 1)), np.full(50, 2.0))
     assert shape == np.inf
     assert coef[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -174,8 +175,8 @@ def test_oracle_is_composition_of_stage_fits():
     sim = make_datasets(SimConfig(setting="correct", n=3000, p=4, seed=12, n_test=10))
     model = fit_oracle(sim.train)
     u = (sim.train.y > 0).astype(float)
-    occ, separated = fit_logistic(sim.train.x, u)
-    mag = fit_exponential_glm(sim.train.x[sim.train.y > 0], sim.train.y[sim.train.y > 0])
+    occ, separated, _ = fit_logistic(sim.train.x, u)
+    mag, _ = fit_exponential_glm(sim.train.x[sim.train.y > 0], sim.train.y[sim.train.y > 0])
     assert np.array_equal(model.occurrence_coef, occ)
     assert np.array_equal(model.magnitude_coef, mag)
     assert model.magnitude_family == "exponential"
@@ -195,6 +196,31 @@ def test_oracle_all_positive_flags_separation():
     model = fit_oracle(ds)
     assert "separation" in model.flags
     assert np.isfinite(model.magnitude_coef).all()
+
+
+def test_a_newton_solve_that_uses_every_iteration_leaves_its_model_not_converged(tmp_path, monkeypatch):
+    sim = make_datasets(SimConfig(setting="correct", n=500, p=3, seed=19, n_test=100))
+    train = sim.train.observed_only()
+    assert all(m.converged and m.flags == () for m in (fit_oracle(sim.train), fit_observed_mixture(train, "gamma")))
+    # a line search that finds no decrease stops the solve, and is not reported
+    identity = lambda w: np.eye(2)
+    w, clamped, exhausted = baselines._damped_newton(np.zeros(2), lambda w: np.ones(2), identity, lambda w: -w.sum())
+    assert (w.tolist(), clamped, exhausted) == ([0.0, 0.0], False, False)
+
+    monkeypatch.setattr(baselines, "MAX_NEWTON", 1)
+    assert baselines._damped_newton(np.zeros(2), lambda w: w - 1.0, identity, lambda w: w.dot(w - 2.0))[2]
+    # a fresh observed copy, so that the logistic stage fitted above for train is not reused
+    models = [fit_oracle(sim.train)] + [fit_observed_mixture(train.observed_only(), f) for f in ("gamma", "lognormal")]
+    for model in models:
+        assert "not_converged" in model.flags and not model.converged
+        write_model_json(model, "m", tmp_path / "m.json")
+        assert not read_model_json(tmp_path / "m.json").converged
+    cfg = ExperimentConfig(mode="simulation", methods=["oracle", "logistic_gamma", "logistic_lognormal"], trials=1,
+                           base_seed=19, output_dir=str(tmp_path), settings=[sim.config], n_values=[500])
+    long_path, summary_path = run_experiment(cfg)
+    rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
+    assert {r[6] for r in rows} == {"not_converged"} and all(r[5] != "" for r in rows)
+    assert summary_path.read_text().splitlines()[1:] == []
 
 
 def test_oracle_beats_observed_mixtures_majority_wise():
@@ -366,8 +392,8 @@ def test_gamma_shape_fixed_at_one_matches_exponential():
     rng = np.random.default_rng(16)
     x = np.hstack([np.ones((3000, 1)), rng.standard_normal((3000, 2))])
     y = rng.gamma(2.0, 0.5, 3000) * np.exp(x @ np.array([0.1, 0.2, -0.3]))
-    coef_gamma, _ = fit_gamma_glm(x, y)
-    coef_exp = fit_exponential_glm(x, y)
+    coef_gamma, _, _ = fit_gamma_glm(x, y)
+    coef_exp, _ = fit_exponential_glm(x, y)
     assert np.allclose(coef_gamma, coef_exp, atol=1e-6)
 
 
@@ -383,7 +409,7 @@ def _newton_functions(fitter, x, y, solve=True):
 
     def capture(w0, grad_fn, hess_fn, obj_fn, **kwargs):
         seen.append((grad_fn, hess_fn, obj_fn))
-        return newton(w0, grad_fn, hess_fn, obj_fn, **kwargs) if solve else (np.asarray(w0, dtype=float), False)
+        return newton(w0, grad_fn, hess_fn, obj_fn, **kwargs) if solve else (np.asarray(w0, dtype=float), False, False)
 
     with mock.patch.object(baselines, "_damped_newton", capture):
         fitter(x, y)
@@ -433,7 +459,7 @@ def test_logistic_newton_functions_match_central_differences_away_from_the_optim
 def test_exponential_glm_newton_functions_match_central_differences_away_from_the_optimum():
     _, _, xp, zp = _events(17)
     grad, hess, obj = _newton_functions(fit_exponential_glm, xp, zp)
-    w = fit_exponential_glm(xp, zp) + np.array([0.3, -0.2, 0.1, 0.4])
+    w = fit_exponential_glm(xp, zp)[0] + np.array([0.3, -0.2, 0.1, 0.4])
     assert obj(w) == pytest.approx(_exponential_loss(zp, xp @ w), rel=1e-13)
     assert np.linalg.norm(grad(w)) > 1e-2
     _assert_derivatives_match_central_differences(grad, hess, obj, w)

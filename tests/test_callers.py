@@ -119,3 +119,25 @@ def test_the_package_keeps_exactly_these_module_level_weak_maps():
             if isinstance(value, (weakref.WeakKeyDictionary, weakref.WeakValueDictionary)):
                 found.add(f"{info.name}.{name}")
     assert found == {"baselines._OCCURRENCE", "simulate._DESIGNS"}
+
+
+def test_only_the_model_json_format_asks_a_model_for_its_class():
+    """A fitted model answers for itself (occurrence_prob, recorded_prob, size_mean, coefficients, converged).
+
+    So only dataio, which writes each model's JSON kind, may call
+    isinstance with PuOmmModel or TwoPartModel, and metrics, which scores
+    any model through those methods, imports neither selection nor
+    baselines.
+    """
+    classes = {"PuOmmModel", "TwoPartModel"}
+    asking, metrics_imports = [], set()
+    for path in sorted((ROOT / "src" / "puomm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                if classes & set(_names(node)) and path.name != "dataio.py":
+                    asking.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name == "metrics.py":
+                modules = [getattr(node, "module", None)] + [alias.name for alias in node.names]
+                metrics_imports.update(m.rsplit(".", 1)[-1] for m in modules if m)
+    assert asking == [], "isinstance with a model class outside dataio: " + ", ".join(asking)
+    assert not metrics_imports & {"selection", "baselines"}, sorted(metrics_imports)

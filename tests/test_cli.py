@@ -197,6 +197,42 @@ def test_evaluate_rejects_non_finite_model_json(tmp_path, capsys, method, key, v
     assert not (tmp_path / "metrics.csv").exists()
 
 
+_PU_JSON = {"kind": "pu_omm", "beta": [0.1, 0.2], "theta": [0.3, -0.1], "lambda_hat": 0.5, "converged": True,
+            "iterations": 3, "final_loss": 1.5, "selection_scores": [[0.5, 0.2], [2.0, math.inf]]}
+_TWO_PART_JSON = {"kind": "two_part", "occurrence_coef": [0.3, -0.1], "magnitude_coef": [0.1, 0.2],
+                  "family": "gamma", "aux": 2.0, "flags": ["separation"]}
+
+
+@pytest.mark.parametrize(
+    "model, key, value",
+    [
+        (_PU_JSON, "converged", "no"),
+        (_PU_JSON, "iterations", 3.7),
+        (_PU_JSON, "lambda_hat", "0.5"),
+        (_PU_JSON, "lambda_hat", True),
+        (_PU_JSON, "beta", ["0.1", 0.2]),
+        (_PU_JSON, "theta", [True, 0.0]),
+        (_PU_JSON, "final_loss", "1.5"),
+        (_PU_JSON, "selection_scores", [["0.5", 0.2]]),
+        (_TWO_PART_JSON, "occurrence_coef", [0.3, "x"]),
+        (_TWO_PART_JSON, "magnitude_coef", [False, 0.2]),
+        (_TWO_PART_JSON, "aux", "2.0"),
+        (_TWO_PART_JSON, "flags", "ab"),
+    ],
+    ids=["converged", "iterations", "lambda_hat_text", "lambda_hat_bool", "beta_text", "theta_bool", "final_loss",
+         "selection_scores", "occurrence_coef_text", "magnitude_coef_bool", "aux_text", "flags_text"],
+)
+def test_evaluate_names_the_model_json_key_whose_value_has_the_wrong_type(tmp_path, capsys, model, key, value):
+    # reinterpreted, "no" would read as converged, 3.7 as 3 iterations and "ab" as the flags a and b
+    data, path = _write_standin_csv(tmp_path / "d.csv", n=40, p=2), tmp_path / "model.json"
+    for payload, rc in ((model, 0), ({**model, key: value}, 1)):
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(path), "--data", str(data), "--out", str(tmp_path / "m.csv")]) == rc
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{key} must be "), err
+
+
 def test_cli_method_choices_are_the_registry_keys():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     method = next(a for a in sub.choices["fit"]._actions if a.dest == "method")
@@ -210,9 +246,9 @@ def test_cli_fit_and_experiment_fit_the_same_models(tmp_path, monkeypatch):
     fitted = {}
     evaluate_trial = experiment.evaluate_trial
 
-    def capturing(models, *args, **kwargs):
-        fitted.update(models)
-        return evaluate_trial(models, *args, **kwargs)
+    def capturing(name, model, *args, **kwargs):
+        fitted[name] = model
+        return evaluate_trial(name, model, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "evaluate_trial", capturing)
     cfg = ExperimentConfig(mode="simulation", methods=list(METHODS), trials=1, base_seed=11,
@@ -265,9 +301,9 @@ def test_a_cell_drops_its_observed_view_before_scoring_the_test_set(tmp_path, mo
         monkeypatch.setitem(METHODS, method, recording)
     evaluate_trial = experiment.evaluate_trial
 
-    def scoring(models, *args, **kwargs):
+    def scoring(*args, **kwargs):
         alive_at_scoring.append(sum(view() is not None for view in views))
-        return evaluate_trial(models, *args, **kwargs)
+        return evaluate_trial(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "evaluate_trial", scoring)
     cfg = ExperimentConfig(mode="simulation", methods=["pu_omm", "logistic_gamma"], trials=2, base_seed=3,
@@ -789,6 +825,28 @@ def test_experiment_config_rejects_a_bool_or_an_infinite_scale(change, message):
     # is read, and neither is a string that spells a number
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentConfig.from_dict({**_SIM_CONFIG, "output_dir": "unused", **change})
+
+
+_REAL_CONFIG = {**_REAL_DATA, "methods": ["logistic_gamma"], "trials": 1, "base_seed": 0}
+_SIM_ONLY, _REAL_ONLY = "are read only in simulation mode", "are read only in real_data mode"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**_SIM_CONFIG, "split_fraction": "abc", "input_csv": 5},
+         f"keys ['input_csv', 'split_fraction'] {_REAL_ONLY}, not in a simulation config"),
+        ({**_SIM_CONFIG, "true_lambda": 0.3}, f"keys ['true_lambda'] {_REAL_ONLY}, not in a simulation config"),
+        ({**_REAL_CONFIG, "settings": [{"setting": "nope", "zzz": 1}]},
+         f"keys ['settings'] {_SIM_ONLY}, not in a real_data config"),
+        ({**_REAL_CONFIG, "n_values": ["q"]}, f"keys ['n_values'] {_SIM_ONLY}, not in a real_data config"),
+    ],
+    ids=["split_fraction_and_input_csv", "true_lambda", "settings", "n_values"],
+)
+def test_experiment_config_rejects_the_keys_of_the_other_mode(config, message):
+    # such a key would be ignored and its value never checked, so it is rejected like an unknown key
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict({**config, "output_dir": "unused"})
 
 
 @pytest.mark.parametrize("n_values", [[50.0], [50, 0], ["50"]])

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from scipy.special import expit, log_expit
 
 from puomm import special
-from puomm.metrics import predict_magnitude, predict_occurrence
 from puomm.model import (
     Dataset,
     _Q_MAX,
@@ -61,17 +60,17 @@ def test_sigmoid_saturates_without_overflow():
         assert special.expit(-700.0) >= 0.0
 
 
-# P(event | x) = expit(x.theta), as metrics.predict_occurrence scores a fitted model.
+# P(event | x) = expit(x.theta), as PuOmmModel.occurrence_prob gives it for a fitted model.
 
 
 def test_occurrence_prob_zero_inputs():
-    assert predict_occurrence(pu_model(np.zeros(2), [1.2, -0.5]), np.zeros(2)) == 0.5
-    assert predict_occurrence(pu_model(np.zeros(2), np.zeros(2)), np.array([0.3, 4.0])) == 0.5
+    assert pu_model(np.zeros(2), [1.2, -0.5]).occurrence_prob(np.zeros(2)) == 0.5
+    assert pu_model(np.zeros(2), np.zeros(2)).occurrence_prob(np.array([0.3, 4.0])) == 0.5
 
 
 def test_occurrence_prob_log3():
     # sigma(log 3) = 3/4 by hand
-    assert predict_occurrence(pu_model([0.0], [1.0]), np.array([np.log(3.0)])) == pytest.approx(0.75, abs=1e-15)
+    assert pu_model([0.0], [1.0]).occurrence_prob(np.array([np.log(3.0)])) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_occurrence_prob_dim_mismatch():
@@ -100,11 +99,11 @@ def test_magnitude_density_integrates_to_one():
 
 
 def test_magnitude_density_mean_matches_log_link():
-    # the mean event size is exp(x.beta), the conditional mean that predict_magnitude reports
+    # the mean event size is exp(x.beta), the conditional mean that PuOmmModel.size_mean reports
     x, beta, theta = np.array([-0.5]), np.array([1.0]), np.array([0.0])
     mean, _ = quad(lambda t: t * _recorded_row_density(t, x, beta, theta), 0, np.inf)
     assert mean / expit(0.0) == pytest.approx(np.exp(-0.5), rel=1e-9)
-    assert predict_magnitude(pu_model(beta, theta), x) == pytest.approx(np.exp(-0.5), rel=1e-15)
+    assert pu_model(beta, theta).size_mean(x) == pytest.approx(np.exp(-0.5), rel=1e-15)
 
 
 def test_magnitude_density_rejects_nonpositive_t():
