@@ -87,8 +87,14 @@ def test_size_metrics_hand_values():
     assert rep.mad == 2.0
     assert rep.rmse_pred == 2.0
     assert rep.smape == pytest.approx(2.0 / 3.0, abs=1e-15)
-    # a zero prediction of a positive size is smape's upper end; a size row's outcome is never 0
+
+
+def test_smape_boundary_and_zero_pair():
+    # a zero prediction of a positive size is smape's upper end
+    assert _score([4.0], [0.5], yhat=[0.0]).smape == 2.0
+    # a zero outcome predicted as zero is not a size row, so its 0/0 ratio never enters smape
     assert _score([3.0, 0.0], [0.5, 0.5], yhat=[0.0, 0.0]).smape == 2.0
+    assert _score([3.0, 0.0], [0.5, 0.5], yhat=[3.0, 0.0]).smape == 0.0
     rng = np.random.default_rng(0)
     assert _score(rng.exponential(1, 100), np.full(100, 0.5), yhat=rng.exponential(1, 100)).smape <= 2.0
 
