@@ -190,7 +190,9 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
 
     Separable (or all-equal) labels push the MLE to infinity; such fits
     are clamped to the ball of radius 5*sqrt(p), and the flag is True
-    when the clamp was active or the final gradient norm exceeds 1e-4.
+    when the clamp was active, or when the final gradient norm exceeds
+    1e-4 at a solve that stopped before MAX_NEWTON iterations (an
+    exhausted solve is reported as exhausted, not as separated).
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -203,7 +205,7 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     terms = _GlmTerms(X, y, _logistic_rows)
     w, clamped, exhausted = _damped_newton(np.zeros(p), terms.grad, terms.hess, terms.obj, clamp_radius=clamp)
     g = terms.grad(w)
-    return w, clamped or math.sqrt(g.dot(g)) > 1e-4, exhausted
+    return w, clamped or (not exhausted and math.sqrt(g.dot(g)) > 1e-4), exhausted
 
 
 def fit_exponential_glm(features: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, bool]:

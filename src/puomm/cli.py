@@ -23,18 +23,14 @@ from . import dataio
 from .experiment import LATENT_METHODS, METHODS, ExperimentConfig, run_experiment
 from .metrics import evaluate_trial
 from .optimizer import FitConfig
-from .selection import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_SIZE
+from .selection import make_lambda_grid
 from .simulate import SimConfig, Setting, make_datasets
 
 
-def _add_fit_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--radius", type=float, default=None, help="search-ball radius (default 5*sqrt(p))")
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
-    p.add_argument("--grid-lo", type=float, default=DEFAULT_GRID_LO)
-    p.add_argument("--grid-hi", type=float, default=DEFAULT_GRID_HI)
-    p.add_argument("--tol", type=float, default=FitConfig.tol)
-    p.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
-    p.add_argument("--add-intercept", action="store_true", help="prepend a constant-1 feature")
+def _given(args, group: str) -> dict:
+    """The options of group ("grid" or "fit") given on the command line, keyed by their names there."""
+    prefix = f"{group}."
+    return {key[len(prefix):]: value for key, value in vars(args).items() if key.startswith(prefix)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,13 +51,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", required=True, help="output directory")
 
-    p_fit = sub.add_parser("fit", help="fit one method on a dataset CSV")
+    # likewise make_lambda_grid and FitConfig, whose arguments are the dests "grid.<name>" and "fit.<name>"
+    p_fit = sub.add_parser("fit", help="fit one method on a dataset CSV", argument_default=argparse.SUPPRESS)
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--method", choices=METHODS, required=True)
     p_fit.add_argument("--lambda-eps", type=float, default=None,
                        help="detection rate for pu_omm_true_lambda")
     p_fit.add_argument("--out", required=True, help="model JSON path")
-    _add_fit_options(p_fit)
+    p_fit.add_argument("--grid-size", type=int, dest="grid.size")
+    p_fit.add_argument("--grid-lo", type=float, dest="grid.lo")
+    p_fit.add_argument("--grid-hi", type=float, dest="grid.hi")
+    p_fit.add_argument("--radius", type=float, dest="fit.radius", help="search-ball radius (default 5*sqrt(p))")
+    p_fit.add_argument("--tol", type=float, dest="fit.tol")
+    p_fit.add_argument("--max-iter", type=int, dest="fit.max_iter")
+    p_fit.add_argument("--add-intercept", action="store_true", default=False, help="prepend a constant-1 feature")
 
     p_eval = sub.add_parser("evaluate", help="score a fitted model on a dataset CSV")
     p_eval.add_argument("--model", required=True)
@@ -92,24 +95,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    grid = make_lambda_grid(**_given(args, "grid"))
+    fit_cfg = FitConfig(**_given(args, "fit"))
     schema = "simulated" if args.method in LATENT_METHODS else "observed_only"
     data = dataio.ingest_csv(args.data, schema=schema)
     if args.add_intercept:
         data = data.with_intercept()
-    model = METHODS[args.method](data, args, args.lambda_eps)
+    model = METHODS[args.method](data, grid, fit_cfg, args.lambda_eps)
     dataio.write_model_json(model, args.method, args.out)
     print(f"wrote model to {args.out}")
     return 0
 
 
-def _model_label(path: str) -> str:
-    """The method a model JSON records; the file's stem for a hand-written JSON without one."""
-    with open(path) as fh:
-        return str(json.load(fh).get("method", Path(path).stem))
-
-
 def cmd_evaluate(args) -> int:
-    model = dataio.read_model_json(args.model)
+    model, method = dataio.read_model_json(args.model)
     schema = {"auto": "auto", "simulation": "simulated", "observed": "observed_only"}[args.mode]
     data = dataio.ingest_csv(args.data, schema=schema)
     if args.add_intercept:
@@ -118,7 +117,7 @@ def cmd_evaluate(args) -> int:
     if args.truth:
         meta = dataio.read_sim_meta(args.truth)
         truth = (meta["beta0"], meta["theta0"])
-    report = evaluate_trial(_model_label(args.model), model, data, truth=truth, trial_id=args.trial, mode=args.mode)
+    report = evaluate_trial(method, model, data, truth=truth, trial_id=args.trial, mode=args.mode)
     dataio.write_metrics_csv(report, args.out)
     print(f"wrote metrics to {args.out}")
     return 0

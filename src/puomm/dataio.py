@@ -65,7 +65,7 @@ from .metrics import CSV_COLUMNS, MetricsReport
 from .model import Dataset, ParamPair, is_real_in, store_integer_fields
 from .optimizer import FitResult
 from .selection import PuOmmModel
-from .simulate import SimConfig, SimOutput
+from .simulate import SimOutput
 
 LATENT_COLUMNS = ("y", "u", "r")
 
@@ -455,11 +455,15 @@ def reject_unknown_keys(d: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown keys {unknown} in {where}; expected some of {sorted(allowed)}")
 
 
-def sim_config_from_dict(d: dict, where: str) -> SimConfig:
-    """A SimConfig from a config's settings entry; n may be omitted where n_values supplies it."""
-    reject_unknown_keys(d, [f.name for f in dataclasses.fields(SimConfig)], where)
+def from_json_object(make, d: dict, allowed, where: str, **defaults):
+    """make(**d) for the config's JSON object d called where, with defaults for the keys d leaves out.
+
+    A key outside allowed, or a value that make rejects, is a ValueError
+    that names where (and make's message names the key).
+    """
+    reject_unknown_keys(d, allowed, where)
     try:
-        return SimConfig(**{"n": 1, **d})
+        return make(**{**defaults, **d})
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -561,8 +565,10 @@ def write_model_json(model, method: str, path: str | Path) -> None:
 
 
 def read_model_json(path: str | Path):
+    """(model, method) from a model JSON; method is the file's stem for a hand-written JSON without one."""
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        d = json.load(fh)
+    return model_from_dict(d), str(d.get("method", Path(path).stem))
 
 
 def csv_cell(value) -> str:

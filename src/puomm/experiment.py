@@ -19,17 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import fit_observed_mixture, fit_oracle
-from .dataio import ingest_csv, reject_unknown_keys, sim_config_from_dict, write_csv_rows
+from .dataio import from_json_object, ingest_csv, reject_unknown_keys, write_csv_rows
 from .optimizer import FitConfig
-from .selection import (
-    DEFAULT_GRID_HI,
-    DEFAULT_GRID_LO,
-    DEFAULT_GRID_SIZE,
-    default_radius,
-    fit_at_lambda,
-    fit_pu_omm,
-    make_lambda_grid,
-)
+from .selection import LambdaGrid, fit_at_lambda, fit_pu_omm, make_lambda_grid
 from .metrics import evaluate_trial
 from .model import is_real_in, store_integer_fields
 from .simulate import SimConfig, make_datasets
@@ -49,38 +41,27 @@ _MODE_KEYS = {"simulation": ("settings", "n_values"), "real_data": ("input_csv",
 _PARTITION_TAG = 90
 
 
-def _fit_config(opts, p: int) -> FitConfig:
-    """Solver settings from opts' tol, max_iter and radius; no radius means default_radius(p)."""
-    radius = opts.radius if opts.radius is not None else default_radius(p)
-    return FitConfig(radius=radius, tol=opts.tol, max_iter=opts.max_iter)
-
-
-def _pu_omm(train, opts, true_lambda):
-    grid = make_lambda_grid(opts.grid_size, opts.grid_lo, opts.grid_hi)
-    return fit_pu_omm(train, grid, _fit_config(opts, train.p))
-
-
-def _pu_omm_true_lambda(train, opts, true_lambda):
+def _pu_omm_true_lambda(train, grid, fit_cfg, true_lambda):
     if true_lambda is None:
         raise ValueError("no true detection rate available for this cell")
-    return fit_at_lambda(train, true_lambda, _fit_config(opts, train.p))
+    return fit_at_lambda(train, true_lambda, fit_cfg)
 
 
 # Every method the CLI and the experiment harness fit, as
-# method(train, opts, true_lambda) -> model.  Only the LATENT_METHODS get the
-# latent columns; every other method gets observed data (the CLI reads it under
-# the observed-only schema, and each experiment cell passes one observed_only()
-# Dataset of its training set to all of them, so their fits share the work that
-# depends only on that Dataset).  opts is anything with grid_size, grid_lo,
-# grid_hi, tol, max_iter and radius attributes (an ExperimentConfig or the CLI's
-# arguments).  The fitters are looked up as module globals at call time, so
+# method(train, grid, fit_cfg, true_lambda) -> model, where grid is the
+# LambdaGrid that pu_omm selects over and fit_cfg the FitConfig of every
+# PU-OMM fit.  Only the LATENT_METHODS get the latent columns; every other
+# method gets observed data (the CLI reads it under the observed-only schema,
+# and each experiment cell passes one observed_only() Dataset of its training
+# set to all of them, so their fits share the work that depends only on that
+# Dataset).  The fitters are looked up as module globals at call time, so
 # replacing experiment.fit_pu_omm replaces what the registry calls.
 METHODS = {
-    "oracle": lambda train, opts, true_lambda: fit_oracle(train),
-    "pu_omm": _pu_omm,
+    "oracle": lambda train, grid, fit_cfg, true_lambda: fit_oracle(train),
+    "pu_omm": lambda train, grid, fit_cfg, true_lambda: fit_pu_omm(train, grid, fit_cfg),
     "pu_omm_true_lambda": _pu_omm_true_lambda,
-    "logistic_gamma": lambda train, opts, true_lambda: fit_observed_mixture(train, "gamma"),
-    "logistic_lognormal": lambda train, opts, true_lambda: fit_observed_mixture(train, "lognormal"),
+    "logistic_gamma": lambda train, grid, fit_cfg, true_lambda: fit_observed_mixture(train, "gamma"),
+    "logistic_lognormal": lambda train, grid, fit_cfg, true_lambda: fit_observed_mixture(train, "lognormal"),
 }
 # The methods that read the latent columns y, u, r, so fit only simulated data.
 LATENT_METHODS = frozenset({"oracle"})
@@ -111,26 +92,16 @@ class ExperimentConfig:
     input_csv: str | None = None
     split_fraction: float = 0.9
     true_lambda: float | None = None
-    grid_size: int = DEFAULT_GRID_SIZE
-    grid_lo: float = DEFAULT_GRID_LO
-    grid_hi: float = DEFAULT_GRID_HI
-    tol: float = FitConfig.tol
-    max_iter: int = FitConfig.max_iter
-    radius: float | None = None
+    grid: LambdaGrid = field(default_factory=make_lambda_grid)
+    fit: FitConfig = field(default_factory=FitConfig)
     add_intercept: bool | None = None  # default: on for real data, off for simulations
 
     def __post_init__(self):
         if self.mode not in ("simulation", "real_data"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        store_integer_fields(self, ("trials", "base_seed", "grid_size", "max_iter"))
+        store_integer_fields(self, ("trials", "base_seed"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.grid_size < 2:
-            raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
-        lo, hi = self.grid_lo, self.grid_hi
-        if not (is_real_in(lo, 0, math.inf) and is_real_in(hi, lo, math.inf)):
-            raise ValueError(f"grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got {lo!r} and {hi!r}")
-        _fit_config(self, p=1)  # FitConfig names a bad tol, max_iter or radius
         if self.true_lambda is not None and not is_real_in(self.true_lambda, 0, math.inf):
             raise ValueError(f"true_lambda must be a finite positive real, got {self.true_lambda!r}")
         if not self.methods:
@@ -163,26 +134,26 @@ class ExperimentConfig:
 
         So does a key that only the other mode reads (_MODE_KEYS), a
         config, grid, fit or settings entry that is not a JSON object, or
-        methods, settings or n_values that is not an array.
-        Nested grid {size, lo, hi} and fit {tol, max_iter, radius} fill the
-        fields no top-level key sets.
+        methods, settings or n_values that is not an array.  The grid
+        object is make_lambda_grid's arguments {size, lo, hi}, and the fit
+        object FitConfig's fields {radius, max_iter, tol}; an error in
+        either names "grid" or "fit" and the key.
         """
-        reject_unknown_keys(d, [f.name for f in fields(cls)] + ["grid", "fit"], "the experiment config")
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "the experiment config")
         for key in ("methods", "settings", "n_values"):
             if key in d and not isinstance(d[key], list):
                 raise ValueError(f"{key} must be a JSON array, got {d[key]!r}")
         d = dict(d)
-        grid = d.pop("grid", {})
-        fit_opts = d.pop("fit", {})
-        reject_unknown_keys(grid, ("size", "lo", "hi"), "grid")
-        reject_unknown_keys(fit_opts, ("tol", "max_iter", "radius"), "fit")
-        for key, value in grid.items():
-            d.setdefault(f"grid_{key}", value)
-        for key, value in fit_opts.items():
-            d.setdefault(key, value)
+        if "grid" in d:
+            d["grid"] = from_json_object(make_lambda_grid, d["grid"], ("size", "lo", "hi"), "grid")
+        if "fit" in d:
+            d["fit"] = from_json_object(FitConfig, d["fit"], [f.name for f in fields(FitConfig)], "fit")
         if d.get("mode") == "simulation":
-            settings = d.get("settings", [])
-            d["settings"] = [sim_config_from_dict(s, f"settings[{i}]") for i, s in enumerate(settings)]
+            sim_keys = [f.name for f in fields(SimConfig)]
+            d["settings"] = [
+                from_json_object(SimConfig, s, sim_keys, f"settings[{i}]", n=1)  # n_values supplies n
+                for i, s in enumerate(d.get("settings", []))
+            ]
         cfg = cls(**d)
         other = "real_data" if cfg.mode == "simulation" else "simulation"
         ignored = [key for key in _MODE_KEYS[other] if key in d]
@@ -203,7 +174,8 @@ def _fit_methods(cfg, train, true_lambda) -> dict:
     fitted = {}
     for method in cfg.methods:
         try:
-            fitted[method] = METHODS[method](train if method in LATENT_METHODS else observed, cfg, true_lambda)
+            data = train if method in LATENT_METHODS else observed
+            fitted[method] = METHODS[method](data, cfg.grid, cfg.fit, true_lambda)
         except Exception as exc:  # record and continue: one bad fit must not kill the sweep
             fitted[method] = f"failed: {exc}"
     return fitted

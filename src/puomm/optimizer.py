@@ -24,7 +24,7 @@ reject that point as they would any point of larger loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -57,11 +57,17 @@ SECULAR_RTOL = 1e-13
 SECULAR_MAX_ITER = 60
 
 
+def default_radius(p: int) -> float:
+    """Search-ball radius 5 * sqrt(p) used throughout."""
+    return 5.0 * np.sqrt(p)
+
+
 @dataclass
 class FitConfig:
     """Optimizer settings, and the only place their defaults are written.
 
-    radius is the l2 search-ball radius; the fit stops once an iteration
+    radius is the l2 search-ball radius, None for default_radius(p) of
+    the data that fit() is given; the fit stops once an iteration
     moves the iterate by at most tol, or after max_iter iterations.  The
     line searches are fixed by the module constants INIT_STEP,
     BACKTRACK_FACTOR, ARMIJO_C and NEWTON_HALVINGS; the phases by
@@ -70,13 +76,13 @@ class FitConfig:
     eigendecomposition for the next one).
     """
 
-    radius: float
+    radius: float | None = None
     max_iter: int = 10000
     tol: float = 1e-8
 
     def __post_init__(self):
         store_integer_fields(self, ("max_iter",))
-        for name in ("radius", "tol"):
+        for name in ("radius", "tol") if self.radius is not None else ("tol",):
             value = getattr(self, name)
             if not is_real_in(value, 0, math.inf):
                 raise ValueError(f"{name} must be a finite positive real, got {value!r}")
@@ -203,6 +209,7 @@ def fit(
 ) -> FitResult:
     """Minimize the mean negative log-likelihood over the l2 ball, starting at zero.
 
+    The ball's radius is cfg.radius, or default_radius(data.p) when that is None.
     PGD steps until one moves the iterate by at most NEWTON_SWITCH, then
     Newton steps, each falling back to the PGD step when it fails.  A
     Newton step that moved at most HESSIAN_REUSE leaves its Hessian's
@@ -213,6 +220,8 @@ def fit(
     not an error.  A PGD line search that finds no admissible step also
     returns the current iterate with converged=False.
     """
+    if cfg.radius is None:
+        cfg = replace(cfg, radius=default_radius(data.p))
     w = ParamPair.zeros(data.p).as_vector()
 
     loss_vec, derivatives = make_objective(data, d)

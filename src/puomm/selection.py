@@ -14,17 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, DetectionParam, ParamPair, is_real_in, phi
-from .optimizer import FitConfig, FitResult, fit
+from .optimizer import FitConfig, FitResult, default_radius, fit  # default_radius is re-exported
 from .special import expit
-
-DEFAULT_GRID_SIZE = 20
-DEFAULT_GRID_LO = 1.0 / 50.0
-DEFAULT_GRID_HI = 50.0
-
-
-def default_radius(p: int) -> float:
-    """Search-ball radius 5 * sqrt(p) used throughout."""
-    return 5.0 * np.sqrt(p)
 
 
 @dataclass
@@ -96,21 +87,20 @@ class PuOmmModel:
         return self.beta, self.theta
 
 
-def make_lambda_grid(
-    n_points: int = DEFAULT_GRID_SIZE,
-    lo: float = DEFAULT_GRID_LO,
-    hi: float = DEFAULT_GRID_HI,
-) -> LambdaGrid:
-    """n_points values from lo to hi, equally spaced on a log scale."""
+def make_lambda_grid(size: int = 20, lo: float = 1.0 / 50.0, hi: float = 50.0) -> LambdaGrid:
+    """size values from lo to hi, equally spaced on a log scale.
+
+    Its defaults are the only place the grid's defaults are written.
+    """
     try:
-        n_points = operator.index(n_points)
+        size = operator.index(None if isinstance(size, bool) else size)
     except TypeError:
-        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
-    if n_points < 2:
-        raise ValueError(f"grid needs at least 2 points, got {n_points}")
+        raise ValueError(f"size must be an integer, got {size!r}") from None
+    if size < 2:
+        raise ValueError(f"grid needs at least 2 points, got {size}")
     if not (is_real_in(lo, 0, np.inf) and is_real_in(hi, lo, np.inf)):
         raise ValueError(f"grid bounds must satisfy 0 < lo < hi < inf, got ({lo!r}, {hi!r})")
-    return LambdaGrid(np.exp(np.linspace(np.log(lo), np.log(hi), n_points)))
+    return LambdaGrid(np.exp(np.linspace(np.log(lo), np.log(hi), size)))
 
 
 def observed_occurrence_prob(omega: ParamPair, lam: float, x: np.ndarray):
@@ -144,7 +134,8 @@ def fit_pu_omm(
 ) -> PuOmmModel:
     """Fit once per grid value and keep the best observed-occurrence Brier score.
 
-    The best score is taken over the converged grid fits; only when none
+    grid defaults to make_lambda_grid() and cfg to FitConfig().  The best
+    score is taken over the converged grid fits; only when none
     converged is it taken over every fit that returned.  Each grid fit
     starts from zero, so results do not depend on grid order.  Raises
     only if every grid fit errors out.
@@ -154,7 +145,7 @@ def fit_pu_omm(
     if grid is None:
         grid = make_lambda_grid()
     if cfg is None:
-        cfg = FitConfig(radius=default_radius(train.p))
+        cfg = FitConfig()
 
     scores: list[tuple[float, float]] = []
     results: list[FitResult | None] = []

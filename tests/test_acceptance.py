@@ -276,7 +276,7 @@ def test_criterion_9_misspecification_smoke(tmp_path):
             SimConfig(setting="threshold", n=1, p=10, tau=3.0, n_test=20000),
         ],
         n_values=[10000],
-        tol=1e-6,
+        fit=FitConfig(tol=1e-6),
     )
     long_path, _ = run_experiment(cfg)
     rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
@@ -305,8 +305,8 @@ def test_criterion_9b_real_data_pipeline_end_to_end(tmp_path):
         output_dir=str(tmp_path / "real"),
         input_csv=str(csv_path),
         split_fraction=0.9,
-        grid_size=5,
-        tol=1e-4,
+        grid=make_lambda_grid(5),
+        fit=FitConfig(tol=1e-4),
     )
     long_path, summary_path = run_experiment(cfg)
     rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]

@@ -212,9 +212,10 @@ def test_a_newton_solve_that_uses_every_iteration_leaves_its_model_not_converged
     # a fresh observed copy, so that the logistic stage fitted above for train is not reused
     models = [fit_oracle(sim.train)] + [fit_observed_mixture(train.observed_only(), f) for f in ("gamma", "lognormal")]
     for model in models:
-        assert "not_converged" in model.flags and not model.converged
+        # the labels are not separable: one Newton step leaves |g| > 1e-4, which is exhaustion, not separation
+        assert model.flags == ("not_converged",) and not model.converged
         write_model_json(model, "m", tmp_path / "m.json")
-        assert not read_model_json(tmp_path / "m.json").converged
+        assert not read_model_json(tmp_path / "m.json")[0].converged
     cfg = ExperimentConfig(mode="simulation", methods=["oracle", "logistic_gamma", "logistic_lognormal"], trials=1,
                            base_seed=19, output_dir=str(tmp_path), settings=[sim.config], n_values=[500])
     long_path, summary_path = run_experiment(cfg)

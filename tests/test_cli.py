@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from puomm.dataio import read_model_json, write_dataset_csv, write_model_json
 from puomm.experiment import LATENT_METHODS, METHODS, ExperimentConfig, run_experiment
 from puomm.model import Dataset
 from puomm.optimizer import FitConfig
-from puomm.selection import default_radius
+from puomm.selection import make_lambda_grid
 from puomm.simulate import SimConfig, make_datasets
 
 pytestmark = pytest.mark.usefixtures("fork_hygiene")
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_standin_csv(path, n=400, p=3, seed=0, positive_frac=0.5):
@@ -253,7 +256,7 @@ def test_cli_fit_and_experiment_fit_the_same_models(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "evaluate_trial", capturing)
     cfg = ExperimentConfig(mode="simulation", methods=list(METHODS), trials=1, base_seed=11,
                            output_dir=str(tmp_path / "exp"), settings=[setting], n_values=[300],
-                           grid_size=3, tol=1e-6)
+                           grid=make_lambda_grid(3), fit=FitConfig(tol=1e-6))
     run_experiment(cfg)
     assert sorted(fitted) == sorted(METHODS)
     for method, model in fitted.items():
@@ -269,14 +272,14 @@ def test_experiment_rows_equal_fits_of_each_method_on_its_own_observed_copy(tmp_
     # its lambda-free work; the reference fits each on a Dataset of its own
     settings = [SimConfig(setting=s, n=300, p=3, tau=1.0, n_test=200) for s in ("correct", "lognormal", "threshold")]
     cfg = dict(mode="simulation", methods=list(METHODS), trials=2, base_seed=4, settings=settings,
-               n_values=[300, 500], grid_size=3, max_iter=12)
+               n_values=[300, 500], grid=make_lambda_grid(3), fit=FitConfig(max_iter=12))
     shared = run_experiment(ExperimentConfig(output_dir=str(tmp_path / "shared"), **cfg))
     seen = []
     for method, fitter in METHODS.items():
 
-        def alone(train, opts, true_lambda, fitter=fitter, latent=method in LATENT_METHODS):
+        def alone(train, grid, fit_cfg, true_lambda, fitter=fitter, latent=method in LATENT_METHODS):
             seen.append(train)
-            return fitter(train if latent else train.observed_only(), opts, true_lambda)
+            return fitter(train if latent else train.observed_only(), grid, fit_cfg, true_lambda)
 
         monkeypatch.setitem(METHODS, method, alone)
     reference = run_experiment(ExperimentConfig(output_dir=str(tmp_path / "alone"), **cfg))
@@ -294,9 +297,9 @@ def test_a_cell_drops_its_observed_view_before_scoring_the_test_set(tmp_path, mo
     views, alive_at_scoring = [], []
     for method in ("pu_omm", "logistic_gamma"):
 
-        def recording(train, opts, true_lambda, fitter=METHODS[method]):
+        def recording(train, grid, fit_cfg, true_lambda, fitter=METHODS[method]):
             views.append(weakref.ref(train))
-            return fitter(train, opts, true_lambda)
+            return fitter(train, grid, fit_cfg, true_lambda)
 
         monkeypatch.setitem(METHODS, method, recording)
     evaluate_trial = experiment.evaluate_trial
@@ -308,7 +311,7 @@ def test_a_cell_drops_its_observed_view_before_scoring_the_test_set(tmp_path, mo
     monkeypatch.setattr(experiment, "evaluate_trial", scoring)
     cfg = ExperimentConfig(mode="simulation", methods=["pu_omm", "logistic_gamma"], trials=2, base_seed=3,
                            output_dir=str(tmp_path), settings=[SimConfig(setting="correct", n=200, p=2, n_test=50)],
-                           n_values=[200], grid_size=2, tol=1e-6)
+                           n_values=[200], grid=make_lambda_grid(2), fit=FitConfig(tol=1e-6))
     run_experiment(cfg)
     assert len(views) == 4 and alive_at_scoring == [0] * 4
 
@@ -338,7 +341,7 @@ def test_run_experiment_gets_fit_pu_omm_from_the_module_attribute(tmp_path, monk
     monkeypatch.setattr(experiment, "fit_pu_omm", counting)
     cfg = ExperimentConfig(mode="simulation", methods=["pu_omm", "logistic_gamma"], trials=2, base_seed=3,
                            output_dir=str(tmp_path), settings=[SimConfig(setting="correct", n=200, p=2, n_test=50)],
-                           n_values=[200], grid_size=2, tol=1e-6)
+                           n_values=[200], grid=make_lambda_grid(2), fit=FitConfig(tol=1e-6))
     long_path, _ = run_experiment(cfg)
     assert len(calls) == 2
     assert all(line.endswith(",ok") for line in long_path.read_text().splitlines()[1:])
@@ -428,7 +431,7 @@ def test_experiment_summary_matches_recomputation(tmp_path):
         output_dir=str(tmp_path),
         settings=[SimConfig(setting="correct", n=200, p=3, n_test=100)],
         n_values=[200],
-        tol=1e-5,
+        fit=FitConfig(tol=1e-5),
     )
     long_path, summary_path = run_experiment(cfg)
     longs = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
@@ -542,7 +545,7 @@ def test_experiment_partial_failure_recorded_not_fatal(tmp_path):
         output_dir=str(tmp_path),
         settings=[SimConfig(setting="threshold", n=150, p=2, tau=1.0, n_test=80)],
         n_values=[150],
-        tol=1e-5,
+        fit=FitConfig(tol=1e-5),
     )
     long_path, _ = run_experiment(cfg)
     rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
@@ -561,7 +564,7 @@ def test_non_oracle_fit_ignores_latent_columns(tmp_path):
     m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
     main(["fit", "--data", str(with_latent), "--method", "logistic_gamma", "--out", str(m1)])
     main(["fit", "--data", str(stripped), "--method", "logistic_gamma", "--out", str(m2)])
-    a, b = read_model_json(m1), read_model_json(m2)
+    (a, _), (b, _) = read_model_json(m1), read_model_json(m2)
     assert np.array_equal(a.occurrence_coef, b.occurrence_coef)
     assert np.array_equal(a.magnitude_coef, b.magnitude_coef)
 
@@ -606,9 +609,8 @@ def test_experiment_non_converged_fit_is_not_ok(tmp_path):
         output_dir=str(tmp_path),
         settings=[SimConfig(setting="correct", n=300, p=3, n_test=100)],
         n_values=[300],
-        grid_size=2,
-        tol=1e-12,
-        max_iter=5,
+        grid=make_lambda_grid(2),
+        fit=FitConfig(tol=1e-12, max_iter=5),
     )
     long_path, summary_path = run_experiment(cfg)
     rows = [line.split(",") for line in long_path.read_text().splitlines()[1:]]
@@ -657,11 +659,15 @@ _SIM_CONFIG = {
         ({"grid": {"points": 3}}, "points"),
         ({"fit": {"tolerance": 1e-3}}, "tolerance"),
         ({"n_value": [50]}, "n_value"),
+        # each solver setting has one spelling, nested in grid or fit
+        ({"grid_size": 3}, "grid_size"),
+        ({"tol": 1e-3}, "tol"),
+        ({"grid_size": 3, "grid": {"size": 7}, "tol": 1e-3, "fit": {"tol": 1e-5}}, "['grid_size', 'tol']"),
     ],
 )
 def test_experiment_config_unknown_key_is_an_error(tmp_path, capsys, change, key):
     raw = {**_SIM_CONFIG, "output_dir": str(tmp_path / "out"), **change}
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=re.escape(key)):
         ExperimentConfig.from_dict(raw)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
@@ -685,7 +691,7 @@ def test_experiment_config_bad_setting_field_names_entry_and_field(tmp_path, cap
 
 @pytest.mark.parametrize(
     "field, value",
-    [("trials", 1.5), ("base_seed", 7.0), ("base_seed", "7"), ("grid_size", 2.5)],
+    [("trials", 1.5), ("base_seed", 7.0), ("base_seed", "7")],
 )
 def test_experiment_config_names_a_non_integer_field(tmp_path, capsys, field, value):
     raw = {**_SIM_CONFIG, "output_dir": str(tmp_path / "out"), field: value}
@@ -702,20 +708,21 @@ def test_experiment_config_names_a_non_integer_field(tmp_path, capsys, field, va
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"grid": {"size": 1}}, "grid_size must be >= 2, got 1"),
-        ({"grid": {"lo": 0.5, "hi": 0.1}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.5 and 0.1"),
-        ({"grid": {"lo": 0.0}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.0 and 50.0"),
-        ({"grid": {"hi": math.inf}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.02 and inf"),
-        ({"grid": {"lo": "0.1"}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got '0.1' and 50.0"),
-        ({"fit": {"tol": math.nan}}, "tol must be a finite positive real, got nan"),
-        ({"fit": {"tol": math.inf}}, "tol must be a finite positive real, got inf"),
-        ({"fit": {"tol": "1e-3"}}, "tol must be a finite positive real, got '1e-3'"),
-        ({"fit": {"radius": -1}}, "radius must be a finite positive real, got -1"),
-        ({"fit": {"max_iter": 2.5}}, "max_iter must be an integer, got 2.5"),
-        ({"fit": {"max_iter": 0}}, "max_iter must be >= 1, got 0"),
+        ({"grid": {"size": 1}}, "grid: grid needs at least 2 points, got 1"),
+        ({"grid": {"size": 2.5}}, "grid: size must be an integer, got 2.5"),
+        ({"grid": {"lo": 0.5, "hi": 0.1}}, "grid: grid bounds must satisfy 0 < lo < hi < inf, got (0.5, 0.1)"),
+        ({"grid": {"lo": 0.0}}, "grid: grid bounds must satisfy 0 < lo < hi < inf, got (0.0, 50.0)"),
+        ({"grid": {"hi": math.inf}}, "grid: grid bounds must satisfy 0 < lo < hi < inf, got (0.02, inf)"),
+        ({"grid": {"lo": "0.1"}}, "grid: grid bounds must satisfy 0 < lo < hi < inf, got ('0.1', 50.0)"),
+        ({"fit": {"tol": math.nan}}, "fit: tol must be a finite positive real, got nan"),
+        ({"fit": {"tol": math.inf}}, "fit: tol must be a finite positive real, got inf"),
+        ({"fit": {"tol": "1e-3"}}, "fit: tol must be a finite positive real, got '1e-3'"),
+        ({"fit": {"radius": -1}}, "fit: radius must be a finite positive real, got -1"),
+        ({"fit": {"max_iter": 2.5}}, "fit: max_iter must be an integer, got 2.5"),
+        ({"fit": {"max_iter": 0}}, "fit: max_iter must be >= 1, got 0"),
     ],
     ids=[
-        "grid_size", "grid_reversed", "grid_lo_zero", "grid_hi_inf", "grid_lo_text",
+        "grid_size", "grid_size_float", "grid_reversed", "grid_lo_zero", "grid_hi_inf", "grid_lo_text",
         "tol_nan", "tol_inf", "tol_text", "radius_negative", "max_iter_float", "max_iter_zero",
     ],
 )
@@ -793,12 +800,12 @@ _REAL_DATA = {"mode": "real_data", "input_csv": "unused.csv"}
     [
         ({"trials": True}, "trials must be an integer, got True"),
         ({"base_seed": False}, "base_seed must be an integer, got False"),
-        ({"grid": {"size": True}}, "grid_size must be an integer, got True"),
-        ({"grid": {"lo": True}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got True and 50.0"),
-        ({"grid": {"hi": True}}, "grid_lo and grid_hi must satisfy 0 < grid_lo < grid_hi < inf, got 0.02 and True"),
-        ({"fit": {"tol": True}}, f"tol {_REAL} True"),
-        ({"fit": {"radius": True}}, f"radius {_REAL} True"),
-        ({"fit": {"max_iter": True}}, "max_iter must be an integer, got True"),
+        ({"grid": {"size": True}}, "grid: size must be an integer, got True"),
+        ({"grid": {"lo": True}}, "grid: grid bounds must satisfy 0 < lo < hi < inf, got (True, 50.0)"),
+        ({"grid": {"hi": True}}, "grid: grid bounds must satisfy 0 < lo < hi < inf, got (0.02, True)"),
+        ({"fit": {"tol": True}}, f"fit: tol {_REAL} True"),
+        ({"fit": {"radius": True}}, f"fit: radius {_REAL} True"),
+        ({"fit": {"max_iter": True}}, "fit: max_iter must be an integer, got True"),
         ({"true_lambda": True}, f"true_lambda {_REAL} True"),
         ({"n_values": [True]}, "n_values must be integers >= 1, got [True]"),
         ({"settings": [{"setting": "correct", "n": True}]}, "settings[0]: n must be an integer, got True"),
@@ -888,8 +895,8 @@ def test_experiment_config_nested_keys_fill_fields():
         "fit": {"tol": 1e-3, "max_iter": 7, "radius": 4.0},
         "settings": [{"setting": "threshold", "tau": 2.0}],
     })
-    assert (cfg.grid_size, cfg.grid_lo, cfg.grid_hi) == (3, 0.1, 2.0)
-    assert (cfg.tol, cfg.max_iter, cfg.radius) == (1e-3, 7, 4.0)
+    assert np.array_equal(cfg.grid.values, make_lambda_grid(3, 0.1, 2.0).values)
+    assert cfg.fit == FitConfig(tol=1e-3, max_iter=7, radius=4.0)
     assert cfg.settings == [SimConfig(setting="threshold", n=1, tau=2.0)]
 
 
@@ -905,6 +912,38 @@ def test_simulate_defaults_are_sim_config_defaults(tmp_path, monkeypatch):
     assert built == [SimConfig(setting="correct", n=40, seed=0)]
 
 
-def test_fit_defaults_are_fit_config_defaults():
-    args = build_parser().parse_args(["fit", "--data", "d.csv", "--method", "pu_omm", "--out", "m.json"])
-    assert experiment._fit_config(args, 7) == FitConfig(radius=default_radius(7))
+def test_fit_options_left_out_take_the_defaults_of_make_lambda_grid_and_fit_config(tmp_path, monkeypatch):
+    built = []
+
+    def record(train, grid, fit_cfg, true_lambda):
+        built.append((grid, fit_cfg))
+        raise ValueError("stop after the settings")
+
+    monkeypatch.setitem(METHODS, "pu_omm", record)
+    data = _write_standin_csv(tmp_path / "d.csv", n=50)
+    main(["fit", "--data", str(data), "--method", "pu_omm", "--out", str(tmp_path / "m.json")])
+    main(["fit", "--data", str(data), "--method", "pu_omm", "--grid-size", "3", "--grid-hi", "2.0",
+          "--radius", "4.0", "--max-iter", "7", "--out", str(tmp_path / "m.json")])
+    (grid, fit_cfg), (grid_given, fit_given) = built
+    assert np.array_equal(grid.values, make_lambda_grid().values) and fit_cfg == FitConfig()
+    assert np.array_equal(grid_given.values, make_lambda_grid(3, hi=2.0).values)
+    assert fit_given == FitConfig(radius=4.0, max_iter=7)
+
+
+@pytest.mark.parametrize("method", ["pu_omm", "oracle"])
+def test_fit_checks_its_grid_and_solver_options_before_reading_the_data(tmp_path, capsys, method):
+    # the options are built into a LambdaGrid and a FitConfig for every method, so a bad one is never ignored
+    missing = str(tmp_path / "missing.csv")
+    for option, message in ((["--grid-size", "1"], "grid needs at least 2 points, got 1"),
+                            (["--tol", "0"], "tol must be a finite positive real, got 0.0")):
+        assert main(["fit", "--data", missing, "--method", method, *option, "--out", str(tmp_path / "m.json")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+
+
+def test_every_experiment_config_in_the_readme_is_valid(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    configs = [c for c in configs if "mode" in c]
+    assert configs
+    for config in configs:
+        ExperimentConfig.from_dict({**config, "output_dir": str(tmp_path)})

@@ -672,7 +672,8 @@ def test_pu_omm_model_json_roundtrip(tmp_path):
     model = PuOmmModel(lambda_hat=0.24, fit=res, selection_scores=[(0.24, 0.1), (1.0, 0.2)])
     path = tmp_path / "m.json"
     write_model_json(model, "pu_omm", path)
-    back = read_model_json(path)
+    back, method = read_model_json(path)
+    assert method == "pu_omm"
     assert isinstance(back, PuOmmModel)
     assert back.omega_hat is back.fit.omega_hat
     assert np.array_equal(back.beta, model.beta) and np.array_equal(back.theta, model.theta)
@@ -685,7 +686,8 @@ def test_two_part_model_json_roundtrip(tmp_path):
     model = TwoPartModel(np.array([1.0]), np.array([2.0]), "lognormal", aux=0.3, flags=("separation",))
     path = tmp_path / "m.json"
     write_model_json(model, "logistic_lognormal", path)
-    back = read_model_json(path)
+    back, method = read_model_json(path)
+    assert method == "logistic_lognormal"
     assert isinstance(back, TwoPartModel)
     assert back.magnitude_family == "lognormal"
     assert back.aux == 0.3

@@ -139,6 +139,17 @@ def test_fit_final_loss_matches_public_evaluation(rng):
     assert res.final_loss == pytest.approx(loss(res.omega_hat.as_vector()), rel=1e-12)
 
 
+def test_a_fit_config_without_a_radius_fits_in_the_ball_of_radius_5_sqrt_p(rng):
+    # records exactly where x_1 > 0: the occurrence coefficients diverge, so the fit ends on the sphere
+    x = rng.standard_normal((200, 2))
+    ds = Dataset(x=x, z=np.where(x[:, 0] > 0, rng.exponential(1.0, 200), 0.0))
+    got = fit(ds, DetectionParam(0.5), FitConfig())
+    assert got.omega_hat.norm() == pytest.approx(5 * math.sqrt(2), rel=1e-12)
+    expected = fit(ds, DetectionParam(0.5), FitConfig(radius=5 * math.sqrt(ds.p)))
+    assert np.array_equal(got.omega_hat.as_vector(), expected.omega_hat.as_vector())
+    assert (got.converged, got.iterations, got.final_loss) == (expected.converged, expected.iterations, expected.final_loss)
+
+
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(radius=-1.0)

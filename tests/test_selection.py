@@ -56,9 +56,10 @@ def test_grid_invalid_bounds():
         (lambda: make_lambda_grid(3, 0.1, math.inf), "grid bounds must satisfy 0 < lo < hi < inf, got (0.1, inf)"),
         (lambda: make_lambda_grid(3, math.nan, 1.0), "grid bounds must satisfy 0 < lo < hi < inf, got (nan, 1.0)"),
         (lambda: make_lambda_grid(3, "0.1", 1.0), "grid bounds must satisfy 0 < lo < hi < inf, got ('0.1', 1.0)"),
-        (lambda: make_lambda_grid(2.5), "n_points must be an integer, got 2.5"),
+        (lambda: make_lambda_grid(2.5), "size must be an integer, got 2.5"),
+        (lambda: make_lambda_grid(True), "size must be an integer, got True"),
     ],
-    ids=["value_nan", "value_inf", "value_negative", "hi_inf", "lo_nan", "lo_text", "n_points_float"],
+    ids=["value_nan", "value_inf", "value_negative", "hi_inf", "lo_nan", "lo_text", "size_float", "size_bool"],
 )
 def test_grid_rejects_a_bad_input_naming_it(make, message):
     # a NaN or inf grid value would be fitted (inf as a failed grid point) instead of refused
