@@ -22,6 +22,7 @@ from pathlib import Path
 from . import dataio
 from .experiment import LATENT_METHODS, METHODS, ExperimentConfig, run_experiment
 from .metrics import evaluate_trial
+from .model import DetectionParam
 from .optimizer import FitConfig
 from .selection import make_lambda_grid
 from .simulate import SimConfig, Setting, make_datasets
@@ -70,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--truth", default=None, help="simulation sidecar JSON with beta0/theta0")
-    p_eval.add_argument("--mode", choices=["auto", "simulation", "observed"], default="auto")
+    p_eval.add_argument("--mode", choices=["auto", "simulation", "observed"], default="auto",
+                        help="read schema: auto reads y, u, r when the header names them, simulation requires "
+                        "them, observed ignores them; the metrics follow what was read")
     p_eval.add_argument("--trial", type=int, default=0)
     p_eval.add_argument("--add-intercept", action="store_true")
     p_eval.add_argument("--out", required=True, help="metrics CSV path")
@@ -97,6 +100,8 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     grid = make_lambda_grid(**_given(args, "grid"))
     fit_cfg = FitConfig(**_given(args, "fit"))
+    if args.lambda_eps is not None:
+        DetectionParam(args.lambda_eps)  # a bad rate fails before the data is read, whatever the method
     schema = "simulated" if args.method in LATENT_METHODS else "observed_only"
     data = dataio.ingest_csv(args.data, schema=schema)
     if args.add_intercept:
@@ -117,7 +122,7 @@ def cmd_evaluate(args) -> int:
     if args.truth:
         meta = dataio.read_sim_meta(args.truth)
         truth = (meta["beta0"], meta["theta0"])
-    report = evaluate_trial(method, model, data, truth=truth, trial_id=args.trial, mode=args.mode)
+    report = evaluate_trial(method, model, data, truth=truth, trial_id=args.trial)
     dataio.write_metrics_csv(report, args.out)
     print(f"wrote metrics to {args.out}")
     return 0

@@ -62,12 +62,10 @@ import numpy as np
 
 from .baselines import TwoPartModel
 from .metrics import CSV_COLUMNS, MetricsReport
-from .model import Dataset, ParamPair, is_real_in, store_integer_fields
+from .model import LATENT_COLUMNS, Dataset, ParamPair, is_real_in, store_integer_fields
 from .optimizer import FitResult
 from .selection import PuOmmModel
 from .simulate import SimOutput
-
-LATENT_COLUMNS = ("y", "u", "r")
 
 # Rows formatted per write: bounds the text held in memory.  Larger blocks write
 # no faster, and the peak RSS of a process writing many files grows less steady:
@@ -115,7 +113,7 @@ def _dataset_columns(ds: Dataset) -> tuple[list[str], list[np.ndarray]]:
     """The column names and 2-d column blocks of a dataset CSV: x_1..x_p, z and, when latent fields exist, y, u, r."""
     header = [f"x_{j + 1}" for j in range(ds.p)] + ["z"]
     cols = [ds.x, ds.z[:, None]]
-    if ds.has_latent and ds.r is not None:
+    if ds.has_latent:
         header += list(LATENT_COLUMNS)
         cols += [ds.y[:, None], ds.u[:, None], ds.r[:, None]]
     return header, cols
@@ -439,10 +437,10 @@ def write_sim_meta(sim: SimOutput, path: str | Path) -> None:
 
 
 def read_sim_meta(path: str | Path) -> dict:
+    """The write_sim_meta object, beta0 and theta0 read by the model JSON's rule for coefficients."""
     with open(path) as fh:
         meta = json.load(fh)
-    meta["beta0"] = np.asarray(meta["beta0"], dtype=float)
-    meta["theta0"] = np.asarray(meta["theta0"], dtype=float)
+    meta["beta0"], meta["theta0"] = _coefficients(meta, "beta0"), _coefficients(meta, "theta0")
     return meta
 
 

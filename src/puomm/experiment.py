@@ -104,6 +104,11 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.true_lambda is not None and not is_real_in(self.true_lambda, 0, math.inf):
             raise ValueError(f"true_lambda must be a finite positive real, got {self.true_lambda!r}")
+        for name, kind in (("grid", LambdaGrid), ("fit", FitConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if self.add_intercept is not None and not isinstance(self.add_intercept, bool):
+            raise ValueError(f"add_intercept must be true, false or null, got {self.add_intercept!r}")
         if not self.methods:
             raise ValueError(f"methods must name at least one of {tuple(METHODS)}")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -132,7 +137,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from parsed JSON; an unknown key at any level raises ValueError.
 
-        So does a key that only the other mode reads (_MODE_KEYS), a
+        So does a key that only the other mode reads (_MODE_KEYS), an n or
+        seed in a settings entry (n_values and base_seed set them), a
         config, grid, fit or settings entry that is not a JSON object, or
         methods, settings or n_values that is not an array.  The grid
         object is make_lambda_grid's arguments {size, lo, hi}, and the fit
@@ -149,9 +155,9 @@ class ExperimentConfig:
         if "fit" in d:
             d["fit"] = from_json_object(FitConfig, d["fit"], [f.name for f in fields(FitConfig)], "fit")
         if d.get("mode") == "simulation":
-            sim_keys = [f.name for f in fields(SimConfig)]
+            sim_keys = [f.name for f in fields(SimConfig) if f.name not in ("n", "seed")]
             d["settings"] = [
-                from_json_object(SimConfig, s, sim_keys, f"settings[{i}]", n=1)  # n_values supplies n
+                from_json_object(SimConfig, s, sim_keys, f"settings[{i}]", n=1)
                 for i, s in enumerate(d.get("settings", []))
             ]
         cfg = cls(**d)
@@ -181,14 +187,14 @@ def _fit_methods(cfg, train, true_lambda) -> dict:
     return fitted
 
 
-def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda, mode):
+def _cell_rows(cfg, setting_label, n, trial, train, test, truth, true_lambda):
     rows = []
     for method, model in _fit_methods(cfg, train, true_lambda).items():
         if isinstance(model, str):
             rows.append((setting_label, n, trial, method, "all", "", model))
             continue
         try:
-            report = evaluate_trial(method, model, test, truth=truth, trial_id=trial, mode=mode)
+            report = evaluate_trial(method, model, test, truth=truth, trial_id=trial)
             # a fit that did not converge is reported but kept out of the summary means
             status = "ok" if model.converged else "not_converged"
             for metric in METRICS:
@@ -219,11 +225,7 @@ def _simulation_rows(cfg: ExperimentConfig) -> list[tuple]:
                 true_lambda = (
                     None if trial_cfg.setting.value == "threshold" else trial_cfg.lambda_eps_true
                 )
-                rows.extend(
-                    _cell_rows(
-                        cfg, trial_cfg.setting.value, n, trial, train, test, truth, true_lambda, "simulation",
-                    )
-                )
+                rows.extend(_cell_rows(cfg, trial_cfg.setting.value, n, trial, train, test, truth, true_lambda))
     return rows
 
 
@@ -241,9 +243,7 @@ def _real_data_rows(cfg: ExperimentConfig) -> list[tuple]:
         perm = rng.permutation(data.n)
         train = data.subset(perm[:n_train])
         test = data.subset(perm[n_train:])
-        rows.extend(
-            _cell_rows(cfg, label, n_train, trial, train, test, None, cfg.true_lambda, "observed")
-        )
+        rows.extend(_cell_rows(cfg, label, n_train, trial, train, test, None, cfg.true_lambda))
     return rows
 
 

@@ -1,13 +1,15 @@
 """Scores of one fitted model on one held-out dataset.
 
-Occurrence is scored against the true event indicator in simulation mode
-and against the recorded indicator on real data; size metrics condition
-on the rows where an event (or a record) exists and compare against the
-model's conditional-mean prediction.  A model answers through its own
-occurrence_prob, recorded_prob, size_mean and coefficients methods, so
-this module knows no model class.  A test set with no size rows leaves
-the size metrics undefined: they are reported as None (an empty CSV
-cell), never as NaN.
+The test set decides what is scored.  One that holds the latent columns
+(Dataset.has_latent, simulated data) is scored against the true event
+indicator and sizes; one without them (real data, or a simulated set's
+observed_only() view) against the recorded indicator and sizes.  Size
+metrics condition on the rows where an event (or a record) exists and
+compare against the model's conditional-mean prediction.  A model
+answers through its own occurrence_prob, recorded_prob, size_mean and
+coefficients methods, so this module knows no model class.  A test set
+with no size rows leaves the size metrics undefined: they are reported
+as None (an empty CSV cell), never as NaN.
 """
 
 from __future__ import annotations
@@ -55,32 +57,29 @@ def evaluate_trial(
     test: Dataset,
     truth: tuple[np.ndarray, np.ndarray] | None = None,
     trial_id: int = 0,
-    mode: str = "auto",
 ) -> MetricsReport:
     """Score one model, reported as name, on one held-out dataset.
 
-    Simulation mode needs the latent columns: occurrence is scored on
+    A test set with latent columns is scored on the truth: occurrence on
     1{y > 0} over all rows with the model's occurrence_prob, and size on
-    the y > 0 rows against the true magnitudes.  Real-data mode scores
-    occurrence against 1{z > 0} with the model's recorded_prob, and size
-    on the z > 0 rows.  Size predictions are made _SIZE_BLOCK rows at a
-    time, so no whole copy of the size rows' features is made; when there
-    are none, mad, rmse_pred and smape are None.  smape lies in [0, 2];
-    a size row's outcome is positive, so none of its ratios is 0/0.  The
-    coefficient errors are l2 norms, not scaled by dimension, against
-    truth (beta0, theta0) in simulation mode; a truth whose length differs
-    from the model's raises ValueError, and so does an empty test set.
+    the y > 0 rows against the true magnitudes.  One without them is
+    scored on the record: occurrence against 1{z > 0} with the model's
+    recorded_prob, and size on the z > 0 rows.  Size predictions are made
+    _SIZE_BLOCK rows at a time, so no whole copy of the size rows'
+    features is made; when there are none, mad, rmse_pred and smape are
+    None.  smape lies in [0, 2]; a size row's outcome is positive, so
+    none of its ratios is 0/0.  The coefficient errors are l2 norms, not
+    scaled by dimension, against truth (beta0, theta0).  ValueError for
+    an empty test set, a truth given with a test set that has no latent
+    columns, or a truth whose length differs from the model's.
     """
     if test.n == 0:
         raise ValueError("the test set is empty: there is nothing to score")
-    if mode == "auto":
-        mode = "simulation" if test.has_latent else "observed"
-    if mode not in ("simulation", "observed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "simulation" and not test.has_latent:
-        raise ValueError("simulation-mode evaluation needs latent y")
+    latent = test.has_latent
+    if truth is not None and not latent:
+        raise ValueError("truth is compared only on a test set with latent columns y, u, r")
 
-    outcome = test.y if mode == "simulation" else test.z
+    outcome = test.y if latent else test.z
     events = outcome > 0
     labels = events.astype(float)
     size_idx = np.flatnonzero(events)
@@ -101,10 +100,10 @@ def evaluate_trial(
     # probability vector before the size loop made a process that repeats
     # `puomm evaluate` on 50,000 rows (perfbench's cli_io) fault ~1,900 fresh
     # pages per op (getrusage minor faults), ~4 ms; in this order it faults none.
-    probs = model.occurrence_prob(test.x) if mode == "simulation" else model.recorded_prob(test.x)
+    probs = model.occurrence_prob(test.x) if latent else model.recorded_prob(test.x)
 
     coef_errors = [None, None]
-    if truth is not None and mode == "simulation":
+    if truth is not None:
         for i, (est, true) in enumerate(zip(model.coefficients(), truth)):
             true = np.asarray(true, dtype=float)
             if est.shape != true.shape:

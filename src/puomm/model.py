@@ -41,6 +41,8 @@ from .special import expit, expit_pair, log_expit
 
 # Keeps log(1 - q) finite at extreme parameter values.
 _Q_MAX = 1.0 - 1e-15
+# The latent columns of simulated data, which a Dataset holds all together or not at all.
+LATENT_COLUMNS = ("y", "u", "r")
 
 
 def store_integer_fields(obj, names) -> None:
@@ -110,9 +112,9 @@ class DetectionParam:
     lambda_eps: float
 
     def __post_init__(self):
+        if not is_real_in(self.lambda_eps, 0, math.inf):
+            raise ValueError(f"lambda_eps must be a finite positive real, got {self.lambda_eps!r}")
         self.lambda_eps = float(self.lambda_eps)
-        if not np.isfinite(self.lambda_eps) or self.lambda_eps <= 0:
-            raise ValueError(f"lambda_eps must be a finite positive real, got {self.lambda_eps}")
 
 
 @dataclass(eq=False)
@@ -130,12 +132,13 @@ class Dataset:
     and hashes by identity.  x may be shared with other datasets: while a
     simulated design is alive, make_datasets returns that same array for
     every setting and n value of its trial.
-    Latent columns (y, u, r) are present only for simulated data and are
-    consumed exclusively by oracle fitting and evaluation code.  x and z
-    must be finite and z nonnegative, and every column must have n
-    entries; a violation raises ValueError naming the first bad row or
-    the column.  Each check scans the whole array once, and the first
-    bad row is located only when that scan fails.
+    Latent columns (y, u, r) are given all together or not at all
+    (has_latent), only for simulated data, and are consumed exclusively
+    by oracle fitting and evaluation code.  x and z must be finite and z
+    nonnegative, and every column must have n entries; a violation
+    raises ValueError naming the first bad row or the column.  Each
+    check scans the whole array once, and the first bad row is located
+    only when that scan fails.
     """
 
     x: np.ndarray
@@ -159,13 +162,14 @@ class Dataset:
         if (self.z < 0).any():
             bad = int(np.argmax(self.z < 0))
             raise ValueError(f"z must be nonnegative (row {bad})")
-        for name in ("y", "u", "r"):
-            col = getattr(self, name)
-            if col is not None:
-                col = np.asarray(col, dtype=float)
-                if col.shape != (self.n,):
-                    raise ValueError(f"{name} must be a length-n vector (n={self.n}), got shape {col.shape}")
-                setattr(self, name, col)
+        given = [name for name in LATENT_COLUMNS if getattr(self, name) is not None]
+        if 0 < len(given) < len(LATENT_COLUMNS):
+            raise ValueError(f"latent columns y, u, r are given together or not at all, got only {given}")
+        for name in given:
+            col = np.asarray(getattr(self, name), dtype=float)
+            if col.shape != (self.n,):
+                raise ValueError(f"{name} must be a length-n vector (n={self.n}), got shape {col.shape}")
+            setattr(self, name, col)
         for col in (self.x, self.z, self.y, self.u, self.r):
             if col is not None:
                 col.flags.writeable = False
@@ -180,7 +184,7 @@ class Dataset:
 
     @property
     def has_latent(self) -> bool:
-        return self.y is not None and self.u is not None
+        return self.y is not None
 
     @functools.cached_property
     def _row_split(self) -> tuple[np.ndarray, ...]:
@@ -203,13 +207,8 @@ class Dataset:
         return Dataset(x=self.x, z=self.z)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            x=self.x[idx],
-            z=self.z[idx],
-            y=None if self.y is None else self.y[idx],
-            u=None if self.u is None else self.u[idx],
-            r=None if self.r is None else self.r[idx],
-        )
+        latent = {name: getattr(self, name)[idx] for name in LATENT_COLUMNS} if self.has_latent else {}
+        return Dataset(x=self.x[idx], z=self.z[idx], **latent)
 
     def with_intercept(self) -> "Dataset":
         """Prepend a constant-1 feature column."""
@@ -218,7 +217,7 @@ class Dataset:
 
     def latent_mismatch(self) -> tuple[int, str] | None:
         """The first row breaking u = 1{y > 0} or z = y*r, with the rule it breaks."""
-        if self.y is None or self.u is None or self.r is None:
+        if not self.has_latent:
             raise ValueError("latent columns y, u, r are required")
         bad_u = self.u != (self.y > 0)
         bad = np.flatnonzero(bad_u | (self.z != self.y * self.r))

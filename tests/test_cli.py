@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import puomm
 from puomm import cli, dataio, experiment, simulate
 from puomm.cli import build_parser, main
 from puomm.dataio import read_model_json, write_dataset_csv, write_model_json
@@ -663,6 +666,8 @@ _SIM_CONFIG = {
         ({"grid_size": 3}, "grid_size"),
         ({"tol": 1e-3}, "tol"),
         ({"grid_size": 3, "grid": {"size": 7}, "tol": 1e-3, "fit": {"tol": 1e-5}}, "['grid_size', 'tol']"),
+        # n_values and base_seed would replace a settings entry's n and seed
+        ({"settings": [{"setting": "correct", "seed": 5, "n": 50}]}, "unknown keys ['n', 'seed'] in settings[0]"),
     ],
 )
 def test_experiment_config_unknown_key_is_an_error(tmp_path, capsys, change, key):
@@ -793,6 +798,8 @@ def test_experiment_config_that_is_not_a_json_object_is_an_error(tmp_path, capsy
 
 _REAL, _SCALE = "must be a finite positive real, got", "must be positive and finite, got"
 _REAL_DATA = {"mode": "real_data", "input_csv": "unused.csv"}
+# n_values and base_seed set each entry's n and seed
+_ENTRY_KEYS = "expected some of ['lambda_eps_true', 'n_test', 'p', 'param_scale', 'rho', 'setting', 'tau']"
 
 
 @pytest.mark.parametrize(
@@ -808,9 +815,9 @@ _REAL_DATA = {"mode": "real_data", "input_csv": "unused.csv"}
         ({"fit": {"max_iter": True}}, "fit: max_iter must be an integer, got True"),
         ({"true_lambda": True}, f"true_lambda {_REAL} True"),
         ({"n_values": [True]}, "n_values must be integers >= 1, got [True]"),
-        ({"settings": [{"setting": "correct", "n": True}]}, "settings[0]: n must be an integer, got True"),
+        ({"settings": [{"setting": "correct", "n": True}]}, f"unknown keys ['n'] in settings[0]; {_ENTRY_KEYS}"),
         ({"settings": [{"setting": "correct", "p": True}]}, "settings[0]: p must be an integer, got True"),
-        ({"settings": [{"setting": "correct", "seed": True}]}, "settings[0]: seed must be an integer, got True"),
+        ({"settings": [{"setting": "correct", "seed": True}]}, f"unknown keys ['seed'] in settings[0]; {_ENTRY_KEYS}"),
         ({"settings": [{"setting": "correct", "n_test": True}]}, "settings[0]: n_test must be an integer, got True"),
         ({"settings": [{"setting": "correct", "rho": False}]}, "settings[0]: rho must lie in (-1, 1), got False"),
         ({"settings": [{"setting": "correct", "rho": "0.2"}]}, "settings[0]: rho must lie in (-1, 1), got '0.2'"),
@@ -820,11 +827,14 @@ _REAL_DATA = {"mode": "real_data", "input_csv": "unused.csv"}
         ({"settings": [{"setting": "correct", "param_scale": math.inf}]}, f"settings[0]: param_scale {_SCALE} inf"),
         ({**_REAL_DATA, "split_fraction": True}, "split_fraction must lie in (0, 1), got True"),
         ({**_REAL_DATA, "split_fraction": "0.9"}, "split_fraction must lie in (0, 1), got '0.9'"),
+        # the string "false" is truthy, so it would turn the intercept on
+        ({"add_intercept": "false"}, "add_intercept must be true, false or null, got 'false'"),
+        ({"add_intercept": 0}, "add_intercept must be true, false or null, got 0"),
     ],
     ids=[
         "trials", "base_seed", "grid_size", "grid_lo", "grid_hi", "tol", "radius", "max_iter", "true_lambda",
         "n_values", "n", "p", "seed", "n_test", "rho", "rho_text", "lambda_eps_true", "tau", "param_scale",
-        "param_scale_inf", "split_fraction", "split_fraction_text",
+        "param_scale_inf", "split_fraction", "split_fraction_text", "add_intercept_text", "add_intercept_number",
     ],
 )
 def test_experiment_config_rejects_a_bool_or_an_infinite_scale(change, message):
@@ -930,14 +940,73 @@ def test_fit_options_left_out_take_the_defaults_of_make_lambda_grid_and_fit_conf
     assert fit_given == FitConfig(radius=4.0, max_iter=7)
 
 
-@pytest.mark.parametrize("method", ["pu_omm", "oracle"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 def test_fit_checks_its_grid_and_solver_options_before_reading_the_data(tmp_path, capsys, method):
-    # the options are built into a LambdaGrid and a FitConfig for every method, so a bad one is never ignored
+    # the options are built into a LambdaGrid, a FitConfig and a DetectionParam for every method,
+    # so a bad one is never ignored
     missing = str(tmp_path / "missing.csv")
     for option, message in ((["--grid-size", "1"], "grid needs at least 2 points, got 1"),
-                            (["--tol", "0"], "tol must be a finite positive real, got 0.0")):
-        assert main(["fit", "--data", missing, "--method", method, *option, "--out", str(tmp_path / "m.json")]) == 1
+                            (["--tol", "0"], "tol must be a finite positive real, got 0.0"),
+                            (["--lambda-eps", "-1"], "lambda_eps must be a finite positive real, got -1.0"),
+                            (["--lambda-eps", "nan"], "lambda_eps must be a finite positive real, got nan")):
+        rate = [] if "--lambda-eps" in option else ["--lambda-eps", "0.5"]  # pu_omm_true_lambda needs one
+        argv = ["fit", "--data", missing, "--method", method, *rate, *option, "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"grid": {"size": 3}}, "grid must be a LambdaGrid, got {'size': 3}"),
+        ({"grid": [0.1, 1.0]}, "grid must be a LambdaGrid, got [0.1, 1.0]"),
+        ({"fit": {"tol": 1e-3}}, "fit must be a FitConfig, got {'tol': 0.001}"),
+        ({"fit": None}, "fit must be a FitConfig, got None"),
+    ],
+    ids=["grid_dict", "grid_list", "fit_dict", "fit_none"],
+)
+def test_an_experiment_config_built_in_python_names_a_grid_or_fit_of_the_wrong_type(tmp_path, change, message):
+    # accepted, it would only show up as a failed cell in every trial
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(mode="simulation", methods=["pu_omm"], trials=1, base_seed=0, output_dir=str(tmp_path),
+                         settings=[SimConfig(setting="correct", n=50)], n_values=[50], **change)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("beta0", [1, True, 0.5]), ("theta0", ["0.5", 2, 1.0]), ("beta0", [1.0, None, 0.5]), ("theta0", 0.5)],
+    ids=["beta0_bool", "theta0_text", "beta0_null", "theta0_number"],
+)
+def test_evaluate_reads_the_truth_json_by_the_model_json_rule(tmp_path, capsys, key, value):
+    main(["simulate", "--setting", "correct", "--n", "100", "--p", "3",
+          "--n-test", "50", "--seed", "4", "--out", str(tmp_path)])
+    model, out = tmp_path / "model.json", tmp_path / "metrics.csv"
+    assert main(["fit", "--data", str(tmp_path / "train.csv"), "--method", "logistic_gamma", "--out", str(model)]) == 0
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta[key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    argv = ["evaluate", "--model", str(model), "--data", str(tmp_path / "test.csv"), "--out", str(out)]
+    assert main([*argv, "--truth", str(tmp_path / "bad.json")]) == 1
+    message = f"{key} must be an array of finite numbers, got {value!r}"
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_evaluate_rejects_a_truth_for_a_test_set_read_without_latent_columns(tmp_path, capsys):
+    # observed scoring has no coefficients to compare, so the truth would be dropped without a word
+    main(["simulate", "--setting", "correct", "--n", "100", "--p", "3",
+          "--n-test", "50", "--seed", "4", "--out", str(tmp_path)])
+    model, out = tmp_path / "model.json", tmp_path / "metrics.csv"
+    assert main(["fit", "--data", str(tmp_path / "train.csv"), "--method", "logistic_gamma", "--out", str(model)]) == 0
+    argv = ["evaluate", "--model", str(model), "--data", str(tmp_path / "test.csv"), "--out", str(out)]
+    capsys.readouterr()
+    assert main([*argv, "--mode", "observed", "--truth", str(tmp_path / "meta.json")]) == 1
+    message = "truth is compared only on a test set with latent columns y, u, r"
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+    assert main([*argv, "--mode", "observed"]) == 0
+    assert main([*argv, "--mode", "simulation", "--truth", str(tmp_path / "meta.json")]) == 0
 
 
 def test_every_experiment_config_in_the_readme_is_valid(tmp_path):
@@ -947,3 +1016,19 @@ def test_every_experiment_config_in_the_readme_is_valid(tmp_path):
     assert configs
     for config in configs:
         ExperimentConfig.from_dict({**config, "output_dir": str(tmp_path)})
+
+
+def test_every_signature_in_the_readme_matches_the_code():
+    # each backticked name(...) whose name puomm exports is read as a def's parameter list
+    readme = (ROOT / "README.md").read_text()
+    spans = [(name, params) for name, params in re.findall(r"`(\w+)\(([^`]*)\)`", readme) if name in puomm.__all__]
+    assert spans
+    for name, params in spans:
+        args = ast.parse(f"def f({params}): pass").body[0].args
+        documented = [a.arg for a in args.args]
+        defaults = [ast.literal_eval(d) for d in args.defaults]
+        documented_defaults = dict(zip(documented[len(documented) - len(defaults):], defaults))
+        actual = inspect.signature(getattr(puomm, name)).parameters
+        assert documented == list(actual), f"README's {name} lists {documented}"
+        for key, param in actual.items():
+            assert documented_defaults.get(key, inspect.Parameter.empty) == param.default, f"{name}: {key}"

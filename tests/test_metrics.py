@@ -36,7 +36,7 @@ def _score(outcome, probs, yhat=None, truth=None, coefs=(np.zeros(1), np.zeros(1
     y = np.asarray(outcome, dtype=float)
     test = Dataset(x=np.arange(y.size, dtype=float)[:, None], z=y, y=y, u=(y > 0).astype(float), r=np.ones(y.size))
     model = _Given(probs, np.ones(y.size) if yhat is None else yhat, coefs)
-    return evaluate_trial("m", model, test, truth=truth, mode="simulation")
+    return evaluate_trial("m", model, test, truth=truth)
 
 
 def test_rmse_params_zero_and_hand_value():
@@ -156,15 +156,25 @@ def test_evaluate_trial_observed_mode_skips_truth_metrics():
     z = np.where(rng.random(100) < 0.4, rng.exponential(1.0, 100), 0.0)
     test = Dataset(x=x, z=z)
     model = pu_model([0.1, 0.1], [0.2, -0.2])
-    rep = evaluate_trial("m", model, test, truth=(np.zeros(2), np.zeros(2)))
+    rep = evaluate_trial("m", model, test)
     assert rep.rmse_beta is None and rep.rmse_theta is None
     assert rep.n_eval_size == int((z > 0).sum())
 
 
-def test_evaluate_trial_missing_latent_raises():
-    test = Dataset(x=np.ones((5, 1)), z=np.zeros(5))
-    with pytest.raises(ValueError):
-        evaluate_trial("m", pu_model([0.0], [0.0]), test, mode="simulation")
+def test_a_truth_is_compared_only_on_a_test_set_with_latent_columns():
+    # a simulated set is scored on its truth; its observed_only() view on the record, where a truth is an error
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((60, 2))
+    y = np.where(rng.random(60) < 0.6, rng.exponential(1.0, 60), 0.0)
+    r = (rng.random(60) < 0.5).astype(float)
+    test = Dataset(x=x, z=y * r, y=y, u=(y > 0).astype(float), r=r)
+    model, truth = pu_model([0.1, 0.1], [0.2, -0.2], lam=0.3), (np.zeros(2), np.zeros(2))
+    assert evaluate_trial("m", model, test).n_eval_size == int((y > 0).sum())
+    observed = evaluate_trial("m", model, test.observed_only())
+    assert observed.n_eval_size == int((y * r > 0).sum())
+    assert observed.brier == float(np.mean((model.recorded_prob(x) - (y * r > 0)) ** 2))
+    with pytest.raises(ValueError, match="^truth is compared only on a test set with latent columns y, u, r$"):
+        evaluate_trial("m", model, test.observed_only(), truth=truth)
 
 
 def test_metrics_report_csv_row_roundtrip(tmp_path):
@@ -194,7 +204,7 @@ def test_evaluate_trial_leaves_size_metrics_blank_without_size_rows(mode, tmp_pa
         "tp": TwoPartModel(np.zeros(2), np.zeros(2), "lognormal", aux=1.0),
     }
     for name, model in models.items():
-        rep = evaluate_trial(name, model, test, truth=truth, mode=mode)
+        rep = evaluate_trial(name, model, test, truth=truth)
         assert (rep.mad, rep.rmse_pred, rep.smape) == (None, None, None)
         assert rep.n_eval_size == 0 and rep.n_eval == 40
         assert 0.0 <= rep.brier <= 1.0
@@ -203,12 +213,12 @@ def test_evaluate_trial_leaves_size_metrics_blank_without_size_rows(mode, tmp_pa
         assert row["mad"] == row["rmse_pred"] == row["smape"] == ""
 
 
-def reference_evaluate_trial(name, model, test, truth, mode) -> MetricsReport:
+def reference_evaluate_trial(name, model, test, truth) -> MetricsReport:
     """evaluate_trial written with boolean-mask row selection and one size prediction over all size rows."""
-    outcome = test.y if mode == "simulation" else test.z
+    outcome = test.y if test.has_latent else test.z
     mask = outcome > 0
     labels = mask.astype(float)
-    probs = model.occurrence_prob(test.x) if mode == "simulation" else model.recorded_prob(test.x)
+    probs = model.occurrence_prob(test.x) if test.has_latent else model.recorded_prob(test.x)
     size = dict.fromkeys(("mad", "rmse_pred", "smape"))
     if mask.any():
         y, yhat = outcome[mask], model.size_mean(test.x[mask])
@@ -248,9 +258,7 @@ def test_evaluate_trial_matches_the_boolean_mask_reference(data, mode):
     truth = (coef(), coef()) if mode == "simulation" else None
     for name, model in models.items():
         # dataclass equality compares every float exactly
-        assert evaluate_trial(name, model, test, truth=truth, mode=mode) == reference_evaluate_trial(
-            name, model, test, truth, mode
-        )
+        assert evaluate_trial(name, model, test, truth=truth) == reference_evaluate_trial(name, model, test, truth)
 
 
 @pytest.mark.parametrize("mode", ["simulation", "observed"])
@@ -263,6 +271,8 @@ def test_evaluate_trial_matches_the_reference_across_size_blocks(mode):
     y = np.where(rng.random(n) < 0.7, rng.exponential(2.0, n), 0.0)
     r = (rng.random(n) < 0.8).astype(float)
     test = Dataset(x=x, z=y * r, y=y, u=(y > 0).astype(float), r=r)
+    if mode == "observed":
+        test = test.observed_only()
     models = {
         "pu": pu_model(rng.standard_normal(p) * 0.3, rng.standard_normal(p) * 0.3, lam=0.4),
         "gamma": TwoPartModel(rng.standard_normal(p) * 0.3, rng.standard_normal(p) * 0.3, "gamma", aux=1.5),
@@ -270,6 +280,6 @@ def test_evaluate_trial_matches_the_reference_across_size_blocks(mode):
     }
     truth = (np.zeros(p), np.zeros(p)) if mode == "simulation" else None
     for name, model in models.items():
-        got = evaluate_trial(name, model, test, truth=truth, mode=mode)
+        got = evaluate_trial(name, model, test, truth=truth)
         assert got.n_eval_size > metrics._SIZE_BLOCK
-        assert got == reference_evaluate_trial(name, model, test, truth, mode)
+        assert got == reference_evaluate_trial(name, model, test, truth)

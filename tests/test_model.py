@@ -132,6 +132,14 @@ def test_detection_prob_monotone_and_rejects_negative():
         apply_missingness(np.array([-0.1]), Setting.CORRECT, 0.7, 3.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("value", [True, "0.3", 0, -1.0, math.nan, math.inf, None])
+def test_a_detection_rate_is_a_finite_positive_real(value):
+    # the rule of true_lambda and the grid bounds: a bool or a string is not a number
+    with pytest.raises(ValueError, match=f"^{re.escape(f'lambda_eps must be a finite positive real, got {value!r}')}$"):
+        DetectionParam(value)
+    assert DetectionParam(np.float64(0.3)).lambda_eps == 0.3 and type(DetectionParam(2).lambda_eps) is float
+
+
 def test_phi_hand_value():
     # 0.24 / (0.24 + 1) at x.beta = 0
     assert phi(np.zeros(3), np.zeros(3), DetectionParam(0.24)) == pytest.approx(0.24 / 1.24, abs=1e-15)
@@ -585,7 +593,7 @@ def test_every_way_of_building_a_dataset_gives_arrays_that_refuse_writes(rng):
 
 def test_a_callers_float_array_becomes_read_only_and_a_converted_one_stays_writable(rng):
     x, z, counts = rng.standard_normal((5, 2)), np.zeros(5), np.arange(5)
-    ds = Dataset(x=x, z=z, y=counts)
+    ds = Dataset(x=x, z=z, y=counts, u=np.zeros(5), r=np.zeros(5))
     assert ds.x is x and ds.z is z  # float64 arrays are taken without a copy
     with pytest.raises(ValueError, match="read-only"):
         z[0] = 1.0
@@ -596,6 +604,17 @@ def test_a_callers_float_array_becomes_read_only_and_a_converted_one_stays_writa
     with pytest.raises(ValueError, match="nonnegative"):
         Dataset(x=np.zeros((2, 1)), z=bad)
     bad[1] = 1.0  # a rejected array is left as it was
+
+
+@pytest.mark.parametrize("names", [("y",), ("y", "u"), ("u", "r"), ("r",)], ids=["y", "y_u", "u_r", "r"])
+def test_latent_columns_are_given_all_together_or_not_at_all(names):
+    # a partial set would be dropped by the CSV writer and read by nothing, so it is refused
+    n = 4
+    latent = {name: np.zeros(n) for name in names}
+    with pytest.raises(ValueError, match=re.escape(f"y, u, r are given together or not at all, got only {list(names)}")):
+        Dataset(x=np.zeros((n, 1)), z=np.zeros(n), **latent)
+    full = Dataset(x=np.zeros((n, 1)), z=np.zeros(n), y=np.zeros(n), u=np.zeros(n), r=np.zeros(n))
+    assert full.has_latent and not full.observed_only().has_latent and full.subset([0, 2]).has_latent
 
 
 def test_datasets_compare_by_identity(rng):
