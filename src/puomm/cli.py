@@ -101,7 +101,7 @@ def cmd_fit(args) -> int:
     grid = make_lambda_grid(**_given(args, "grid"))
     fit_cfg = FitConfig(**_given(args, "fit"))
     if args.lambda_eps is not None:
-        DetectionParam(args.lambda_eps)  # a bad rate fails before the data is read, whatever the method
+        DetectionParam(args.lambda_eps)  # a bad rate fails before the data is read
     schema = "simulated" if args.method in LATENT_METHODS else "observed_only"
     data = dataio.ingest_csv(args.data, schema=schema)
     if args.add_intercept:
@@ -150,8 +150,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fit" and args.method == "pu_omm_true_lambda" and args.lambda_eps is None:
-        parser.error("fit --method pu_omm_true_lambda needs --lambda-eps")
+    if args.command == "fit" and (args.method == "pu_omm_true_lambda") == (args.lambda_eps is None):
+        # the rate is read by pu_omm_true_lambda alone, so any other method would ignore it
+        need = "needs" if args.lambda_eps is None else "takes no"
+        parser.error(f"fit --method {args.method} {need} --lambda-eps")
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:

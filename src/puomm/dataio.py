@@ -18,11 +18,13 @@ of the file through a small reused mask.  When that parse fails or
 miscounts, a csv.reader row loop reads the file again a row at a time,
 into a table preallocated from the line count: it accepts what float()
 accepts and loadtxt does not (quoted cells, "1_0"), and otherwise names
-the first bad line.  Rejected, each with the 1-based line its row ends
-on: blank lines and rows whose cell count differs from the header's;
-non-numeric, NaN or infinite cells in a column the schema reads;
-negative z; and, under the simulated schema, rows breaking u = 1{y > 0}
-or z = y*r.
+the first malformed line: a blank line, a row whose cell count differs
+from the header's, or a non-numeric cell in a column the schema reads.
+The values are checked only by the Dataset built from the columns read
+(see model.Dataset), whose RowError "row i: rule" ingest_csv reports as
+"path: line L: rule", L the 1-based line the row ends on.  The row loop
+builds that Dataset from the rows before a malformed line, so the first
+bad line in the file is the one named.
 
 ``puomm simulate`` also writes a table sidecar beside each dataset CSV
 (``train.csv`` -> ``train.csv.table``), with the CSV's permission bits:
@@ -33,17 +35,16 @@ lines, and reads the sidecar instead of parsing only when the digest
 matches and the payload is a C-order little-endian float64 array of one
 row per data line and one column per header cell.  Any other sidecar,
 or none, means the CSV is parsed, so an edited CSV is parsed again and
-deleting a sidecar is always safe.  The same value checks run either
-way, and ingest_csv never writes a file.
+deleting a sidecar is always safe.  The same Dataset checks the values
+either way, and ingest_csv never writes a file.
 
 Tables move ``_BLOCK_ROWS`` rows at a time in both directions, so no
 whole-table copy is held beside the dataset being written or read.  The
 sidecar writer writes the array header and then each block's bytes.
-The reader reads the payload a block at a time into one buffer; the
-parse paths' one table is cut into blocks of the same size.  Each block's
-read columns are copied into a C-contiguous x and one vector per other
-column, and its values are checked with the block's row offset, so an
-error names the line it would name for the whole table.
+The sidecar reader reads the payload a block at a time into one buffer
+and copies each block's read columns into a C-contiguous x and one
+vector per other column; the parse paths copy their one parsed table
+the same way, as a single block.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 
 from .baselines import TwoPartModel
 from .metrics import CSV_COLUMNS, MetricsReport
-from .model import LATENT_COLUMNS, Dataset, ParamPair, is_real_in, store_integer_fields
+from .model import LATENT_COLUMNS, Dataset, ParamPair, RowError, is_real_in, store_integer_fields
 from .optimizer import FitResult
 from .selection import PuOmmModel
 from .simulate import SimOutput
@@ -213,7 +214,7 @@ def _read_sidecar(path: Path, digest: bytes, shape: tuple[int, int], idx: list[i
                 yield block
 
         try:
-            return _split_columns(path, blocks(), rows, idx, p)
+            return _split_columns(blocks(), rows, idx, p)
         except (OSError, EOFError):
             return None
 
@@ -294,36 +295,12 @@ def _line(row: int) -> int:
     return row + 2  # the line of a table row when the header and every row take one line each
 
 
-def _check_values(path: Path, x: np.ndarray, cols, start: int = 0, line=_line) -> None:
-    """Raise at the first row holding NaN or +-inf in x or cols, or a negative z.
-
-    x holds a block of feature rows and cols the block's other read
-    columns, z first; start is the table row of the block's first row, and
-    line(row) the line of a table row.  One scan of the block decides;
-    rows are located only when it fails.
-    """
-    z = cols[0]
-    if np.isfinite(x).all() and all(np.isfinite(col).all() for col in cols) and not (z < 0).any():
-        return
-    finite = np.isfinite(x).all(axis=1)
-    for col in cols:
-        finite &= np.isfinite(col)
-    bad = np.flatnonzero(~finite | (z < 0))
-    i = int(bad[0])
-    if not finite[i]:
-        raise ValueError(f"{path}: line {line(start + i)}: non-finite cell")
-    raise ValueError(f"{path}: line {line(start + i)}: z must be nonnegative, got {z[i]}")
-
-
-def _split_columns(
-    path: Path, blocks, rows: int, idx: list[int], p: int, line=_line
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _split_columns(blocks, rows: int, idx: list[int], p: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """C-contiguous x from columns idx[:p] and one vector per column of idx[p:], z first.
 
     blocks yields the table's rows in order, rows in all, a block at a
-    time.  Each block is copied into the result and its values checked, so
-    a bad value raises naming the line(row) it would for the whole table,
-    and no whole-table copy is made.
+    time.  Each block is copied into the result, so no whole-table copy
+    is made beside it.
     """
     x = np.empty((rows, p))
     cols = [np.empty(rows) for _ in idx[p:]]
@@ -333,23 +310,32 @@ def _split_columns(
         np.take(block, idx[:p], axis=1, out=x[start:stop], mode="clip")  # not "raise", which buffers out
         for col, j in zip(cols, idx[p:]):
             col[start:stop] = block[:, j]
-        _check_values(path, x[start:stop], [col[start:stop] for col in cols], start, line)
         start = stop
     return x, cols
 
 
-def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], p: int):
+def _dataset(path: Path, x: np.ndarray, cols, names: list[str], line) -> Dataset:
+    """The Dataset of x and cols, named names; a row breaking its row rule raises naming line(row) of path."""
+    try:
+        return Dataset(x=x, **dict(zip(names, cols)))
+    except RowError as exc:
+        raise ValueError(f"{path}: line {line(exc.row)}: {exc.rule}") from None
+
+
+def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], names: list[str]):
     """Row-by-row parse of columns idx, and the map from its rows to their lines; raises at the first bad line.
 
     Used when the single-call parse fails or miscounts rows.  It accepts
     whatever float() does (quoted cells, "1_0") and otherwise names the
-    first malformed line, unless an earlier line holds a bad value.  The
+    first malformed line, unless a row before it breaks the Dataset row
+    rule over the columns names (the last len(names) of idx).  The
     rows are read one at a time into a table of records rows, the count
     of lines after the header: csv.reader gives at most one row per line,
     and fewer when a quoted cell spans lines, so the table is trimmed to
     the rows read.  A row's line is the one csv.reader ends it on.
     """
     table = np.empty((records, len(idx)))
+    p = len(idx) - len(names)
     rows = 0
     shifts = [(0, 2)]  # (k, s): from row k on, up to the next pair's k, each row ends on line row + s
 
@@ -371,7 +357,7 @@ def _parse_rows(path: Path, records: int, n_cells: int, idx: list[int], p: int):
                     continue
                 except ValueError:
                     err = "non-numeric cell"
-            _check_values(path, table[:rows, :p], table[:rows, p:].T, line=line)
+            _dataset(path, table[:rows, :p], table[:rows, p:].T, names, line)
             raise ValueError(f"{path}: line {reader.line_num}: {err}")
     return table[:rows], line
 
@@ -382,10 +368,10 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
     The observed_only schema needs the feature columns x_1..x_p and z and
     ignores any latent columns present; the simulated schema additionally
     requires y, u, r; auto reads the file as simulated exactly when its
-    header names y, u and r.  Malformed or non-finite cells, negative z
-    and, under the simulated schema, rows breaking u = 1{y > 0} or
-    z = y*r raise with the offending 1-based line number.  A header that
-    names a column twice raises too.  The cells come from the CSV's table
+    header names y, u and r.  The first malformed line, or row breaking
+    the Dataset row rule over the columns read, raises ValueError
+    "path: line L: ..." with its 1-based line.  A header that names a
+    column twice raises too.  The cells come from the CSV's table
     sidecar when its digest matches the file (see the module docstring).
     """
     if schema not in ("observed_only", "simulated", "auto"):
@@ -406,18 +392,11 @@ def ingest_csv(path: str | Path, schema: str = "observed_only") -> Dataset:
     line = _line
     if columns is None:
         if table is None:  # blank lines, ragged rows, cells loadtxt cannot read: locate or accept row by row
-            (table, line), idx = _parse_rows(path, records, len(header), idx, p), list(range(len(idx)))
-        blocks = (table[start : start + _BLOCK_ROWS] for start in range(0, len(table), _BLOCK_ROWS))
-        columns = _split_columns(path, blocks, len(table), idx, p, line)
+            (table, line), idx = _parse_rows(path, records, len(header), idx, needed[p:]), list(range(len(idx)))
+        columns = _split_columns([table], len(table), idx, p)
         del table  # not needed beside the dataset built from columns
     x, cols = columns
-    ds = Dataset(x=x, **dict(zip(needed[p:], cols)))
-    if simulated:
-        bad = ds.latent_mismatch()
-        if bad is not None:
-            row, rule = bad
-            raise ValueError(f"{path}: line {line(row)}: {rule}")
-    return ds
+    return _dataset(path, x, cols, needed[p:], line)
 
 
 def _json_dump(obj, path: str | Path) -> None:
@@ -437,7 +416,7 @@ def write_sim_meta(sim: SimOutput, path: str | Path) -> None:
 
 
 def read_sim_meta(path: str | Path) -> dict:
-    """The write_sim_meta object, beta0 and theta0 read by the model JSON's rule for coefficients."""
+    """The write_sim_meta object, beta0 and theta0 read by the model JSON's rules for keys and coefficients."""
     with open(path) as fh:
         meta = json.load(fh)
     meta["beta0"], meta["theta0"] = _coefficients(meta, "beta0"), _coefficients(meta, "theta0")
@@ -492,8 +471,18 @@ def model_to_dict(model, method: str) -> dict:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _checked(key: str, value, ok, what: str):
-    """value, read from a model JSON's key, when ok accepts it; otherwise a ValueError naming the key."""
+_REQUIRED = object()
+
+
+def _key(d, key: str, ok=lambda value: True, what: str = "", default=_REQUIRED):
+    """d[key] when ok accepts it, or default when d lacks key; any other document is a ValueError naming key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object holding {key!r}, got {d!r}")
+    if key not in d:
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    value = d[key]
     if not ok(value):
         raise ValueError(f"{key} must be {what}, got {value!r}")
     return value
@@ -516,42 +505,41 @@ def _array_of(ok):
 
 
 def _coefficients(d: dict, key: str) -> np.ndarray:
-    return np.asarray(_checked(key, d[key], _array_of(_finite), "an array of finite numbers"), dtype=float)
+    return np.asarray(_key(d, key, _array_of(_finite), "an array of finite numbers"), dtype=float)
 
 
 def model_from_dict(d: dict):
     """The model that a model_to_dict object describes.
 
-    A value of the wrong JSON type is a ValueError naming its key, never
-    converted: numbers must be JSON numbers (not strings or booleans),
-    converged a boolean, iterations an integer and flags an array of
-    strings.  A grid point's Brier score and a Gamma aux may be +inf.
+    A document that is not a JSON object, a missing key or a value of
+    the wrong JSON type is a ValueError naming the key, never converted:
+    numbers must be JSON numbers (not strings or booleans), converged a
+    boolean, iterations an integer and flags an array of strings.  A
+    grid point's Brier score and a Gamma aux may be +inf.
     """
-    kind = d.get("kind")
+    kind = _key(d, "kind")
     if kind == "pu_omm":
         res = FitResult(
             omega_hat=ParamPair(beta=_coefficients(d, "beta"), theta=_coefficients(d, "theta")),
-            converged=_checked("converged", d["converged"], lambda v: isinstance(v, bool), "true or false"),
-            iterations=d["iterations"],
-            final_loss=float(_checked("final_loss", d["final_loss"], _finite, "a finite number")),
+            converged=_key(d, "converged", lambda v: isinstance(v, bool), "true or false"),
+            iterations=_key(d, "iterations"),
+            final_loss=float(_key(d, "final_loss", _finite, "a finite number")),
         )
         store_integer_fields(res, ("iterations",))
-        lam = _checked("lambda_hat", d["lambda_hat"], lambda v: is_real_in(v, 0, math.inf), "a finite positive number")
-        scores = _checked(
-            "selection_scores", d["selection_scores"], _array_of(_is_score), "an array of [lambda, brier] pairs"
-        )
+        lam = _key(d, "lambda_hat", lambda v: is_real_in(v, 0, math.inf), "a finite positive number")
+        scores = _key(d, "selection_scores", _array_of(_is_score), "an array of [lambda, brier] pairs")
         return PuOmmModel(
             lambda_hat=float(lam),
             fit=res,
             selection_scores=[(float(a), float(b)) for a, b in scores],
         )
     if kind == "two_part":
-        aux = _checked("aux", d.get("aux"), lambda v: v is None or v == math.inf or _finite(v), "a number or null")
-        flags = _checked("flags", d.get("flags", []), _array_of(lambda f: isinstance(f, str)), "an array of strings")
+        aux = _key(d, "aux", lambda v: v is None or v == math.inf or _finite(v), "a number or null", None)
+        flags = _key(d, "flags", _array_of(lambda f: isinstance(f, str)), "an array of strings", [])
         return TwoPartModel(
             occurrence_coef=_coefficients(d, "occurrence_coef"),
             magnitude_coef=_coefficients(d, "magnitude_coef"),
-            magnitude_family=d["family"],
+            magnitude_family=_key(d, "family"),
             aux=None if aux is None else float(aux),
             flags=tuple(flags),
         )
@@ -566,7 +554,7 @@ def read_model_json(path: str | Path):
     """(model, method) from a model JSON; method is the file's stem for a hand-written JSON without one."""
     with open(path) as fh:
         d = json.load(fh)
-    return model_from_dict(d), str(d.get("method", Path(path).stem))
+    return model_from_dict(d), str(_key(d, "method", default=Path(path).stem))
 
 
 def csv_cell(value) -> str:

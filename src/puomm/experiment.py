@@ -107,6 +107,8 @@ class ExperimentConfig:
         for name, kind in (("grid", LambdaGrid), ("fit", FitConfig)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not is_real_in(self.split_fraction, 0, 1):
+            raise ValueError(f"split_fraction must lie in (0, 1), got {self.split_fraction!r}")
         if self.add_intercept is not None and not isinstance(self.add_intercept, bool):
             raise ValueError(f"add_intercept must be true, false or null, got {self.add_intercept!r}")
         if not self.methods:
@@ -125,8 +127,6 @@ class ExperimentConfig:
         else:
             if self.input_csv is None:
                 raise ValueError("real_data mode needs input_csv")
-            if not is_real_in(self.split_fraction, 0, 1):
-                raise ValueError(f"split_fraction must lie in (0, 1), got {self.split_fraction!r}")
             latent = [m for m in self.methods if m in LATENT_METHODS]
             if latent:
                 raise ValueError(f"the {latent[0]} method requires simulation mode (latent labels)")

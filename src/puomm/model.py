@@ -117,6 +117,17 @@ class DetectionParam:
         self.lambda_eps = float(self.lambda_eps)
 
 
+class RowError(ValueError):
+    """A Dataset row breaking the row rule: its 0-based index row and the words of the rule it breaks."""
+
+    def __init__(self, row: int, rule: str):
+        super().__init__(row, rule)
+        self.row, self.rule = row, rule
+
+    def __str__(self) -> str:
+        return f"row {self.row}: {self.rule}"
+
+
 @dataclass(eq=False)
 class Dataset:
     """Feature matrix x (one row per sample) with the observed magnitude column.
@@ -134,11 +145,14 @@ class Dataset:
     every setting and n value of its trial.
     Latent columns (y, u, r) are given all together or not at all
     (has_latent), only for simulated data, and are consumed exclusively
-    by oracle fitting and evaluation code.  x and z must be finite and z
-    nonnegative, and every column must have n entries; a violation
-    raises ValueError naming the first bad row or the column.  Each
-    check scans the whole array once, and the first bad row is located
-    only when that scan fails.
+    by oracle fitting and evaluation code.  Every column must have n
+    entries, or ValueError names the column.  Then one row rule holds
+    for every Dataset, however it was built: first, no row may hold a
+    non-finite cell in any column or a negative z; then, with latent
+    columns, every row has u = 1{y > 0} and z = y * r.  The first row
+    breaking the first part, or else the first breaking the second,
+    raises RowError, whose text is "row i: rule" (0-based i).
+    dataio.ingest_csv reports the same row as "path: line L: rule".
     """
 
     x: np.ndarray
@@ -154,14 +168,6 @@ class Dataset:
             raise ValueError("x must be an (n, p) matrix")
         if self.z.shape != (self.n,):
             raise ValueError("z must be a length-n vector")
-        for name, col in (("x", self.x), ("z", self.z)):
-            finite = np.isfinite(col)
-            if not finite.all():
-                row_ok = finite.all(axis=1) if col.ndim == 2 else finite
-                raise ValueError(f"{name} must be finite (row {int(np.argmin(row_ok))})")
-        if (self.z < 0).any():
-            bad = int(np.argmax(self.z < 0))
-            raise ValueError(f"z must be nonnegative (row {bad})")
         given = [name for name in LATENT_COLUMNS if getattr(self, name) is not None]
         if 0 < len(given) < len(LATENT_COLUMNS):
             raise ValueError(f"latent columns y, u, r are given together or not at all, got only {given}")
@@ -170,9 +176,27 @@ class Dataset:
             if col.shape != (self.n,):
                 raise ValueError(f"{name} must be a length-n vector (n={self.n}), got shape {col.shape}")
             setattr(self, name, col)
+        self._check_rows()
         for col in (self.x, self.z, self.y, self.u, self.r):
             if col is not None:
                 col.flags.writeable = False
+
+    def _check_rows(self) -> None:
+        """Raise RowError at the first row breaking the row rule, locating rows only when a column scan fails."""
+        z = self.z
+        cols = [col for col in (z, self.y, self.u, self.r) if col is not None]
+        if not (np.isfinite(self.x).all() and all(np.isfinite(col).all() for col in cols) and not (z < 0).any()):
+            finite = np.isfinite(self.x).all(axis=1)
+            for col in cols:
+                finite &= np.isfinite(col)
+            i = int(np.argmax(~finite | (z < 0)))
+            raise RowError(i, "non-finite cell" if not finite[i] else f"z must be nonnegative, got {z[i]}")
+        if self.has_latent:
+            bad_u = self.u != (self.y > 0)
+            bad = bad_u | (z != self.y * self.r)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise RowError(i, "u must equal 1{y > 0}" if bad_u[i] else "z must equal y * r")
 
     @property
     def n(self) -> int:
@@ -214,23 +238,6 @@ class Dataset:
         """Prepend a constant-1 feature column."""
         ones = np.ones((self.n, 1))
         return Dataset(x=np.hstack([ones, self.x]), z=self.z, y=self.y, u=self.u, r=self.r)
-
-    def latent_mismatch(self) -> tuple[int, str] | None:
-        """The first row breaking u = 1{y > 0} or z = y*r, with the rule it breaks."""
-        if not self.has_latent:
-            raise ValueError("latent columns y, u, r are required")
-        bad_u = self.u != (self.y > 0)
-        bad = np.flatnonzero(bad_u | (self.z != self.y * self.r))
-        if bad.size == 0:
-            return None
-        i = int(bad[0])
-        return i, "u must equal 1{y > 0}" if bad_u[i] else "z must equal y * r"
-
-    def validate_latent(self) -> None:
-        """Check the z = y*r bookkeeping on simulated data."""
-        bad = self.latent_mismatch()
-        if bad is not None:
-            raise ValueError(f"{bad[1]} rowwise (row {bad[0]})")
 
 
 def phi(x: np.ndarray, beta: np.ndarray, d: DetectionParam):

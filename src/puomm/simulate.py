@@ -237,6 +237,4 @@ def make_datasets(cfg: SimConfig) -> SimOutput:
         np.random.default_rng(test_children[1]),
         np.random.default_rng(test_children[2]),
     )
-    train.validate_latent()
-    test.validate_latent()
     return SimOutput(train=train, test=test, beta0=beta0, theta0=theta0, config=cfg)

@@ -159,22 +159,58 @@ def z_pattern_datasets(draw, latent=False):
 
 @st.composite
 def tables_with_bad_cells(draw):
-    """(x, z) with one to three cells set to NaN, +-inf or a negative z.
+    """(x, cols): a table breaking the Dataset row rule, cols holding z or z, y, u, r by name.
 
-    A negative value always lands in z, where it is the only place it is bad.
+    The latent columns, when drawn, keep u = 1{y > 0} and z = y * r.  Then
+    one to three cells go bad: NaN, +-inf or a negative z and, with the
+    latent columns, a flipped u or a z moved off y * r.  A negative value
+    always lands in z, where it is the only place it is bad.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, p = draw(st.integers(1, 20)), draw(st.integers(1, 4))
     x = rng.standard_normal((n, p))
-    z = np.where(rng.random(n) < 0.5, rng.exponential(1.0, n), 0.0)
+    y = np.where(rng.random(n) < 0.5, rng.exponential(1.0, n), 0.0)
+    cols = {"z": y}
+    if draw(st.booleans()):
+        r = (rng.random(n) < 0.5).astype(float)
+        cols = {"z": y * r, "y": y, "u": (y > 0).astype(float), "r": r}
+    breaks = [np.nan, np.inf, -np.inf, -1.5] + (["flip u", "move z"] if "y" in cols else [])
     for _ in range(draw(st.integers(1, 3))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p))
-        value = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.5]))
-        if j == p or value == -1.5:
-            z[i] = value
-        else:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p + len(cols) - 1))
+        value = draw(st.sampled_from(breaks))
+        if value == "flip u":
+            cols["u"][i] = float(not y[i] > 0)
+        elif value == "move z":
+            cols["z"][i] += 1.0
+        elif value == -1.5:
+            cols["z"][i] = value
+        elif j < p:
             x[i, j] = value
-    return x, z
+        else:
+            cols[list(cols)[j - p]][i] = value
+    return x, cols
+
+
+def reference_row_error(x: np.ndarray, cols: dict) -> tuple[int, str] | None:
+    """The first row breaking the Dataset row rule and the words of its rule, found one row at a time.
+
+    First a row holding a non-finite cell or a negative z; only when there
+    is none, the first row whose latent columns break u = 1{y > 0} or
+    z = y * r.
+    """
+    z = cols["z"]
+    for i in range(len(z)):
+        if not (np.isfinite(x[i]).all() and all(np.isfinite(col[i]) for col in cols.values())):
+            return i, "non-finite cell"
+        if z[i] < 0:
+            return i, f"z must be nonnegative, got {z[i]}"
+    if "y" in cols:
+        for i, (zi, yi, ui, ri) in enumerate(zip(z, cols["y"], cols["u"], cols["r"])):
+            if ui != float(yi > 0):
+                return i, "u must equal 1{y > 0}"
+            if zi != yi * ri:
+                return i, "z must equal y * r"
+    return None
 
 
 @pytest.fixture

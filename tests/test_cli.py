@@ -108,6 +108,13 @@ def test_fit_true_lambda_without_rate_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "needs --lambda-eps" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+    # any other method reads no rate, so one given would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(data), "--method", "logistic_gamma", "--lambda-eps", "0.3",
+              "--out", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
+    assert "fit --method logistic_gamma takes no --lambda-eps" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_twice_is_byte_identical(tmp_path):
@@ -264,8 +271,9 @@ def test_cli_fit_and_experiment_fit_the_same_models(tmp_path, monkeypatch):
     assert sorted(fitted) == sorted(METHODS)
     for method, model in fitted.items():
         write_model_json(model, method, tmp_path / f"{method}.experiment.json")
+        rate = ["--lambda-eps", "0.24"] if method == "pu_omm_true_lambda" else []
         assert main(["fit", "--data", str(tmp_path / "train.csv"), "--method", method, "--grid-size", "3",
-                     "--tol", "1e-6", "--lambda-eps", "0.24", "--out", str(tmp_path / f"{method}.json")]) == 0
+                     "--tol", "1e-6", *rate, "--out", str(tmp_path / f"{method}.json")]) == 0
         assert (tmp_path / f"{method}.json").read_bytes() == (tmp_path / f"{method}.experiment.json").read_bytes()
     assert fitted["pu_omm_true_lambda"].lambda_hat == 0.24
 
@@ -633,7 +641,8 @@ def test_latent_methods_alone_read_latent_columns_and_need_simulation_mode(tmp_p
         raise ValueError("stop after the read")
 
     monkeypatch.setattr(dataio, "ingest_csv", ingest)
-    main(["fit", "--data", "d.csv", "--method", method, "--lambda-eps", "0.5", "--out", str(tmp_path / "m.json")])
+    rate = ["--lambda-eps", "0.5"] if method == "pu_omm_true_lambda" else []
+    main(["fit", "--data", "d.csv", "--method", method, *rate, "--out", str(tmp_path / "m.json")])
     assert schemas == ["simulated" if method in LATENT_METHODS else "observed_only"]
 
     real = dict(mode="real_data", methods=[method], trials=1, base_seed=0,
@@ -851,7 +860,8 @@ _SIM_ONLY, _REAL_ONLY = "are read only in simulation mode", "are read only in re
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({**_SIM_CONFIG, "split_fraction": "abc", "input_csv": 5},
+        # a split is checked in both modes (a bad one is named as such), so this one is valid
+        ({**_SIM_CONFIG, "split_fraction": 0.5, "input_csv": 5},
          f"keys ['input_csv', 'split_fraction'] {_REAL_ONLY}, not in a simulation config"),
         ({**_SIM_CONFIG, "true_lambda": 0.3}, f"keys ['true_lambda'] {_REAL_ONLY}, not in a simulation config"),
         ({**_REAL_CONFIG, "settings": [{"setting": "nope", "zzz": 1}]},
@@ -942,15 +952,22 @@ def test_fit_options_left_out_take_the_defaults_of_make_lambda_grid_and_fit_conf
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_fit_checks_its_grid_and_solver_options_before_reading_the_data(tmp_path, capsys, method):
-    # the options are built into a LambdaGrid, a FitConfig and a DetectionParam for every method,
-    # so a bad one is never ignored
+    # the options are built into a LambdaGrid and a FitConfig for every method, and the rate that
+    # pu_omm_true_lambda alone reads into a DetectionParam, so a bad one is never ignored
     missing = str(tmp_path / "missing.csv")
+    true_lambda = method == "pu_omm_true_lambda"
     for option, message in ((["--grid-size", "1"], "grid needs at least 2 points, got 1"),
                             (["--tol", "0"], "tol must be a finite positive real, got 0.0"),
                             (["--lambda-eps", "-1"], "lambda_eps must be a finite positive real, got -1.0"),
                             (["--lambda-eps", "nan"], "lambda_eps must be a finite positive real, got nan")):
-        rate = [] if "--lambda-eps" in option else ["--lambda-eps", "0.5"]  # pu_omm_true_lambda needs one
+        rate = ["--lambda-eps", "0.5"] if true_lambda and "--lambda-eps" not in option else []
         argv = ["fit", "--data", missing, "--method", method, *rate, *option, "--out", str(tmp_path / "m.json")]
+        if "--lambda-eps" in option and not true_lambda:  # a method that reads no rate refuses one
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"fit --method {method} takes no --lambda-eps" in capsys.readouterr().err
+            continue
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
 
@@ -962,8 +979,10 @@ def test_fit_checks_its_grid_and_solver_options_before_reading_the_data(tmp_path
         ({"grid": [0.1, 1.0]}, "grid must be a LambdaGrid, got [0.1, 1.0]"),
         ({"fit": {"tol": 1e-3}}, "fit must be a FitConfig, got {'tol': 0.001}"),
         ({"fit": None}, "fit must be a FitConfig, got None"),
+        # simulation mode reads no split, but a bad one built in Python is refused as in real_data mode
+        ({"split_fraction": "abc"}, "split_fraction must lie in (0, 1), got 'abc'"),
     ],
-    ids=["grid_dict", "grid_list", "fit_dict", "fit_none"],
+    ids=["grid_dict", "grid_list", "fit_dict", "fit_none", "split_fraction"],
 )
 def test_an_experiment_config_built_in_python_names_a_grid_or_fit_of_the_wrong_type(tmp_path, change, message):
     # accepted, it would only show up as a failed cell in every trial
@@ -972,23 +991,31 @@ def test_an_experiment_config_built_in_python_names_a_grid_or_fit_of_the_wrong_t
                          settings=[SimConfig(setting="correct", n=50)], n_values=[50], **change)
 
 
+_ARRAY = "must be an array of finite numbers, got"
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [("beta0", [1, True, 0.5]), ("theta0", ["0.5", 2, 1.0]), ("beta0", [1.0, None, 0.5]), ("theta0", 0.5)],
-    ids=["beta0_bool", "theta0_text", "beta0_null", "theta0_number"],
+    "bad, message",
+    [
+        (lambda meta: {**meta, "beta0": [1, True, 0.5]}, f"beta0 {_ARRAY} [1, True, 0.5]"),
+        (lambda meta: {**meta, "theta0": ["0.5", 2, 1.0]}, f"theta0 {_ARRAY} ['0.5', 2, 1.0]"),
+        (lambda meta: {**meta, "beta0": [1.0, None, 0.5]}, f"beta0 {_ARRAY} [1.0, None, 0.5]"),
+        (lambda meta: {**meta, "theta0": 0.5}, f"theta0 {_ARRAY} 0.5"),
+        (lambda meta: [1, 2], "expected a JSON object holding 'beta0', got [1, 2]"),
+        (lambda meta: {"beta0": [0.1]}, "missing key 'theta0'"),
+    ],
+    ids=["beta0_bool", "theta0_text", "beta0_null", "theta0_number", "not_an_object", "no_theta0"],
 )
-def test_evaluate_reads_the_truth_json_by_the_model_json_rule(tmp_path, capsys, key, value):
+def test_evaluate_reads_the_truth_json_by_the_model_json_rule(tmp_path, capsys, bad, message):
     main(["simulate", "--setting", "correct", "--n", "100", "--p", "3",
           "--n-test", "50", "--seed", "4", "--out", str(tmp_path)])
     model, out = tmp_path / "model.json", tmp_path / "metrics.csv"
     assert main(["fit", "--data", str(tmp_path / "train.csv"), "--method", "logistic_gamma", "--out", str(model)]) == 0
     meta = json.loads((tmp_path / "meta.json").read_text())
-    meta[key] = value
-    (tmp_path / "bad.json").write_text(json.dumps(meta))
+    (tmp_path / "bad.json").write_text(json.dumps(bad(meta)))
     capsys.readouterr()
     argv = ["evaluate", "--model", str(model), "--data", str(tmp_path / "test.csv"), "--out", str(out)]
     assert main([*argv, "--truth", str(tmp_path / "bad.json")]) == 1
-    message = f"{key} must be an array of finite numbers, got {value!r}"
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert not out.exists()
 

@@ -29,12 +29,12 @@ from puomm.dataio import (
     write_model_json,
     write_sim_meta,
 )
-from puomm.model import Dataset, ParamPair
+from puomm.model import Dataset, ParamPair, RowError
 from puomm.optimizer import FitResult
 from puomm.selection import PuOmmModel
 from puomm.simulate import SimConfig, make_datasets
 
-from conftest import assert_read_only, tables_with_bad_cells
+from conftest import assert_read_only, reference_row_error, tables_with_bad_cells
 
 pytestmark = pytest.mark.usefixtures("fork_hygiene")
 
@@ -350,17 +350,18 @@ def test_split_ingest_falls_back_to_serial(tmp_path, content):
 @settings(max_examples=100, deadline=None)
 @given(tables_with_bad_cells())
 def test_ingest_names_the_first_bad_line(table):
-    x, z = table
-    lines = [",".join([f"x_{j + 1}" for j in range(x.shape[1])] + ["z"])]
-    lines += [",".join(repr(float(v)) for v in [*row, zi]) for row, zi in zip(x, z)]
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(z)
-    i = int(np.flatnonzero(~finite | (z < 0))[0])
-    expected = "non-finite cell" if not finite[i] else f"z must be nonnegative, got {z[i]}"
+    # the reader names line i + 2 exactly where Dataset names row i, with the same rule
+    x, cols = table
+    row, rule = reference_row_error(x, cols)
+    with pytest.raises(RowError, match=f"^{re.escape(f'row {row}: {rule}')}$"):
+        Dataset(x=x, **cols)
+    lines = [",".join([f"x_{j + 1}" for j in range(x.shape[1])] + list(cols))]
+    lines += [",".join(repr(float(v)) for v in cells) for cells in zip(*x.T, *cols.values())]
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "bad.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f": line {i + 2}: {expected}$"):
-            ingest_csv(path)
+        with pytest.raises(ValueError, match=f": line {row + 2}: {re.escape(rule)}$"):
+            ingest_csv(path, schema="auto")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -697,5 +698,11 @@ def test_two_part_model_json_roundtrip(tmp_path):
 def test_model_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         model_from_dict({"kind": "mystery"})
+    # a document that is not an object, or lacks a key, names the key read
+    for d, message in (([1, 2], "expected a JSON object holding 'kind', got [1, 2]"),
+                       ({"method": "pu_omm"}, "missing key 'kind'"),
+                       ({"kind": "pu_omm", "beta": [0.1], "theta": [0.2]}, "missing key 'converged'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_from_dict(d)
     with pytest.raises(TypeError):
         model_to_dict(object(), "m")

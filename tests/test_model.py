@@ -16,6 +16,7 @@ from puomm.model import (
     _RowTerms,
     DetectionParam,
     ParamPair,
+    RowError,
     make_objective,
     phi,
 )
@@ -28,6 +29,7 @@ from conftest import (
     pu_model,
     random_dataset,
     reference_loss_and_gradient,
+    reference_row_error,
     tables_with_bad_cells,
     z_pattern_datasets,
 )
@@ -108,7 +110,7 @@ def test_magnitude_density_mean_matches_log_link():
 
 def test_magnitude_density_rejects_nonpositive_t():
     # z = 0 is an unrecorded row; a negative size is rejected with its row
-    with pytest.raises(ValueError, match=r"z must be nonnegative \(row 1\)"):
+    with pytest.raises(RowError, match=r"^row 1: z must be nonnegative, got -1\.0$"):
         Dataset(x=np.zeros((2, 1)), z=np.array([0.0, -1.0]))
 
 
@@ -593,7 +595,7 @@ def test_every_way_of_building_a_dataset_gives_arrays_that_refuse_writes(rng):
 
 def test_a_callers_float_array_becomes_read_only_and_a_converted_one_stays_writable(rng):
     x, z, counts = rng.standard_normal((5, 2)), np.zeros(5), np.arange(5)
-    ds = Dataset(x=x, z=z, y=counts, u=np.zeros(5), r=np.zeros(5))
+    ds = Dataset(x=x, z=z, y=counts, u=(counts > 0).astype(float), r=np.zeros(5))
     assert ds.x is x and ds.z is z  # float64 arrays are taken without a copy
     with pytest.raises(ValueError, match="read-only"):
         z[0] = 1.0
@@ -726,15 +728,38 @@ def test_param_pair_validation():
 @pytest.mark.parametrize(
     "x, z, message",
     [
-        ([[0.0, 1.0], [2.0, np.nan]], [0.0, 1.0], r"x must be finite \(row 1\)"),
-        ([[np.inf, 1.0]], [0.0], r"x must be finite \(row 0\)"),
-        ([[0.0], [1.0], [2.0]], [0.0, 1.0, np.nan], r"z must be finite \(row 2\)"),
-        ([[0.0], [1.0]], [-np.inf, 1.0], r"z must be finite \(row 0\)"),
+        ([[0.0, 1.0], [2.0, np.nan]], [0.0, 1.0], "row 1: non-finite cell"),
+        ([[np.inf, 1.0]], [0.0], "row 0: non-finite cell"),
+        ([[0.0], [1.0], [2.0]], [0.0, 1.0, np.nan], "row 2: non-finite cell"),
+        ([[0.0], [1.0]], [-np.inf, 1.0], "row 0: non-finite cell"),
     ],
+    ids=["x_nan", "x_inf", "z_nan", "z_minus_inf"],
 )
 def test_dataset_rejects_non_finite_values_naming_the_row(x, z, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(RowError, match=f"^{message}$"):
         Dataset(x=x, z=z)
+
+
+_LATENT = {"z": [0.0, 0.0, 1.0], "y": [0.0, 2.0, 1.0], "u": [0.0, 1.0, 1.0], "r": [0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"y": [0.0, np.nan, 1.0]}, "row 1: non-finite cell"),
+        ({"r": [0.0, 0.0, np.inf]}, "row 2: non-finite cell"),
+        ({"z": [0.0, 0.0, 2.0]}, "row 2: z must equal y * r"),
+        ({"u": [0.0, 0.0, 1.0]}, "row 1: u must equal 1{y > 0}"),
+        ({"u": [0.0, 0.0, 1.0], "z": [1.0, 0.0, 1.0]}, "row 0: z must equal y * r"),
+        ({"u": [0.0, 0.0, 1.0], "z": [0.0, 1.0, 1.0]}, "row 1: u must equal 1{y > 0}"),
+    ],
+    ids=["y_nan", "r_inf", "z_not_y_r", "u_not_y_positive", "first_row_wins", "u_rule_first_in_a_row"],
+)
+def test_a_dataset_built_in_python_keeps_the_latent_row_rule(change, message):
+    # the rule the CSV reader applies to simulated files holds however a Dataset is built
+    Dataset(x=np.zeros((3, 1)), **_LATENT)
+    with pytest.raises(RowError, match=f"^{re.escape(message)}$"):
+        Dataset(x=np.zeros((3, 1)), **{**_LATENT, **change})
 
 
 @pytest.mark.parametrize("name", ["y", "u", "r"])
@@ -767,19 +792,11 @@ def test_row_terms_blocks_match_the_boolean_mask_reference(ds):
         assert got.tobytes() == expected.tobytes(), name
 
 
-def reference_dataset_error(x: np.ndarray, z: np.ndarray) -> str | None:
-    """The message Dataset raises for (x, z): x's first non-finite row, then z's, then z's first negative."""
-    for name, bad in (("x", ~np.isfinite(x).all(axis=1)), ("z", ~np.isfinite(z))):
-        if bad.any():
-            return f"{name} must be finite (row {np.flatnonzero(bad)[0]})"
-    if (z < 0).any():
-        return f"z must be nonnegative (row {np.flatnonzero(z < 0)[0]})"
-    return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(tables_with_bad_cells())
 def test_dataset_names_the_first_bad_row(table):
-    x, z = table
-    with pytest.raises(ValueError, match=f"^{re.escape(reference_dataset_error(x, z))}$"):
-        Dataset(x=x, z=z)
+    x, cols = table
+    row, rule = reference_row_error(x, cols)
+    with pytest.raises(RowError, match=f"^{re.escape(f'row {row}: {rule}')}$") as exc:
+        Dataset(x=x, **cols)
+    assert (exc.value.row, exc.value.rule) == (row, rule)
